@@ -36,9 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
-from .galerkin import kappa_tilde, sturm_count
+from .galerkin import kappa_tilde
 from .quad import beta_rule
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
     "jacobi_coefficients",
     "jacobi_values",
     "JacobiBasis",
-    "SpectralConstants",
-    "SymmetricTripleBasis",
-    "CertificateSequences",
     "nu_quadrature",
     "p_quadrature",
     "q_quadrature",
@@ -70,7 +68,6 @@ __all__ = [
     "verify_prop_b",
     "verify_certificates",
     "n_zero",
-    "verify_monotonicity_lemmas",
     "monotonicity_report",
 ]
 
@@ -194,51 +191,6 @@ class JacobiBasis:
         return float(np.abs(off).max())
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Closed-form coefficient sequences for orders 1..n_max."""
-
-    gamma: float
-    nu: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    @classmethod
-    def build(cls, gamma: float, n_max: int) -> "SpectralConstants":
-        ns = range(1, n_max + 1)
-        return cls(
-            gamma,
-            np.array([nu_n(n, gamma) for n in ns]),
-            np.array([p_n(n, gamma) for n in ns]),
-            np.array([q_n(n, gamma) for n in ns]),
-        )
-
-
-class SymmetricTripleBasis:
-    """Symmetrized combinations F_n = J_n(x1)+J_n(x2)+J_n(x3),
-    G_n = J_n(x1)-J_n(x3), H_n = J_n(x1)-2 J_n(x2)+J_n(x3) on the sum-1
-    simplex."""
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-
-    def f(self, n: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return sum(jacobi_values(n, self.gamma, x[..., i]) for i in range(3))
-
-    def g(self, n: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return jacobi_values(n, self.gamma, x[..., 0]) - jacobi_values(n, self.gamma, x[..., 2])
-
-    def h(self, n: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (
-            jacobi_values(n, self.gamma, x[..., 0])
-            - 2.0 * jacobi_values(n, self.gamma, x[..., 1])
-            + jacobi_values(n, self.gamma, x[..., 2])
-        )
-
-
 def _mu_rule(gamma: float, n_nodes: int):
     return beta_rule(gamma, 2 * gamma, n_nodes)
 
@@ -319,21 +271,11 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
     return diag, off
 
 
-def _lambda_max_sturm(diag: np.ndarray, off: np.ndarray, tol: float = 1e-13) -> float:
-    """Largest eigenvalue of a symmetric tridiagonal matrix by Sturm bisection."""
+def _lambda_max(diag: np.ndarray, off: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal (diag, off), by LAPACK
+    bisection on that one eigenvalue."""
     n = diag.size
-    if n == 1:
-        return float(diag[0])
-    pad = np.concatenate([[0.0], np.abs(off), [0.0]])
-    hi = float(np.max(diag + pad[:-1] + pad[1:]))
-    lo = float(np.min(diag - pad[:-1] - pad[1:]))
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if sturm_count(diag, off, mid) < n:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[0])
 
 
 def _tail_bound(family: str, gamma: float, t: int) -> float:
@@ -389,7 +331,7 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200,
     """
     qfun = q_n if exact else q_cert
     diag, off = family_tridiagonal(family, gamma, n_max, exact=exact)
-    lower = _lambda_max_sturm(diag, off)
+    lower = _lambda_max(diag, off)
     k_last = n_max  # index of the last head row in the family's numbering
     c_last = diag[-1] / p_n(k_last, gamma)
     c_next = 1.0 + (2.0 if family == "A" else 1.0) * nu_n(k_last + 1, gamma)
@@ -416,7 +358,7 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200,
     for tau in np.geomspace(1e-3, 1e3, 121):
         d2 = diag.copy()
         d2[-1] += e * tau
-        head = _lambda_max_sturm(d2, off)
+        head = _lambda_max(d2, off)
         cand = max(head, tail0 + e / tau)
         best = min(best, cand)
     return SupBracket(truncated_max_eig=lower, tail_bound=tail0,
@@ -540,25 +482,6 @@ def certificate_betas(gamma: float, n_max: int) -> np.ndarray:
         eps = 1.0 / (1.0 + 3.0 * gamma)  # midpoint of the admissible (0, 2/(1+3g))
         b[1] = abs(q_cert(1, gamma)) * 3.0 * (3.0 * gamma + 2.0) / (2.0 - eps)
     return b
-
-
-@dataclass(frozen=True)
-class CertificateSequences:
-    gamma: float
-    alpha: np.ndarray
-    beta: np.ndarray
-    regime: str
-
-    @classmethod
-    def build(cls, gamma: float, n_max: int) -> "CertificateSequences":
-        if gamma < 2.0 / 3.0:
-            regime = "max-formulas"
-        elif gamma <= 2.0:
-            regime = "explicit-mid"
-        else:
-            regime = "explicit-large"
-        return cls(gamma, certificate_alphas(gamma, n_max),
-                   certificate_betas(gamma, n_max), regime)
 
 
 def certificate_expressions(gamma: float, n_max: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -699,15 +622,3 @@ def monotonicity_report(gammas, n_max: int = 50) -> list[dict]:
             viol += 1 if abs(q_cert(2, g2)) > abs(q_cert(2, g1)) + 1e-15 else 0
         add("abs_q_decreasing_in_gamma", g2, viol)
     return records
-
-
-def verify_monotonicity_lemmas(gamma_grid, n_range=None) -> list[dict]:
-    """Spec-facing alias: full fact suite on the grid; n_range may be a range
-    or max order."""
-    if n_range is None:
-        n_max = 50
-    elif isinstance(n_range, int):
-        n_max = n_range
-    else:
-        n_max = max(n_range)
-    return monotonicity_report(gamma_grid, n_max=n_max)

@@ -250,9 +250,7 @@ def check_compare_and_main(kernel_name: str, m: float, gamma: float,
     """Empirical constant of the nearest-neighbor lower bound: c(N) =
     lambda * N^2 / E^m must stay bounded below with no downward trend."""
     kern = make_kernel(kernel_name, m=m, gamma=gamma)
-    if kern.mechanical is not None:
-        m = kern.mechanical.m
-        gamma = kern.mechanical.gamma_rev.gamma
+    m, gamma = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
     consts = []
     for n in n_range:
         lam = _nn_gap(kern, gamma, 1.0, n, degree)

@@ -14,13 +14,14 @@ import itertools
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import appendix, bounds, simulate
 from .galerkin import CHAIN, COMPLETE, kappa, kappa_tilde, spectral_gap, two_site_constant
-from .measures import GammaShape, SimplexLaw
+from .measures import SimplexLaw
 from .models import make_kernel
 
 SCHEMA_VERSION = 1
@@ -41,8 +42,8 @@ def fmt(x: float) -> str:
 class ExperimentConfig:
     command: str = "gap"
     model: str = "star"
-    m: float = 0.0
-    gamma: float = 1.0
+    m: float | None = None  # unset: the kernel's own value
+    gamma: float | None = None
     energy: float = 1.0
     sites: int = 3
     topology: str = "long-range"
@@ -56,12 +57,21 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path}: top level must be a JSON object")
         if raw.pop("schema", None) != SCHEMA_VERSION:
             raise ValueError(f"config {path}: missing or unsupported schema version")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        hints = typing.get_type_hints(cls)
+        unknown = set(raw) - set(hints)
         if unknown:
             raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
+        for key, val in raw.items():
+            types = typing.get_args(hints[key]) or (hints[key],)
+            # JSON integers stand for floats; booleans stand for nothing
+            ok = isinstance(val, types) or (float in types and isinstance(val, int))
+            if isinstance(val, bool) or not ok:
+                names = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"config {path}: {key} must be {names}, got {val!r}")
         return cls(**raw)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
@@ -99,9 +109,14 @@ def _galerkin_topology(name: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def compute_gap_row(cfg: ExperimentConfig) -> dict:
+def _kernel_and_law(cfg: ExperimentConfig):
+    """The configured kernel and its reversible law; (m, gamma) belong to the kernel."""
     kern = make_kernel(cfg.model, m=cfg.m, gamma=cfg.gamma)
-    law = SimplexLaw(GammaShape(cfg.gamma), cfg.energy, cfg.sites)
+    return kern, SimplexLaw(kern.mechanical.gamma_rev, cfg.energy, cfg.sites)
+
+
+def compute_gap_row(cfg: ExperimentConfig) -> dict:
+    kern, law = _kernel_and_law(cfg)
     if cfg.method == "galerkin":
         res = spectral_gap(law, kern, cfg.degree, _galerkin_topology(cfg.topology))
         gap, err, dob = res.value, 0.0, cfg.degree
@@ -116,7 +131,8 @@ def compute_gap_row(cfg: ExperimentConfig) -> dict:
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
     return {
-        "model": kern.name, "m": cfg.m, "gamma": cfg.gamma, "E": cfg.energy,
+        "model": kern.name, "m": kern.mechanical.m,
+        "gamma": kern.mechanical.gamma_rev.gamma, "E": cfg.energy,
         "N": cfg.sites, "topology": cfg.topology, "method": cfg.method,
         "degree_or_budget": dob, "gap": gap, "err": err, "seed": master_seed(cfg),
     }
@@ -135,7 +151,7 @@ def cmd_gap(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _parse_grid(spec: str | None, default) -> list:
     if spec is None:
         return list(default)
-    return [type(default[0])(float(tok)) for tok in spec.split(",") if tok]
+    return [float(tok) for tok in spec.split(",") if tok]
 
 
 def _write_rows(path: str, rows: list[dict], cfg: ExperimentConfig) -> None:
@@ -182,12 +198,14 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_kappa(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    k = kappa(cfg.m, cfg.gamma, cfg.degree)
-    kt = kappa_tilde(cfg.m, cfg.gamma, cfg.degree)
-    report = {"m": cfg.m, "gamma": cfg.gamma, "degree": cfg.degree,
+    mech = make_kernel("star", m=cfg.m, gamma=cfg.gamma).mechanical
+    m, g = mech.m, mech.gamma_rev.gamma
+    k = kappa(m, g, cfg.degree)
+    kt = kappa_tilde(m, g, cfg.degree)
+    report = {"m": m, "gamma": g, "degree": cfg.degree,
               "kappa": k, "kappa_tilde": kt}
-    if cfg.m == 1.0:
-        bracket = appendix.kappa_tilde_1_bracket(cfg.gamma, degree=cfg.degree,
+    if m == 1.0:
+        bracket = appendix.kappa_tilde_1_bracket(g, degree=cfg.degree,
                                                  strict=False)
         report["certificate_lower"] = bracket.lower
         report["galerkin_upper"] = bracket.upper
@@ -226,8 +244,8 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         for rec in appendix.verify_prop_b(1.0, n_max=args.n_max):
             report["checks"].append(rec)
             failed |= not rec["pass"]
-        for rec in appendix.verify_monotonicity_lemmas(
-                (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0)):
+        for rec in appendix.monotonicity_report(
+                (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0), n_max=50):
             ok = rec["violations"] == 0
             report["checks"].append({"claim": rec["fact"], "pass": ok, **rec})
             failed |= not ok
@@ -279,8 +297,7 @@ def _write_summary_csv(path: str, report: dict) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    kern = make_kernel(cfg.model, m=cfg.m, gamma=cfg.gamma)
-    law = SimplexLaw(GammaShape(cfg.gamma), cfg.energy, cfg.sites)
+    kern, law = _kernel_and_law(cfg)
     rng = np.random.default_rng(master_seed(cfg))
     traj = simulate.run(kern, _topology(cfg.topology, cfg.sites), law, rng,
                         n_events=cfg.budget, sample_dt=args.sample_dt)

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigvalsh, solve_triangular
 from scipy.special import gammaln
 
 from .measures import GammaShape, SimplexLaw, dirichlet_moment, pair_alpha_moment
 from .models import ExchangeKernel
-from .quad import graded_rule, legendre_rule, power_rule
+from .quad import graded_rule, power_rule
 
 __all__ = [
     "CHAIN",
@@ -35,8 +35,6 @@ __all__ = [
     "two_site_constant",
     "kappa",
     "kappa_tilde",
-    "jacobi_eigvalsh",
-    "sturm_count",
 ]
 
 CHAIN = "chain"
@@ -97,8 +95,6 @@ class KernelIntegrals:
     """
 
     def __init__(self, kernel: ExchangeKernel, n_beta: int = 48):
-        if kernel.mechanical is None:
-            raise ValueError("assembly requires a mechanical kernel")
         self.kernel = kernel
         self.gamma = kernel.mechanical.gamma_rev
         self._exact = kernel.name in ("star", "kmp")
@@ -220,63 +216,6 @@ def assemble(
     return A, G, basis
 
 
-# ---------------------------------------------------------------------------
-# dense symmetric eigenvalues: cyclic Jacobi rotations
-
-def jacobi_eigvalsh(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Converges quadratically; tol is on the off-diagonal Frobenius norm
-    relative to the matrix norm.
-    """
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :1].copy()
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n)
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(A[mask] ** 2))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-20 * norm:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(A))
-
-
-def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal (diag, off) below x,
-    by the Sturm sequence of leading-minor pivots."""
-    count = 0
-    d = diag[0] - x
-    if d < 0:
-        count += 1
-    for i in range(1, diag.size):
-        denom = d if d != 0.0 else 1e-300
-        d = (diag[i] - x) - off[i - 1] ** 2 / denom
-        if d < 0:
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class GapResult:
     value: float
@@ -286,34 +225,41 @@ class GapResult:
     gram_condition: float = float("nan")
 
 
-def solve_gap(A: np.ndarray, G: np.ndarray, cond_limit: float = 1e12) -> tuple[float, float]:
-    """Smallest Rayleigh quotient D(f)/Var(f) over the span, constants removed.
+def _whitened_pencil(A: np.ndarray, G: np.ndarray, cond_limit: float = math.inf):
+    """Reduce the pencil (A, G) on a basis whose first element is the constant.
 
-    Constants are deflated by a Schur complement of the Gram matrix; the
-    reduced pencil is whitened with a Cholesky factor and diagonalized with
-    the Jacobi eigensolver.  Returns (gap, gram condition estimate).
+    Constants are deflated by a Schur complement of the Gram matrix, the rest
+    is scaled to unit Gram diagonal (factor d) and whitened with the Cholesky
+    factor L of the scaled Gram matrix.  Returns (M, L, d, gram condition);
+    an eigenvector v of the symmetric M holds the coefficients
+    d * L^-T v on basis elements 1..n-1.
     """
-    n = A.shape[0]
-    if n < 2:
+    if A.shape[0] < 2:
         raise ValueError("need at least one non-constant basis function")
-    As = np.array(A[1:, 1:], dtype=float)
     Gs = G[1:, 1:] - np.outer(G[1:, 0], G[0, 1:]) / G[0, 0]
     d = 1.0 / np.sqrt(np.diag(Gs))
     Gs = Gs * np.outer(d, d)
-    As = As * np.outer(d, d)
     Gs = 0.5 * (Gs + Gs.T)
-    ge = jacobi_eigvalsh(Gs)
+    ge = eigvalsh(Gs)
     cond = float(ge[-1] / ge[0]) if ge[0] > 0 else float("inf")
     if not np.isfinite(cond) or cond > cond_limit:
         raise np.linalg.LinAlgError(
             f"Gram matrix too ill-conditioned (cond ~ {cond:.3e}); lower the degree"
         )
     L = np.linalg.cholesky(Gs)
-    Y = solve_triangular(L, As, lower=True)
+    Y = solve_triangular(L, A[1:, 1:] * np.outer(d, d), lower=True)
     M = solve_triangular(L, Y.T, lower=True)
-    M = 0.5 * (M + M.T)
-    ev = jacobi_eigvalsh(M)
-    return float(ev[0]), cond
+    return 0.5 * (M + M.T), L, d, cond
+
+
+def solve_gap(A: np.ndarray, G: np.ndarray, cond_limit: float = 1e12) -> tuple[float, float]:
+    """Smallest Rayleigh quotient D(f)/Var(f) over the span, constants removed.
+
+    Returns (gap, gram condition estimate) from the lowest eigenvalue of the
+    whitened pencil.
+    """
+    M, _, _, cond = _whitened_pencil(A, G, cond_limit)
+    return float(eigvalsh(M)[0]), cond
 
 
 def spectral_gap(
@@ -359,8 +305,7 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     phi_b = orthonormal_values(ra, rb, I.beta_nodes)
     diff = (phi_a - phi_b)[1:] * np.sqrt(I.node_weights)
     A = 0.5 * (diff @ diff.T)
-    ev = jacobi_eigvalsh(0.5 * (A + A.T))
-    return float(ev[0])
+    return float(eigvalsh(0.5 * (A + A.T))[0])
 
 
 _KAPPA_COND_LIMIT = 1e14  # degree-8 monomial Gram matrices reach cond ~3e12

@@ -9,7 +9,7 @@ in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -18,7 +18,7 @@ __all__ = [
     "GammaShape",
     "SimplexLaw",
     "EnergyConfiguration",
-    "sample_configuration",
+    "sample_matrix",
     "dirichlet_moment",
     "pair_alpha_moment",
     "marginal_moment",
@@ -78,25 +78,11 @@ class EnergyConfiguration:
         return self.x.size
 
 
-def sample_configuration(law: SimplexLaw, rng: np.random.Generator) -> EnergyConfiguration:
-    """Draw one exact sample of the conditioned measure.
-
-    Gamma-normalization: N independent Gamma(gamma, 1) variates scaled to
-    sum N*E.  numpy's gamma sampler is exact for shape < 1 as well, which
-    matters for the gamma = 1/2 test points.
-    """
-    if law.sites == 1:
-        return EnergyConfiguration(np.array([law.mean_energy]), law.mean_energy)
-    g = rng.gamma(law.gamma.gamma, 1.0, size=law.sites)
-    # a zero draw is a measure-zero event but would break positivity
-    while np.any(g == 0.0):
-        g[g == 0.0] = rng.gamma(law.gamma.gamma, 1.0, size=np.count_nonzero(g == 0.0))
-    x = law.total_energy * g / g.sum()
-    return EnergyConfiguration(x, law.mean_energy)
-
-
 def sample_matrix(law: SimplexLaw, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sampling: (n_samples, N) array of configurations."""
+    """Exact samples of the conditioned measure, one configuration per row of
+    an (n_samples, N) array: N independent Gamma(gamma, 1) variates scaled to
+    sum N*E.  numpy's gamma sampler is exact for shape < 1 as well; a zero
+    draw (a measure-zero event) is clipped to the smallest positive float."""
     if law.sites == 1:
         return np.full((n_samples, 1), law.mean_energy)
     g = rng.gamma(law.gamma.gamma, 1.0, size=(n_samples, law.sites))

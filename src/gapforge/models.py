@@ -11,106 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.special import betaln
+from scipy.special import betaln, ellipe, ellipk
 
 from .measures import GammaShape
 from .quad import beta_rule, graded_rule, legendre_rule, power_rule
 
 __all__ = [
     "ExchangeKernel",
-    "PairUpdate",
-    "apply_update",
     "star_kernel",
     "gg3_kernel",
     "gg2_kernel",
     "stick_kernel",
     "make_kernel",
-    "elliptic_k",
-    "elliptic_e",
     "detailed_balance_defect",
 ]
-
-_AGM_TOL = 1e-15
-
-
-def elliptic_k(t):
-    """Complete elliptic integral K(t) in the modulus convention,
-    integrand (1 - t^2 sin^2)^(-1/2), via the arithmetic-geometric mean."""
-    t = np.asarray(t, dtype=float)
-    if np.any((t < 0) | (t >= 1)):
-        raise ValueError("elliptic_k requires 0 <= t < 1")
-    a = np.ones_like(t)
-    b = np.sqrt(1.0 - t * t)
-    for _ in range(60):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.max(np.abs(a - b)) < _AGM_TOL:
-            break
-    out = np.pi / (2.0 * a)
-    return float(out) if out.ndim == 0 else out
-
-
-def elliptic_e(t):
-    """Complete elliptic integral E(t), modulus convention, via AGM."""
-    t = np.asarray(t, dtype=float)
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("elliptic_e requires 0 <= t <= 1")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    at_one = t == 1.0
-    out[at_one] = 1.0
-    tt = t[~at_one]
-    if tt.size:
-        a = np.ones_like(tt)
-        b = np.sqrt(1.0 - tt * tt)
-        c = tt.copy()
-        csum = 0.5 * c * c
-        pow2 = 1.0
-        for _ in range(60):
-            c = 0.5 * (a - b)
-            a, b = 0.5 * (a + b), np.sqrt(a * b)
-            pow2 *= 2.0
-            csum += 0.5 * pow2 * c * c
-            if np.max(np.abs(c)) < _AGM_TOL:
-                break
-        k = np.pi / (2.0 * a)
-        out[~at_one] = k * (1.0 - csum)
-    return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class PairUpdate:
-    """One energy exchange: the pair (i, j) is redistributed by fraction alpha."""
-
-    i: int
-    j: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("pair indices must differ")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-
-
-def apply_update(x: np.ndarray, u: PairUpdate) -> np.ndarray:
-    """Return the configuration after the exchange; the pair sum is computed
-    once so total energy is conserved up to one rounding of the split."""
-    y = np.array(x, dtype=float)
-    s = y[u.i] + y[u.j]
-    y[u.i] = u.alpha * s
-    y[u.j] = s - u.alpha * s
-    return y
 
 
 @dataclass(frozen=True)
 class MechanicalForm:
     m: float
     gamma_rev: GammaShape
-    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -126,7 +49,7 @@ class ExchangeKernel:
     rate: Callable[[float, float], float]
     alpha_density: Callable[[float, float, np.ndarray], np.ndarray]
     alpha_sampler: Callable[[float, float, np.random.Generator], float]
-    mechanical: Optional[MechanicalForm]
+    mechanical: MechanicalForm
     rate_r: Callable[[np.ndarray], np.ndarray]
     alpha_rule: Callable[[float], tuple[np.ndarray, np.ndarray]]
 
@@ -157,7 +80,7 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
         rate=rate,
         alpha_density=density,
         alpha_sampler=sampler,
-        mechanical=MechanicalForm(m=m, gamma_rev=gamma, certified=m >= 0),
+        mechanical=MechanicalForm(m=m, gamma_rev=gamma),
         rate_r=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
         alpha_rule=rule,
     )
@@ -232,18 +155,14 @@ _GG2_PREF = math.sqrt(2.0 / math.pi ** 3)
 def _gg2_rate_r(beta):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     mx = np.maximum(beta, 1.0 - beta)
+    # bstar is the squared modulus, i.e. scipy's parameter, matching the
+    # K(sqrt(.)) pattern of the redistribution density; with it the
+    # normalization int P~ dalpha = Lambda_r holds to machine precision
     bstar = np.minimum(beta / (1.0 - beta), (1.0 - beta) / beta)
-    out = np.empty_like(beta)
-    deg = bstar >= 1.0  # beta = 1/2: (1 - t) K(t) -> 0
-    out[deg] = np.sqrt(8.0 * mx[deg] / math.pi ** 3) * 2.0 * elliptic_e(1.0)
-    if np.any(~deg):
-        # bstar enters as the squared modulus (matching the K(sqrt(.)) pattern
-        # of the redistribution density); with modulus t = sqrt(bstar) the
-        # normalization int P~ dalpha = Lambda_r holds to machine precision
-        t = np.sqrt(bstar[~deg])
-        out[~deg] = np.sqrt(8.0 * mx[~deg] / math.pi ** 3) * (
-            2.0 * elliptic_e(t) - (1.0 - t * t) * elliptic_k(t)
-        )
+    out = 2.0 * ellipe(bstar)
+    part = bstar < 1.0  # beta = 1/2: (1 - t^2) K(t) -> 0
+    out[part] -= (1.0 - bstar[part]) * ellipk(bstar[part])
+    out *= np.sqrt(8.0 * mx / math.pi ** 3)
     return out if out.size > 1 else float(out[0])
 
 
@@ -252,20 +171,17 @@ def gg2_unnormalized(beta: float, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     c = min(beta, 1.0 - beta)
     mx = max(beta, 1.0 - beta)
-    out = np.empty_like(alpha)
-    for idx, a in np.ndenumerate(alpha):
-        if a <= c:
-            x, t2 = 1.0 - beta, a / (1.0 - beta)
-        elif a >= mx:
-            x, t2 = beta, (1.0 - a) / beta
-        elif beta <= 0.5:
-            x, t2 = 1.0 - a, beta / (1.0 - a)
+    lo, hi = alpha <= c, alpha >= mx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if beta <= 0.5:
+            x, t2 = 1.0 - alpha, beta / (1.0 - alpha)
         else:
-            x, t2 = a, (1.0 - beta) / a
-        if t2 >= 1.0:
-            out[idx] = np.inf
-        else:
-            out[idx] = math.sqrt(1.0 / x) * elliptic_k(math.sqrt(t2))
+            x, t2 = alpha, (1.0 - beta) / alpha
+        x = np.where(lo, 1.0 - beta, np.where(hi, beta, x))
+        t2 = np.where(lo, alpha / (1.0 - beta), np.where(hi, (1.0 - alpha) / beta, t2))
+    out = np.full_like(alpha, np.inf)
+    fin = t2 < 1.0
+    out[fin] = np.sqrt(1.0 / x[fin]) * ellipk(t2[fin])
     return _GG2_PREF * out
 
 
@@ -374,27 +290,35 @@ def stick_kernel(m: float) -> ExchangeKernel:
 
 # ---------------------------------------------------------------------------
 
-def make_kernel(name: str, m: float = 0.0, gamma: float = 1.0) -> ExchangeKernel:
-    """Kernel selection by string identifier (CLI / config surface)."""
+def make_kernel(name: str, m: float | None = None, gamma: float | None = None) -> ExchangeKernel:
+    """Kernel selection by string identifier (CLI / config surface).
+
+    An unset m or gamma takes the kernel's own value (star: m = 0, gamma = 1;
+    stick: m = 1); a given value the kernel cannot take raises ValueError.
+    """
     name = name.lower()
     if name == "star":
-        return star_kernel(m, GammaShape(gamma))
+        return star_kernel(0.0 if m is None else m, GammaShape(1.0 if gamma is None else gamma))
     if name == "kmp":
-        return star_kernel(0.0, GammaShape(1.0))
-    if name == "gg3":
-        return gg3_kernel()
-    if name == "gg2":
-        return gg2_kernel()
-    if name == "stick":
-        return stick_kernel(m if m > 0 else 1.0)
-    raise ValueError(f"unknown kernel {name!r}")
+        kern = star_kernel(0.0, GammaShape(1.0))
+    elif name == "gg3":
+        kern = gg3_kernel()
+    elif name == "gg2":
+        kern = gg2_kernel()
+    elif name == "stick":
+        kern = stick_kernel(1.0 if m is None else m)
+    else:
+        raise ValueError(f"unknown kernel {name!r}")
+    mech = kern.mechanical
+    for key, given, own in (("m", m, mech.m), ("gamma", gamma, mech.gamma_rev.gamma)):
+        if given is not None and given != own:
+            raise ValueError(f"kernel {name!r} has {key} = {own:g}, got {given:g}")
+    return kern
 
 
 def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:
     """Max asymmetry of q(beta, alpha) = Lambda_r(beta) p(beta, alpha) w_gamma(beta)
     over an interior grid; zero iff the bond dynamics is reversible for Beta(gamma, gamma)."""
-    if kernel.mechanical is None:
-        raise ValueError("detailed balance check needs a mechanical kernel")
     g = kernel.mechanical.gamma_rev.gamma
     # irrational offset keeps every pair (grid_i, grid_j) off the singular
     # line alpha = 1 - beta of the gg2 density

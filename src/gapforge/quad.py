@@ -8,6 +8,14 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lock the arrays a cached rule hands out, so that no caller can write
+    into the copy every later call shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=256)
 def beta_rule(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on [0,1] integrating f against the Beta(p, q) probability density.
@@ -18,7 +26,7 @@ def beta_rule(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_jacobi(n, q - 1.0, p - 1.0)
     u = 0.5 * (1.0 + x)
     w = w / w.sum()
-    return u, w
+    return _read_only(u, w)
 
 
 @lru_cache(maxsize=256)
@@ -29,7 +37,7 @@ def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[
     """
     h = hi - lo
     if h <= 0:
-        return np.array([]), np.array([])
+        return _read_only(np.array([]), np.array([]))
     if at_lo:
         # weight (u-lo)^expo: u = lo + h*(1+t)/2, weight ~ (1+t)^expo
         x, w = roots_jacobi(n, 0.0, expo)
@@ -40,7 +48,7 @@ def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[
     # roots_jacobi weights integrate (1-t)^a (1+t)^b on [-1,1]; after the affine
     # map the Jacobian is h/2 and the weight picks up (h/2)^expo
     w = w * (h / 2.0) ** (expo + 1.0)
-    return u, w
+    return _read_only(u, w)
 
 
 def legendre_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

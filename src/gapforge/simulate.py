@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from .measures import EnergyConfiguration, SimplexLaw, sample_configuration
+from .measures import EnergyConfiguration, SimplexLaw, sample_matrix
 from .models import ExchangeKernel
 
 __all__ = [
@@ -123,7 +124,7 @@ def run(
     touching = _bond_adjacency(topo)
     pref = topo.prefactor
     if initial is None:
-        initial = sample_configuration(law, rng)
+        initial = EnergyConfiguration(sample_matrix(law, 1, rng)[0], law.mean_energy)
     x = [float(v) for v in initial.x]
     rate = kernel.rate
     sampler = kernel.alpha_sampler
@@ -220,17 +221,13 @@ def slowest_mode_observable(law: SimplexLaw, kernel: ExchangeKernel,
                             degree: int, topology: str) -> Callable[[np.ndarray], np.ndarray]:
     """Polynomial observable built from the slowest Galerkin eigenvector;
     maximal overlap with the spectral edge among degree-d polynomials."""
-    from .galerkin import CHAIN, COMPLETE, KernelIntegrals, assemble
+    from .galerkin import CHAIN, COMPLETE, KernelIntegrals, _whitened_pencil, assemble
 
     topo_name = CHAIN if topology == NEAREST else COMPLETE
     A, G, basis = assemble(law, kernel, degree, topo_name, KernelIntegrals(kernel))
-    As = np.array(A[1:, 1:], dtype=float)
-    Gs = G[1:, 1:] - np.outer(G[1:, 0], G[0, 1:]) / G[0, 0]
-    d = 1.0 / np.sqrt(np.diag(Gs))
-    L = np.linalg.cholesky(Gs * np.outer(d, d))
-    M = np.linalg.solve(L, np.linalg.solve(L, (As * np.outer(d, d)).T).T)
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    coeff = d * np.linalg.solve(L.T, V[:, 0])
+    M, L, d, _ = _whitened_pencil(A, G)
+    _, V = np.linalg.eigh(M)
+    coeff = d * solve_triangular(L, V[:, 0], lower=True, trans="T")
     exponents = [k for k in basis[1:]]
 
     def observable(states: np.ndarray) -> np.ndarray:

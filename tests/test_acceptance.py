@@ -89,7 +89,7 @@ def test_criterion_06_certificate_sups():
 
 def test_criterion_07_monotonicity_suite():
     grid = (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0)
-    records = appendix.verify_monotonicity_lemmas(grid, n_range=range(1, 51))
+    records = appendix.monotonicity_report(grid, n_max=50)
     assert records
     violations = [r for r in records if r["violations"] != 0]
     assert violations == []

@@ -120,3 +120,48 @@ def test_seed_env_default(monkeypatch):
 
     assert master_seed(ExperimentConfig()) == 42
     assert master_seed(ExperimentConfig(seed=7)) == 7
+
+
+def test_unset_parameters_take_the_kernel_values(tmp_path, capsys):
+    # gg3 is reversible for gamma = 3/2, so its law must be built with it
+    base = ["gap", "--model", "gg3", "--N", "3", "--topology", "nearest", "--degree", "4"]
+    out = tmp_path / "gg3.csv"
+    assert main(base + ["--out", str(out)]) == 0
+    unset = float(capsys.readouterr().out.strip())
+    assert main(base + ["--gamma", "1.5"]) == 0
+    given = float(capsys.readouterr().out.strip())
+    assert unset == given
+    assert abs(unset - 0.45746033116594242) < 1e-8
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:3] == ["gg3", "0.5", "1.5"]  # the kernel's (m, gamma), not the flags'
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "gg3", "--gamma", "1"],
+    ["--model", "gg2", "--gamma", "2"],
+    ["--model", "kmp", "--m", "1"],
+    ["--model", "gg2", "--m", "1"],
+    ["--model", "stick", "--m", "0"],
+    ["--model", "stick", "--gamma", "1.5"],
+])
+def test_parameter_the_kernel_cannot_take_is_config_error(flags, capsys):
+    code = main(["gap", *flags, "--N", "2", "--topology", "nearest", "--degree", "1"])
+    assert code == CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
+def test_stick_defaults_to_m_one(capsys):
+    args = ["gap", "--model", "stick", "--N", "3", "--topology", "nearest", "--degree", "4"]
+    assert main(args) == 0
+    unset = capsys.readouterr().out.strip()
+    assert main(args + ["--m", "1"]) == 0
+    assert capsys.readouterr().out.strip() == unset
+
+
+@pytest.mark.parametrize("raw", [[1, 2], {"schema": 1, "sites": "3"},
+                                 {"schema": 1, "m": "0.5"}, {"schema": 1, "degree": True}])
+def test_config_malformed_is_config_error(tmp_path, raw, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["gap", "--config", str(cfg)]) == CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err

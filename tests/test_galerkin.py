@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gapforge.galerkin import (
     CHAIN,
     COMPLETE,
     build_basis,
     bonds_for,
-    jacobi_eigvalsh,
     kappa,
     kappa_tilde,
     spectral_gap,
-    sturm_count,
     two_site_constant,
 )
 from gapforge.measures import GammaShape, SimplexLaw
@@ -31,27 +27,6 @@ def test_bonds_for():
     assert bonds == [(0, 1), (1, 2), (2, 3)] and w == 1.0
     bonds, w = bonds_for(COMPLETE, 4)
     assert len(bonds) == 6 and w == 0.25
-
-
-def test_jacobi_eigvalsh_matches_numpy(rng):
-    for n in (2, 5, 12):
-        M = rng.standard_normal((n, n))
-        M = M + M.T
-        got = jacobi_eigvalsh(M)
-        want = np.linalg.eigvalsh(M)
-        assert np.max(np.abs(got - want)) < 1e-9
-
-
-@given(n=st.integers(2, 8), seed=st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_sturm_count_matches_spectrum(n, seed):
-    r = np.random.default_rng(seed)
-    diag = r.standard_normal(n)
-    off = r.standard_normal(n - 1)
-    M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    ev = np.linalg.eigvalsh(M)
-    for x in (-2.0, 0.0, 1.5):
-        assert sturm_count(diag, off, x) == int(np.sum(ev < x))
 
 
 def test_exact_m0_long_range_formula():

@@ -10,7 +10,6 @@ from gapforge.measures import (
     dirichlet_moment,
     marginal_moment,
     pair_alpha_moment,
-    sample_configuration,
     sample_matrix,
 )
 
@@ -34,10 +33,10 @@ def test_energy_configuration_validation():
         EnergyConfiguration(np.array([1.0, 1.0, 2.0]), 1.0)  # sums to 4 != 3
 
 
-def test_sample_configuration_constraint(rng):
+def test_sample_matrix_constraint(rng):
     law = SimplexLaw(GammaShape(0.5), 2.0, 5)
-    for _ in range(20):
-        cfg = sample_configuration(law, rng)
+    for x in sample_matrix(law, 20, rng):
+        cfg = EnergyConfiguration(x, law.mean_energy)
         assert cfg.sites == 5
         assert np.all(cfg.x > 0)
         assert abs(cfg.x.sum() - 10.0) < 1e-10

@@ -2,17 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import ellipe, ellipk
+from scipy.special import ellipk
 
+from gapforge import models
 from gapforge.measures import GammaShape
 from gapforge.models import (
-    PairUpdate,
-    apply_update,
     detailed_balance_defect,
-    elliptic_e,
-    elliptic_k,
     make_kernel,
     star_kernel,
 )
@@ -26,54 +21,6 @@ def _kernel(name):
     if name == "stick":
         return make_kernel("stick", m=2.0)
     return make_kernel(name)
-
-
-# ---------------------------------------------------------------------------
-# elliptic integrals
-
-def test_elliptic_against_scipy():
-    # scipy uses the parameter m = t^2
-    for t in (0.0, 0.1, 0.5, 0.9, 0.999):
-        assert abs(elliptic_k(t) - ellipk(t * t)) < 1e-12
-        assert abs(elliptic_e(t) - ellipe(t * t)) < 1e-12
-    assert abs(elliptic_e(1.0) - 1.0) < 1e-15
-
-
-def test_elliptic_domain():
-    with pytest.raises(ValueError):
-        elliptic_k(1.0)
-    with pytest.raises(ValueError):
-        elliptic_e(1.5)
-
-
-# ---------------------------------------------------------------------------
-# pair updates
-
-def test_apply_update_conserves_energy():
-    x = np.array([0.3, 1.2, 1.5])
-    y = apply_update(x, PairUpdate(0, 2, 0.25))
-    assert abs(y.sum() - x.sum()) < 1e-15 * x.sum()
-    assert y[1] == x[1]
-
-
-def test_pair_update_validation():
-    with pytest.raises(ValueError):
-        PairUpdate(1, 1, 0.5)
-    with pytest.raises(ValueError):
-        PairUpdate(0, 1, 1.5)
-
-
-@given(
-    a=st.floats(0.01, 10.0),
-    b=st.floats(0.01, 10.0),
-    alpha=st.floats(0.0, 1.0),
-)
-@settings(max_examples=80, deadline=None)
-def test_apply_update_bounds(a, b, alpha):
-    y = apply_update(np.array([a, b]), PairUpdate(0, 1, alpha))
-    assert y[0] >= 0 and y[1] >= 0
-    s = a + b
-    assert abs(y.sum() - s) <= 4 * np.finfo(float).eps * s
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +72,28 @@ def test_stick_rate():
 def test_make_kernel_unknown():
     with pytest.raises(ValueError):
         make_kernel("nope")
+
+
+def _gg2_pointwise(beta, a):
+    """Per-point branch choice of the gg2 density: the reference for its
+    vectorized form."""
+    c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
+    if a <= c:
+        x, t2 = 1.0 - beta, a / (1.0 - beta)
+    elif a >= mx:
+        x, t2 = beta, (1.0 - a) / beta
+    elif beta <= 0.5:
+        x, t2 = 1.0 - a, beta / (1.0 - a)
+    else:
+        x, t2 = a, (1.0 - beta) / a
+    return math.inf if t2 >= 1.0 else math.sqrt(1.0 / x) * ellipk(t2)
+
+
+def test_gg2_density_matches_pointwise_branches():
+    for beta in (0.13, 0.37, 0.5, 0.77):
+        alpha = np.concatenate([np.linspace(0.0, 1.0, 41), [beta, 1.0 - beta]])
+        want = models._GG2_PREF * np.array([_gg2_pointwise(beta, a) for a in alpha])
+        assert np.array_equal(models.gg2_unnormalized(beta, alpha), want)
 
 
 def test_mechanical_metadata():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +64,15 @@ def test_graded_rule_log_singularity():
     # integral over [0,1] of -log(u) du = 1
     u, w = graded_rule(0.0, 1.0, "lo", n_per_cell=16, n_cells=20)
     assert abs(np.sum(-w * np.log(u)) - 1.0) < 1e-10
+
+
+def test_cached_rules_are_read_only():
+    for rule, args in ((beta_rule, (1.5, 1.5, 12)), (power_rule, (0.0, 0.5, -0.5, 12, True))):
+        u, w = rule(*args)
+        u0, w0 = u.copy(), w.copy()
+        with pytest.raises(ValueError):
+            u[0] = 0.5
+        with pytest.raises(ValueError):
+            w *= 2.0
+        u1, w1 = rule(*args)
+        assert np.array_equal(u1, u0) and np.array_equal(w1, w0)
