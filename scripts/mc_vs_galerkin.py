@@ -7,16 +7,16 @@ import argparse
 import numpy as np
 
 from gapforge import simulate
-from gapforge.galerkin import CHAIN, COMPLETE, spectral_gap
-from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import make_kernel
+from gapforge.galerkin import spectral_gap
+from gapforge.measures import SimplexLaw
+from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
 
 CASES = [
-    ("star", 0.0, 1.0, 2, simulate.NEAREST),
-    ("star", 0.0, 1.0, 2, simulate.LONG_RANGE),
-    ("star", 0.0, 1.0, 3, simulate.NEAREST),
-    ("star", 0.0, 1.0, 3, simulate.LONG_RANGE),
-    ("stick", 1.0, 1.0, 3, simulate.NEAREST),
+    ("star", 0.0, 1.0, 2, NEAREST),
+    ("star", 0.0, 1.0, 2, LONG_RANGE),
+    ("star", 0.0, 1.0, 3, NEAREST),
+    ("star", 0.0, 1.0, 3, LONG_RANGE),
+    ("stick", 1.0, 1.0, 3, NEAREST),
 ]
 
 
@@ -30,10 +30,9 @@ def main() -> None:
           f"{'mc':>10s} {'stderr':>9s} {'z':>6s}")
     for idx, (name, m, g, n, topo_kind) in enumerate(CASES):
         kern = make_kernel(name, m=m, gamma=g)
-        law = SimplexLaw(GammaShape(g), 1.0, n)
-        topo = simulate.Topology(topo_kind, n)
-        gal = spectral_gap(law, kern, 6,
-                           CHAIN if topo_kind == simulate.NEAREST else COMPLETE).value
+        law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+        topo = Topology(topo_kind, n)
+        gal = spectral_gap(law, kern, 6, topo_kind).value
         obs = simulate.slowest_mode_observable(law, kern, 3, topo_kind)
         rng = np.random.default_rng(args.seed + idx)
         est = simulate.estimate_gap_autocorr(kern, topo, law, rng,

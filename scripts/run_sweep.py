@@ -4,9 +4,9 @@ constants lambda * N^2 used in the chain lower-bound discussion."""
 
 import argparse
 
-from gapforge.galerkin import CHAIN, spectral_gap
-from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import make_kernel
+from gapforge.galerkin import spectral_gap
+from gapforge.measures import SimplexLaw
+from gapforge.models import NEAREST, make_kernel
 
 CASES = [
     ("star", 0.0, 1.0),
@@ -29,8 +29,8 @@ def main() -> None:
     for name, m, g in CASES:
         kern = make_kernel(name, m=m, gamma=g)
         for n in range(2, args.n_max + 1):
-            law = SimplexLaw(GammaShape(g), 1.0, n)
-            gap = spectral_gap(law, kern, args.degree, CHAIN).value
+            law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+            gap = spectral_gap(law, kern, args.degree, NEAREST).value
             print(f"{name:8s} {m:4.1f} {g:6.2f} {n:3d} {gap:12.6f} {gap * n * n:10.5f}")
 
 

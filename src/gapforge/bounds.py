@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .galerkin import CHAIN, COMPLETE, kappa, kappa_tilde, spectral_gap, two_site_constant
+from .galerkin import kappa, kappa_tilde, spectral_gap, two_site_constant
 from .measures import GammaShape, SimplexLaw, sample_matrix
-from .models import ExchangeKernel, make_kernel, star_kernel
+from .models import LONG_RANGE, NEAREST, ExchangeKernel, make_kernel, star_kernel
 
 __all__ = [
     "TheoremCheck",
@@ -156,24 +156,21 @@ def exact_gap_lr_m0(gamma: float, n_sites: int) -> float:
 # ---------------------------------------------------------------------------
 # checks
 
-def _lr_gap(m: float, gamma: float, energy: float, n_sites: int, degree: int = 3) -> float:
-    law = SimplexLaw(GammaShape(gamma), energy, n_sites)
-    return spectral_gap(law, star_kernel(m, GammaShape(gamma)), degree, COMPLETE).value
-
-
-def _nn_gap(kernel: ExchangeKernel, gamma: float, energy: float, n_sites: int,
-            degree: int = 3) -> float:
-    law = SimplexLaw(GammaShape(gamma), energy, n_sites)
-    return spectral_gap(law, kernel, degree, CHAIN).value
+def _gap(kernel: ExchangeKernel, topology: str, energy: float, n_sites: int,
+         degree: int) -> float:
+    """Galerkin gap of the kernel under its own reversible law."""
+    law = SimplexLaw(kernel.mechanical.gamma_rev, energy, n_sites)
+    return spectral_gap(law, kernel, degree, topology).value
 
 
 def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0), n_sites: int = 3,
                   degree: int = 3, rtol: float = 1e-10) -> TheoremCheck:
     """gap(E, N) = E^m gap(1, N) on the energy grid."""
-    base = _lr_gap(m, gamma, 1.0, n_sites, degree)
+    star = star_kernel(m, GammaShape(gamma))
+    base = _gap(star, LONG_RANGE, 1.0, n_sites, degree)
     worst = 0.0
     for e in energies:
-        val = _lr_gap(m, gamma, e, n_sites, degree)
+        val = _gap(star, LONG_RANGE, e, n_sites, degree)
         worst = max(worst, abs(val - e ** m * base) / (e ** m * base))
     return TheoremCheck(
         claim="scaling-identity",
@@ -194,7 +191,7 @@ def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
         worst = 0.0
         vals = []
         for n in n_range:
-            got = _lr_gap(0.0, g, 1.0, n, degree)
+            got = _gap(star_kernel(0.0, GammaShape(g)), LONG_RANGE, 1.0, n, degree)
             vals.append(got)
             worst = max(worst, abs(got - exact_gap_lr_m0(g, n)))
         limit = g / (2.0 * g + 1.0)
@@ -214,7 +211,7 @@ def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
 def check_convex(m: float, gamma: float, energy: float = 1.0, n_sites: int = 3,
                  degree: int = 4) -> TheoremCheck:
     """Convex comparison: lambda_LR^(m) >= (E^m kappa_m / 2) lambda_LR^(0)."""
-    lhs = _lr_gap(m, gamma, energy, n_sites, degree)
+    lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, energy, n_sites, degree)
     k_m = kappa(m, gamma, degree=6)
     rhs = (energy ** m) * k_m / 2.0 * exact_gap_lr_m0(gamma, n_sites)
     return TheoremCheck(
@@ -231,9 +228,10 @@ def check_compm2m(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> 
     """m-to-2m comparison: with kappa~_m >= 1/3,
     lambda_LR^(m) >= sqrt(((3 kappa~_m - 1)(1 - 2/N) + 1/N) lambda_LR^(2m))."""
     kt = kappa_tilde(m, gamma, degree=6)
-    lhs = _lr_gap(m, gamma, 1.0, n_sites, degree)
+    lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, 1.0, n_sites, degree)
     pref = (3.0 * kt - 1.0) * (1.0 - 2.0 / n_sites) + 1.0 / n_sites
-    rhs = math.sqrt(max(pref, 0.0) * _lr_gap(2 * m, gamma, 1.0, n_sites, degree))
+    gap_2m = _gap(star_kernel(2 * m, GammaShape(gamma)), LONG_RANGE, 1.0, n_sites, degree)
+    rhs = math.sqrt(max(pref, 0.0) * gap_2m)
     return TheoremCheck(
         claim="m-to-2m-comparison",
         params={"m": m, "gamma": gamma, "N": n_sites, "kappa_tilde_m": kt},
@@ -253,7 +251,7 @@ def check_compare_and_main(kernel_name: str, m: float, gamma: float,
     m, gamma = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
     consts = []
     for n in n_range:
-        lam = _nn_gap(kern, gamma, 1.0, n, degree)
+        lam = _gap(kern, NEAREST, 1.0, n, degree)
         consts.append(lam * n * n)
     consts = np.asarray(consts)
     # no downward trend: the last value must not undercut the earlier ones by
@@ -278,8 +276,8 @@ def check_prop21(kernel_name: str, n_sites: int = 3, degree: int = 6) -> Theorem
     mech = kern.mechanical
     m, gamma = mech.m, mech.gamma_rev.gamma
     ctilde = two_site_constant(kern, degree=20)
-    lam = _nn_gap(kern, gamma, 1.0, n_sites, degree)
-    star_gap = _nn_gap(star_kernel(m, GammaShape(gamma)), gamma, 1.0, n_sites, degree)
+    lam = _gap(kern, NEAREST, 1.0, n_sites, degree)
+    star_gap = _gap(star_kernel(m, mech.gamma_rev), NEAREST, 1.0, n_sites, degree)
     rhs = ctilde / (2.0 ** m) * star_gap
     return TheoremCheck(
         claim="mechanical-lower-bound",

@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import appendix, bounds, simulate
-from .galerkin import CHAIN, COMPLETE, kappa, kappa_tilde, spectral_gap, two_site_constant
+from .galerkin import kappa, kappa_tilde, spectral_gap, two_site_constant
 from .measures import SimplexLaw
-from .models import make_kernel
+from .models import LONG_RANGE, NEAREST, Topology, make_kernel
 
 SCHEMA_VERSION = 1
 
@@ -93,17 +93,13 @@ def master_seed(cfg: ExperimentConfig) -> int:
     return int(env) if env else 0
 
 
-def _topology(name: str, sites: int) -> simulate.Topology:
+def _topology(name: str, sites: int) -> Topology:
     key = name.replace("-", "").replace("_", "").lower()
     if key in ("longrange", "lr", "complete"):
-        return simulate.Topology(simulate.LONG_RANGE, sites)
+        return Topology(LONG_RANGE, sites)
     if key in ("nearest", "nn", "chain", "nearestneighbor"):
-        return simulate.Topology(simulate.NEAREST, sites)
+        return Topology(NEAREST, sites)
     raise ValueError(f"unknown topology {name!r}")
-
-
-def _galerkin_topology(name: str) -> str:
-    return COMPLETE if _topology(name, 3).kind == simulate.LONG_RANGE else CHAIN
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +113,13 @@ def _kernel_and_law(cfg: ExperimentConfig):
 
 def compute_gap_row(cfg: ExperimentConfig) -> dict:
     kern, law = _kernel_and_law(cfg)
+    topo = _topology(cfg.topology, cfg.sites)
     if cfg.method == "galerkin":
-        res = spectral_gap(law, kern, cfg.degree, _galerkin_topology(cfg.topology))
+        res = spectral_gap(law, kern, cfg.degree, topo.kind)
         gap, err, dob = res.value, 0.0, cfg.degree
     elif cfg.method == "mc":
         rng = np.random.default_rng(master_seed(cfg))
-        est = simulate.estimate_gap_autocorr(
-            kern, _topology(cfg.topology, cfg.sites), law, rng, n_events=cfg.budget)
+        est = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=cfg.budget)
         if est.flagged:
             raise ArithmeticError(
                 f"autocorrelation fit did not converge (R^2 = {est.r_squared:.3f})")
@@ -198,8 +194,10 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_kappa(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    mech = make_kernel("star", m=cfg.m, gamma=cfg.gamma).mechanical
-    m, g = mech.m, mech.gamma_rev.gamma
+    kern = make_kernel(cfg.model, m=cfg.m, gamma=cfg.gamma)
+    if kern.name not in ("star", "kmp"):
+        raise ValueError(f"kappa is defined for the star family, not {kern.name!r}")
+    m, g = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
     k = kappa(m, g, cfg.degree)
     kt = kappa_tilde(m, g, cfg.degree)
     report = {"m": m, "gamma": g, "degree": cfg.degree,

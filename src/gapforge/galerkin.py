@@ -19,14 +19,11 @@ from scipy.linalg import eigvalsh, solve_triangular
 from scipy.special import gammaln
 
 from .measures import GammaShape, SimplexLaw, dirichlet_moment, pair_alpha_moment
-from .models import ExchangeKernel
-from .quad import graded_rule, power_rule
+from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
+from .quad import beta_rule, graded_rule, orthonormal_values, power_rule, stieltjes_recurrence
 
 __all__ = [
-    "CHAIN",
-    "COMPLETE",
     "build_basis",
-    "bonds_for",
     "KernelIntegrals",
     "assemble",
     "solve_gap",
@@ -37,8 +34,7 @@ __all__ = [
     "kappa_tilde",
 ]
 
-CHAIN = "chain"
-COMPLETE = "complete"
+_N_BETA = 48  # beta quadrature order of the kernel node grid
 
 
 def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -52,15 +48,6 @@ def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
             if sum(k) == total:
                 out.append(k)
     return out
-
-
-def bonds_for(topology: str, N: int) -> tuple[list[tuple[int, int]], float]:
-    """Bond list (0-based) and the common bond weight of the Dirichlet form."""
-    if topology == CHAIN:
-        return [(i, i + 1) for i in range(N - 1)], 1.0
-    if topology == COMPLETE:
-        return [(i, j) for i in range(N) for j in range(i + 1, N)], 1.0 / N
-    raise ValueError(f"unknown topology {topology!r}")
 
 
 def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +81,7 @@ class KernelIntegrals:
     construction.
     """
 
-    def __init__(self, kernel: ExchangeKernel, n_beta: int = 48):
+    def __init__(self, kernel: ExchangeKernel):
         self.kernel = kernel
         self.gamma = kernel.mechanical.gamma_rev
         self._exact = kernel.name in ("star", "kmp")
@@ -103,7 +90,7 @@ class KernelIntegrals:
         # the (beta, alpha) node grid is built even for the star family (whose
         # monomial integrals are closed-form) so that grid-based consumers like
         # two_site_constant can treat every kernel uniformly
-        bu, bw = _beta_grid(kernel, n_beta)
+        bu, bw = _beta_grid(kernel, _N_BETA)
         alphas, betas, weights = [], [], []
         lam = np.atleast_1d(kernel.rate_r(bu))
         for i, b in enumerate(bu):
@@ -114,16 +101,14 @@ class KernelIntegrals:
         self.alpha_nodes = np.concatenate(alphas)
         self.beta_nodes = np.concatenate(betas)
         self.node_weights = np.concatenate(weights)
-        self._alpha = self.alpha_nodes
-        self._beta = self.beta_nodes
         self._sqw = np.sqrt(self.node_weights)
 
     def _vec(self, a: float, b: float) -> np.ndarray:
         key = (a, b)
         v = self._vecs.get(key)
         if v is None:
-            ga = self._alpha ** a * (1.0 - self._alpha) ** b
-            gb = self._beta ** a * (1.0 - self._beta) ** b
+            ga = self.alpha_nodes ** a * (1.0 - self.alpha_nodes) ** b
+            gb = self.beta_nodes ** a * (1.0 - self.beta_nodes) ** b
             v = self._sqw * (ga - gb)
             self._vecs[key] = v
         return v
@@ -158,13 +143,14 @@ def assemble(
     law: SimplexLaw,
     kernel: ExchangeKernel,
     degree: int,
-    topology: str = CHAIN,
-    integrals: KernelIntegrals | None = None,
+    topology: str = NEAREST,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
     """Dirichlet matrix A and Gram matrix G on the monomial basis.
 
-    A[q, r] = D(f_q, f_r), G[q, r] = E[f_q f_r] under the conditioned measure.
+    A[q, r] = D(f_q, f_r), G[q, r] = E[f_q f_r] under the conditioned measure,
+    which must be the kernel's reversible law.
     """
+    check_reversible_law(kernel, law)
     N, E = law.sites, law.mean_energy
     g = law.gamma.gamma
     m = kernel.mechanical.m
@@ -173,8 +159,9 @@ def assemble(
     full = np.zeros((dim, N), dtype=float)
     for q, k in enumerate(basis):
         full[q, : N - 1] = k
-    bonds, wbond = bonds_for(topology, N)
-    I = integrals if integrals is not None else KernelIntegrals(kernel)
+    topo = Topology(topology, N)
+    bonds, wbond = topo.bonds(), topo.prefactor
+    I = KernelIntegrals(kernel)
 
     NE = N * E
     G = np.empty((dim, dim))
@@ -266,17 +253,17 @@ def spectral_gap(
     law: SimplexLaw,
     kernel: ExchangeKernel,
     degree: int,
-    topology: str = CHAIN,
+    topology: str = NEAREST,
     cond_limit: float = 1e12,
 ) -> GapResult:
     """Galerkin upper bound on the spectral gap, with the per-degree history
-    (non-increasing in the degree by subspace nesting)."""
-    integrals = KernelIntegrals(kernel)
+    (non-increasing in the degree by subspace nesting).  One assembly at the top
+    degree serves every degree: the graded basis is prefix-nested."""
+    A, G, basis = assemble(law, kernel, degree, topology)
     history = []
-    cond = float("nan")
     for d in range(1, degree + 1):
-        A, G, basis = assemble(law, kernel, d, topology, integrals)
-        val, cond = solve_gap(A, G, cond_limit)
+        n = len(build_basis(law.sites, d))
+        val, cond = solve_gap(A[:n, :n], G[:n, :n], cond_limit)
         history.append(val)
     return GapResult(
         value=history[-1],
@@ -295,8 +282,6 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     Worked in the basis orthonormal w.r.t. mu (Gram = identity), so high
     degrees stay well conditioned.
     """
-    from .quad import beta_rule, orthonormal_values, stieltjes_recurrence
-
     I = KernelIntegrals(kernel)
     g = kernel.mechanical.gamma_rev.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))
@@ -311,21 +296,18 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
 _KAPPA_COND_LIMIT = 1e14  # degree-8 monomial Gram matrices reach cond ~3e12
 
 
+def _three_site_gap(topology: str, m: float, gamma: float, degree: int,
+                    mean_energy: float) -> float:
+    law = SimplexLaw(GammaShape(gamma), mean_energy, 3)
+    return spectral_gap(law, star_kernel(m, GammaShape(gamma)), degree, topology,
+                        cond_limit=_KAPPA_COND_LIMIT).value
+
+
 def kappa(m: float, gamma: float, degree: int = 8, mean_energy: float = 1.0 / 3.0) -> float:
     """kappa_m: nearest-neighbor three-site gap of the star-m chain at E = 1/3."""
-    from .models import star_kernel
-
-    law = SimplexLaw(GammaShape(gamma), mean_energy, 3)
-    return spectral_gap(
-        law, star_kernel(m, GammaShape(gamma)), degree, CHAIN, cond_limit=_KAPPA_COND_LIMIT
-    ).value
+    return _three_site_gap(NEAREST, m, gamma, degree, mean_energy)
 
 
 def kappa_tilde(m: float, gamma: float, degree: int = 8, mean_energy: float = 1.0 / 3.0) -> float:
     """kappa~_m: long-range three-site gap of the star-m model at E = 1/3."""
-    from .models import star_kernel
-
-    law = SimplexLaw(GammaShape(gamma), mean_energy, 3)
-    return spectral_gap(
-        law, star_kernel(m, GammaShape(gamma)), degree, COMPLETE, cond_limit=_KAPPA_COND_LIMIT
-    ).value
+    return _three_site_gap(LONG_RANGE, m, gamma, degree, mean_energy)

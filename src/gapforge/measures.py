@@ -21,7 +21,6 @@ __all__ = [
     "sample_matrix",
     "dirichlet_moment",
     "pair_alpha_moment",
-    "marginal_moment",
 ]
 
 ENERGY_RTOL = 1e-12
@@ -117,14 +116,3 @@ def pair_alpha_moment(gamma: GammaShape, a: float, b: float) -> float:
     g = gamma.gamma
     log = gammaln(g + a) + gammaln(g + b) + gammaln(2 * g) - gammaln(g) * 2 - gammaln(2 * g + a + b)
     return float(np.exp(log))
-
-
-def marginal_moment(gamma: GammaShape, N: int, p: float) -> float:
-    """E[w_1^p]; the single-site marginal on the sum-1 simplex is Beta(gamma, (N-1)gamma)."""
-    if N < 2:
-        raise ValueError("marginal needs N >= 2")
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    k = np.zeros(N)
-    k[0] = p
-    return dirichlet_moment(gamma, N, k)

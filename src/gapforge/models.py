@@ -5,6 +5,9 @@ All concrete kernels are of mechanical form: Lambda(a,b) factorizes as
 Lambda_s(a+b) * Lambda_r(a/(a+b)) with Lambda_s(s) = s^m, and the alpha law
 depends on the pair only through beta = a/(a+b).  The reversible marginal of
 beta is Beta(gamma, gamma) for the kernel's gamma.
+
+``Topology``, the bonds the kernel acts on, is shared by the Galerkin and
+Monte Carlo routes: a nearest-neighbour chain or a complete graph with weight 1/N.
 """
 
 from __future__ import annotations
@@ -16,18 +19,50 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaln, ellipe, ellipk
 
-from .measures import GammaShape
+from .measures import GammaShape, SimplexLaw
 from .quad import beta_rule, graded_rule, legendre_rule, power_rule
 
 __all__ = [
+    "NEAREST",
+    "LONG_RANGE",
+    "Topology",
     "ExchangeKernel",
     "star_kernel",
     "gg3_kernel",
     "gg2_kernel",
     "stick_kernel",
     "make_kernel",
+    "check_reversible_law",
     "detailed_balance_defect",
 ]
+
+
+NEAREST = "nearest"
+LONG_RANGE = "longrange"
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Bond structure: nearest-neighbour chain, or complete graph with bond weight 1/N."""
+
+    kind: str
+    sites: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in (NEAREST, LONG_RANGE):
+            raise ValueError(f"unknown topology {self.kind!r}")
+        if self.sites < 2:
+            raise ValueError("need at least two sites")
+
+    @property
+    def prefactor(self) -> float:
+        return 1.0 / self.sites if self.kind == LONG_RANGE else 1.0
+
+    def bonds(self) -> list[tuple[int, int]]:
+        n = self.sites
+        if self.kind == NEAREST:
+            return [(i, i + 1) for i in range(n - 1)]
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 @dataclass(frozen=True)
@@ -314,6 +349,13 @@ def make_kernel(name: str, m: float | None = None, gamma: float | None = None) -
         if given is not None and given != own:
             raise ValueError(f"kernel {name!r} has {key} = {own:g}, got {given:g}")
     return kern
+
+
+def check_reversible_law(kernel: ExchangeKernel, law: SimplexLaw) -> None:
+    """Raise ValueError unless ``law`` is the kernel's reversible law."""
+    if law.gamma != kernel.mechanical.gamma_rev:
+        raise ValueError(f"law has gamma = {law.gamma.gamma:g}, kernel {kernel.name!r} "
+                         f"is reversible for gamma = {kernel.mechanical.gamma_rev.gamma:g}")
 
 
 def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:

@@ -26,7 +26,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from .measures import EnergyConfiguration, SimplexLaw, sample_matrix
-from .models import ExchangeKernel
+from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law
 
 __all__ = [
     "NEAREST",
@@ -41,38 +41,16 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-NEAREST = "nearest"
-LONG_RANGE = "longrange"
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Bond structure: nearest-neighbor chain or complete graph with 1/N."""
-
-    kind: str
-    sites: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (NEAREST, LONG_RANGE):
-            raise ValueError(f"unknown topology {self.kind!r}")
-        if self.sites < 2:
-            raise ValueError("need at least two sites")
-
-    @property
-    def prefactor(self) -> float:
-        return 1.0 / self.sites if self.kind == LONG_RANGE else 1.0
-
-    def bonds(self) -> list[tuple[int, int]]:
-        n = self.sites
-        if self.kind == NEAREST:
-            return [(i, i + 1) for i in range(n - 1)]
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+_MAX_SAMPLES = 1 << 21  # state snapshots kept per run
+_REFRESH_EVERY = 64  # events between full recomputations of the total rate
+_N_BATCHES = 8  # batch-means blocks of the gap estimate
+_BURN_IN = 0.1  # leading fraction of the series discarded
+_R2_THRESHOLD = 0.95  # fits with a lower R^2 are flagged
 
 
 @dataclass
 class Trajectory:
-    """Recorded output of one run: strided state snapshots plus, optionally,
-    the full event list."""
+    """Recorded output of one run: strided state snapshots."""
 
     topology: Topology
     kernel_name: str
@@ -82,8 +60,6 @@ class Trajectory:
     n_events: int
     total_time: float
     flagged: bool = False
-    event_times: Optional[np.ndarray] = None
-    events: Optional[list] = None
 
 
 def _bond_adjacency(topo: Topology) -> list[list[int]]:
@@ -103,28 +79,25 @@ def run(
     n_events: Optional[int] = None,
     t_max: Optional[float] = None,
     sample_dt: Optional[float] = None,
-    max_samples: int = 1 << 21,
-    keep_events: bool = False,
-    initial: Optional[EnergyConfiguration] = None,
-    refresh_every: int = 64,
 ) -> Trajectory:
-    """Exact event-driven simulation started from an equilibrium sample.
+    """Exact event-driven simulation started from a sample of ``law``, which
+    must be the kernel's reversible law.
 
     Stops after ``n_events`` events or at time ``t_max`` (whichever is given;
     at least one is required).  States are recorded on the uniform time grid
-    k * sample_dt (the state is right-continuous piecewise constant); when
-    ``sample_dt`` is omitted it is chosen so that roughly 2^18 samples cover
-    the run, using a short pilot estimate of the mean event rate.
+    k * sample_dt (the state is right-continuous piecewise constant), at most
+    _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen so that
+    roughly 2^18 samples cover the run, using the initial total rate.
     """
     if n_events is None and t_max is None:
         raise ValueError("give n_events or t_max")
     if law.sites != topo.sites:
         raise ValueError("law and topology disagree on the number of sites")
+    check_reversible_law(kernel, law)
     bonds = topo.bonds()
     touching = _bond_adjacency(topo)
     pref = topo.prefactor
-    if initial is None:
-        initial = EnergyConfiguration(sample_matrix(law, 1, rng)[0], law.mean_energy)
+    initial = EnergyConfiguration(sample_matrix(law, 1, rng)[0], law.mean_energy)
     x = [float(v) for v in initial.x]
     rate = kernel.rate
     sampler = kernel.alpha_sampler
@@ -144,8 +117,6 @@ def run(
 
     samples = [list(x)]
     sample_times = [0.0]
-    ev_times: list[float] = []
-    ev_list: list[tuple[int, int, float]] = []
 
     t = 0.0
     next_sample = sample_dt
@@ -164,7 +135,7 @@ def run(
             t = cap_time
             break
         # record the pre-event state on every grid point crossed by the wait
-        while next_sample <= t_next and len(samples) < max_samples:
+        while next_sample <= t_next and len(samples) < _MAX_SAMPLES:
             samples.append(list(x))
             sample_times.append(next_sample)
             next_sample += sample_dt
@@ -197,21 +168,14 @@ def run(
             rates[k] = pref * rate(x[bi], x[bj])
             total += rates[k]
         done += 1
-        if done % refresh_every == 0:
+        if done % _REFRESH_EVERY == 0:
             total = sum(rates)
-        if keep_events:
-            ev_times.append(t)
-            ev_list.append((i, j, alpha))
         if not total > 0:
             return Trajectory(topo, kernel.name, initial,
                               np.asarray(sample_times), np.asarray(samples),
                               done, t, flagged=True)
-    return Trajectory(
-        topo, kernel.name, initial,
-        np.asarray(sample_times), np.asarray(samples), done, t,
-        event_times=np.asarray(ev_times) if keep_events else None,
-        events=ev_list if keep_events else None,
-    )
+    return Trajectory(topo, kernel.name, initial,
+                      np.asarray(sample_times), np.asarray(samples), done, t)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +185,9 @@ def slowest_mode_observable(law: SimplexLaw, kernel: ExchangeKernel,
                             degree: int, topology: str) -> Callable[[np.ndarray], np.ndarray]:
     """Polynomial observable built from the slowest Galerkin eigenvector;
     maximal overlap with the spectral edge among degree-d polynomials."""
-    from .galerkin import CHAIN, COMPLETE, KernelIntegrals, _whitened_pencil, assemble
+    from .galerkin import _whitened_pencil, assemble
 
-    topo_name = CHAIN if topology == NEAREST else COMPLETE
-    A, G, basis = assemble(law, kernel, degree, topo_name, KernelIntegrals(kernel))
+    A, G, basis = assemble(law, kernel, degree, topology)
     M, L, d, _ = _whitened_pencil(A, G)
     _, V = np.linalg.eigh(M)
     coeff = d * solve_triangular(L, V[:, 0], lower=True, trans="T")
@@ -300,17 +263,15 @@ def estimate_gap_autocorr(
     n_events: int = 1_000_000,
     observable: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     observable_name: str = "centered_x1",
-    n_batches: int = 8,
-    burn_in: float = 0.1,
-    r2_threshold: float = 0.95,
 ) -> GapEstimateMC:
     """Spectral-gap estimate from the autocorrelation decay of a slow
     observable along one long equilibrium trajectory.
 
-    The first ``burn_in`` fraction of the series is discarded, the decay rate
+    The first _BURN_IN fraction of the series is discarded, the decay rate
     is fitted over the window where the normalized autocorrelation lies in
     [0.05, 0.8], and the standard error comes from batch means: the series is
-    split into ``n_batches`` contiguous blocks, each refitted independently.
+    split into _N_BATCHES contiguous blocks, each refitted independently.
+    A fit with R^2 below _R2_THRESHOLD is flagged.
 
     The sampling interval is tuned by a short pilot run so that one decay
     time spans roughly seven lags; ``n_events`` is the total event budget
@@ -334,10 +295,8 @@ def estimate_gap_autocorr(
         lam_hat = 1.0 / dt0
     sample_dt = 0.15 / lam_hat
 
-    max_samples = 1 << 21
     traj = run(kernel, topo, law, rng, n_events=n_events,
-               t_max=sample_dt * (max_samples - 2), sample_dt=sample_dt,
-               max_samples=max_samples)
+               t_max=sample_dt * (_MAX_SAMPLES - 2), sample_dt=sample_dt)
     states = traj.samples
     dt = float(traj.sample_times[1] - traj.sample_times[0])
     if observable is None:
@@ -345,7 +304,7 @@ def estimate_gap_autocorr(
     else:
         y = observable(states)
     y = np.asarray(y, dtype=float)
-    y = y[int(burn_in * y.size):]
+    y = y[int(_BURN_IN * y.size):]
 
     max_lag = min(y.size // 4, 1 << 14)
     rho = _autocorrelation(y, max_lag)
@@ -356,8 +315,8 @@ def estimate_gap_autocorr(
     value, window, r2 = fit
 
     batch_vals = []
-    size = y.size // n_batches
-    for b in range(n_batches):
+    size = y.size // _N_BATCHES
+    for b in range(_N_BATCHES):
         seg = y[b * size:(b + 1) * size]
         seg_rho = _autocorrelation(seg, min(seg.size // 4, max_lag))
         seg_fit = _fit_decay(seg_rho, dt)
@@ -367,7 +326,7 @@ def estimate_gap_autocorr(
         stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
     else:
         stderr = math.nan
-    flagged = (r2 < r2_threshold) or not np.isfinite(stderr)
+    flagged = (r2 < _R2_THRESHOLD) or not np.isfinite(stderr)
     return GapEstimateMC(
         value=value,
         stderr=stderr,

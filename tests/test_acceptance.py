@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from gapforge import appendix, bounds, simulate
-from gapforge.galerkin import (
-    CHAIN,
-    COMPLETE,
-    spectral_gap,
-    two_site_constant,
-)
+from gapforge.galerkin import spectral_gap, two_site_constant
 from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import detailed_balance_defect, make_kernel, star_kernel
+from gapforge.models import (
+    LONG_RANGE,
+    NEAREST,
+    Topology,
+    detailed_balance_defect,
+    make_kernel,
+    star_kernel,
+)
 
 
 def test_criterion_01_exact_m0_formula():
@@ -28,7 +30,7 @@ def test_criterion_01_exact_m0_formula():
     for g in (0.5, 1.0, 1.5, 2.0):
         for N in range(2, 7):
             law = SimplexLaw(GammaShape(g), 1.0, N)
-            got = spectral_gap(law, star_kernel(0.0, GammaShape(g)), 3, COMPLETE).value
+            got = spectral_gap(law, star_kernel(0.0, GammaShape(g)), 3, LONG_RANGE).value
             want = (g * N + 1.0) / (N * (2.0 * g + 1.0))
             assert abs(got - want) < 1e-8, (g, N)
     assert time.time() - t0 < 60.0
@@ -38,7 +40,7 @@ def test_criterion_02_two_site_identity():
     for m in (0.0, 0.5, 1.0, 2.0):
         for E in (0.5, 1.0, 2.0):
             law = SimplexLaw(GammaShape(1.0), E, 2)
-            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 4, CHAIN).value
+            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 4, NEAREST).value
             want = 2.0**m * E**m
             assert abs(got - want) / want < 1e-6, (m, E)
 
@@ -46,10 +48,10 @@ def test_criterion_02_two_site_identity():
 def test_criterion_03_scaling():
     for m in (0.0, 0.5, 1.0, 2.0):
         law1 = SimplexLaw(GammaShape(1.0), 1.0, 3)
-        base = spectral_gap(law1, star_kernel(m, GammaShape(1.0)), 3, COMPLETE).value
+        base = spectral_gap(law1, star_kernel(m, GammaShape(1.0)), 3, LONG_RANGE).value
         for E in (0.5, 2.0):
             law = SimplexLaw(GammaShape(1.0), E, 3)
-            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 3, COMPLETE).value
+            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 3, LONG_RANGE).value
             assert abs(got - E**m * base) / (E**m * base) < 1e-10, (m, E)
 
 
@@ -126,18 +128,17 @@ def test_criterion_09_inequality_harness():
 def test_criterion_10_monte_carlo_consistency():
     t0 = time.time()
     cases = [
-        ("star", 0.0, 1.0, 2, simulate.NEAREST),
-        ("star", 0.0, 1.0, 2, simulate.LONG_RANGE),
-        ("star", 0.0, 1.0, 3, simulate.NEAREST),
-        ("star", 0.0, 1.0, 3, simulate.LONG_RANGE),
-        ("stick", 1.0, 1.0, 3, simulate.NEAREST),
+        ("star", 0.0, 1.0, 2, NEAREST),
+        ("star", 0.0, 1.0, 2, LONG_RANGE),
+        ("star", 0.0, 1.0, 3, NEAREST),
+        ("star", 0.0, 1.0, 3, LONG_RANGE),
+        ("stick", 1.0, 1.0, 3, NEAREST),
     ]
     for idx, (name, m, g, N, topo_kind) in enumerate(cases):
         kern = make_kernel(name, m=m, gamma=g)
         law = SimplexLaw(GammaShape(g), 1.0, N)
-        topo = simulate.Topology(topo_kind, N)
-        gal_topo = CHAIN if topo_kind == simulate.NEAREST else COMPLETE
-        reference = spectral_gap(law, kern, 6, gal_topo).value
+        topo = Topology(topo_kind, N)
+        reference = spectral_gap(law, kern, 6, topo_kind).value
         obs = simulate.slowest_mode_observable(law, kern, 3, topo_kind)
         rng = np.random.default_rng(1000 + idx)
         est = simulate.estimate_gap_autocorr(

@@ -101,6 +101,16 @@ def test_kappa_command_reports_bracket(capsys):
     assert rep["bracket_consistent"] is False  # honest inversion report
 
 
+def test_kappa_command_uses_the_model(capsys):
+    # kappa is a star-family constant: kmp is the star m = 0, gamma = 1 kernel
+    assert main(["kappa", "--degree", "2"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["kappa", "--model", "kmp", "--degree", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == default
+    assert main(["kappa", "--model", "gg3", "--degree", "2"]) == CONFIG_ERROR
+    assert "star family" in capsys.readouterr().err
+
+
 def test_verify_appendix_reports_failures(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--suite", "appendix", "--n-max", "200",

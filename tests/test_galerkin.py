@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from gapforge.galerkin import (
-    CHAIN,
-    COMPLETE,
+    assemble,
     build_basis,
-    bonds_for,
     kappa,
     kappa_tilde,
     spectral_gap,
     two_site_constant,
 )
 from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import make_kernel, star_kernel
+from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel, star_kernel
 
 
 def test_build_basis_counts():
@@ -23,17 +21,18 @@ def test_build_basis_counts():
 
 
 def test_bonds_for():
-    bonds, w = bonds_for(CHAIN, 4)
-    assert bonds == [(0, 1), (1, 2), (2, 3)] and w == 1.0
-    bonds, w = bonds_for(COMPLETE, 4)
-    assert len(bonds) == 6 and w == 0.25
+    # the bonds and the prefactor the generator sums over
+    chain, complete = Topology(NEAREST, 4), Topology(LONG_RANGE, 4)
+    assert chain.bonds() == [(0, 1), (1, 2), (2, 3)] and chain.prefactor == 1.0
+    assert complete.bonds() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert complete.prefactor == 0.25
 
 
 def test_exact_m0_long_range_formula():
     for g in (0.5, 1.0, 2.0):
         for N in (2, 3, 4):
             law = SimplexLaw(GammaShape(g), 1.0, N)
-            got = spectral_gap(law, star_kernel(0.0, GammaShape(g)), 3, COMPLETE).value
+            got = spectral_gap(law, star_kernel(0.0, GammaShape(g)), 3, LONG_RANGE).value
             want = (g * N + 1.0) / (N * (2.0 * g + 1.0))
             assert abs(got - want) < 1e-8
 
@@ -43,13 +42,13 @@ def test_two_site_gap_identity():
     for m in (0.0, 1.0, 2.0):
         for E in (0.5, 2.0):
             law = SimplexLaw(GammaShape(1.0), E, 2)
-            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 4, CHAIN).value
+            got = spectral_gap(law, star_kernel(m, GammaShape(1.0)), 4, NEAREST).value
             assert got == pytest.approx(2.0**m * E**m, rel=1e-6)
 
 
 def test_history_non_increasing():
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
-    res = spectral_gap(law, star_kernel(1.0, GammaShape(1.0)), 5, COMPLETE)
+    res = spectral_gap(law, star_kernel(1.0, GammaShape(1.0)), 5, LONG_RANGE)
     h = np.array(res.history)
     assert np.all(np.diff(h) <= 1e-10)
 
@@ -70,5 +69,24 @@ def test_two_site_constant_star_is_one():
 
 def test_gram_condition_reported():
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
-    res = spectral_gap(law, star_kernel(0.0, GammaShape(1.0)), 3, CHAIN)
+    res = spectral_gap(law, star_kernel(0.0, GammaShape(1.0)), 3, NEAREST)
     assert np.isfinite(res.gram_condition) and res.gram_condition >= 1.0
+
+
+@pytest.mark.parametrize("law, kernel, topology, top", [
+    (SimplexLaw(GammaShape(1.5), 1.0, 3), make_kernel("gg3"), NEAREST, 4),
+    (SimplexLaw(GammaShape(1.0), 1.0, 3), star_kernel(1.0, GammaShape(1.0)), LONG_RANGE, 5),
+])
+def test_history_is_the_leading_block_gap(law, kernel, topology, top):
+    # one assembly at the top degree; its leading blocks are the lower-degree pencils
+    history = spectral_gap(law, kernel, top, topology).history
+    for d in range(1, top):
+        assert history[d - 1] == spectral_gap(law, kernel, d, topology).value
+
+
+def test_law_must_be_the_kernel_reversible_law():
+    gg3 = make_kernel("gg3")  # reversible for gamma = 3/2
+    with pytest.raises(ValueError, match="gamma"):
+        spectral_gap(SimplexLaw(GammaShape(1.0), 1.0, 3), gg3, 4, NEAREST)
+    with pytest.raises(ValueError, match="gamma"):
+        assemble(SimplexLaw(GammaShape(1.0), 1.0, 3), gg3, 2, LONG_RANGE)

@@ -8,7 +8,6 @@ from gapforge.measures import (
     GammaShape,
     SimplexLaw,
     dirichlet_moment,
-    marginal_moment,
     pair_alpha_moment,
     sample_matrix,
 )
@@ -69,7 +68,8 @@ def test_marginal_moment_is_beta_moment():
     g, N, p = 0.7, 5, 3.0
     a, b = g, (N - 1) * g
     exact = np.exp(gammaln(a + p) + gammaln(a + b) - gammaln(a) - gammaln(a + b + p))
-    assert abs(marginal_moment(GammaShape(g), N, p) - exact) < 1e-14
+    # the single-site marginal on the sum-1 simplex is Beta(gamma, (N-1) gamma)
+    assert abs(dirichlet_moment(GammaShape(g), N, [p, 0, 0, 0, 0]) - exact) < 1e-14
 
 
 def test_pair_alpha_moment_symmetry():

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
+from gapforge import simulate
 from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import make_kernel
+from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
 from gapforge.simulate import (
-    LONG_RANGE,
-    NEAREST,
-    Topology,
     equilibrium_check,
     estimate_gap_autocorr,
     run,
@@ -23,6 +21,8 @@ def test_topology_validation():
     assert Topology(LONG_RANGE, 4).prefactor == 0.25
     assert Topology(NEAREST, 4).prefactor == 1.0
     assert len(Topology(LONG_RANGE, 5).bonds()) == 10
+    # the simulator re-exports the one definition
+    assert (simulate.Topology, simulate.NEAREST, simulate.LONG_RANGE) == (Topology, NEAREST, LONG_RANGE)
 
 
 def test_run_conserves_energy(rng):
@@ -43,21 +43,17 @@ def test_run_uniform_sample_grid(rng):
     assert np.max(np.abs(dts - 0.25)) < 1e-12
 
 
-def test_run_keep_events(rng):
-    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
-    traj = run(make_kernel("stick", m=1.0), Topology(LONG_RANGE, 3), law, rng,
-               n_events=100, keep_events=True)
-    assert len(traj.events) == 100
-    assert traj.event_times.size == 100
-    assert np.all(np.diff(traj.event_times) > 0)
-    for i, j, alpha in traj.events:
-        assert i != j and 0.0 <= alpha <= 1.0
-
-
 def test_run_requires_budget(rng):
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
     with pytest.raises(ValueError):
         run(make_kernel("kmp"), Topology(NEAREST, 3), law, rng)
+
+
+def test_run_requires_the_kernel_reversible_law(rng):
+    # gg3 is reversible for gamma = 3/2; a gamma = 1 start is not its equilibrium
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    with pytest.raises(ValueError, match="gamma"):
+        run(make_kernel("gg3"), Topology(NEAREST, 3), law, rng, n_events=10)
 
 
 def test_equilibrium_marginal(rng):
