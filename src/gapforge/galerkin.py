@@ -259,6 +259,8 @@ def spectral_gap(
     """Galerkin upper bound on the spectral gap, with the per-degree history
     (non-increasing in the degree by subspace nesting).  One assembly at the top
     degree serves every degree: the graded basis is prefix-nested."""
+    if degree < 1:
+        raise ValueError(f"Galerkin degree must be at least 1, got {degree}")
     A, G, basis = assemble(law, kernel, degree, topology)
     history = []
     for d in range(1, degree + 1):
@@ -282,6 +284,8 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     Worked in the basis orthonormal w.r.t. mu (Gram = identity), so high
     degrees stay well conditioned.
     """
+    if degree < 1:
+        raise ValueError(f"two-site degree must be at least 1, got {degree}")
     I = KernelIntegrals(kernel)
     g = kernel.mechanical.gamma_rev.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))

@@ -34,11 +34,25 @@ __all__ = [
     "make_kernel",
     "check_reversible_law",
     "detailed_balance_defect",
+    "RejectionLimitError",
 ]
 
 
 NEAREST = "nearest"
 LONG_RANGE = "longrange"
+
+# Proposals one rejection-sampled alpha may take.  The gg2 and gg3 samplers
+# accept at least 16% and 2/3 of their proposals, so reaching the cap means the
+# sampler is broken, not unlucky.
+_MAX_PROPOSALS = 10_000
+
+
+class RejectionLimitError(ArithmeticError):
+    """A rejection sampler used up ``_MAX_PROPOSALS`` proposals without accepting."""
+
+    def __init__(self, kernel: str, beta: float):
+        super().__init__(
+            f"{kernel} alpha sampler rejected {_MAX_PROPOSALS} proposals at beta = {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +169,11 @@ def gg3_kernel() -> ExchangeKernel:
         beta = a / (a + b)
         c = min(beta, 1.0 - beta)
         # uniform proposal; accept with 1 ^ sqrt((alpha ^ (1-alpha)) / c)
-        while True:
+        for _ in range(_MAX_PROPOSALS):
             alpha = rng.random()
             if rng.random() <= min(1.0, math.sqrt(min(alpha, 1.0 - alpha) / c)):
                 return alpha
+        raise RejectionLimitError("gg3", beta)
 
     def rule(beta):
         c = min(beta, 1.0 - beta)
@@ -238,7 +253,7 @@ def gg2_kernel() -> ExchangeKernel:
         # envelope (pi/2) / (lam * sqrt(|alpha - star|)), from (1 - t^2 sin^2) >= 1 - t^2
         w_left, w_right = math.sqrt(star), math.sqrt(1.0 - star)
         p_left = w_left / (w_left + w_right)
-        while True:
+        for _ in range(_MAX_PROPOSALS):
             u = rng.random()
             if rng.random() < p_left:
                 alpha = star - star * u * u
@@ -250,6 +265,7 @@ def gg2_kernel() -> ExchangeKernel:
                 continue
             if rng.random() <= d / env:
                 return float(alpha)
+        raise RejectionLimitError("gg2", beta)
 
     def rule(beta):
         c = min(beta, 1.0 - beta)

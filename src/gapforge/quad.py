@@ -16,6 +16,20 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# The reference rules on [-1, 1] depend only on (n, exponents); a handful of
+# those pairs serve every interval, so each is computed once and mapped.
+@lru_cache(maxsize=64)
+def _legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+@lru_cache(maxsize=64)
+def _jacobi_reference(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1-t)^a (1+t)^b."""
+    return _read_only(*roots_jacobi(n, a, b))
+
+
 @lru_cache(maxsize=256)
 def beta_rule(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on [0,1] integrating f against the Beta(p, q) probability density.
@@ -38,13 +52,9 @@ def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[
     h = hi - lo
     if h <= 0:
         return _read_only(np.array([]), np.array([]))
-    if at_lo:
-        # weight (u-lo)^expo: u = lo + h*(1+t)/2, weight ~ (1+t)^expo
-        x, w = roots_jacobi(n, 0.0, expo)
-        u = lo + h * 0.5 * (1.0 + x)
-    else:
-        x, w = roots_jacobi(n, expo, 0.0)
-        u = lo + h * 0.5 * (1.0 + x)
+    # weight (u-lo)^expo: u = lo + h*(1+t)/2, weight ~ (1+t)^expo; (hi-u)^expo ~ (1-t)^expo
+    x, w = _jacobi_reference(n, 0.0, expo) if at_lo else _jacobi_reference(n, expo, 0.0)
+    u = lo + h * 0.5 * (1.0 + x)
     # roots_jacobi weights integrate (1-t)^a (1+t)^b on [-1,1]; after the affine
     # map the Jacobian is h/2 and the weight picks up (h/2)^expo
     w = w * (h / 2.0) ** (expo + 1.0)
@@ -53,7 +63,7 @@ def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[
 
 def legendre_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Plain Gauss-Legendre rule on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference(n)
     u = lo + (hi - lo) * 0.5 * (1.0 + x)
     return u, w * (hi - lo) * 0.5
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from gapforge import models
 from gapforge.cli import (
     CONFIG_ERROR,
+    NUMERICAL_ERROR,
     VERIFICATION_FAILURE,
     ExperimentConfig,
     main,
@@ -175,3 +177,21 @@ def test_config_malformed_is_config_error(tmp_path, raw, capsys):
     cfg.write_text(json.dumps(raw))
     assert main(["gap", "--config", str(cfg)]) == CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--model", "kmp", "--N", "3", "--degree", "0"],
+    ["two-site", "--model", "gg3", "--two-site-degree", "0"],
+    ["kappa", "--degree", "0"],
+])
+def test_degree_below_one_is_config_error(argv, capsys):
+    assert main(argv) == CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
+def test_rejection_limit_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(models, "_MAX_PROPOSALS", 0)
+    code = main(["simulate", "--model", "gg3", "--N", "3", "--topology", "nearest",
+                 "--budget", "100", "--seed", "3", "--out", str(tmp_path / "t.csv")])
+    assert code == NUMERICAL_ERROR
+    assert "rejected 0 proposals" in capsys.readouterr().err

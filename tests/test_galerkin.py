@@ -90,3 +90,12 @@ def test_law_must_be_the_kernel_reversible_law():
         spectral_gap(SimplexLaw(GammaShape(1.0), 1.0, 3), gg3, 4, NEAREST)
     with pytest.raises(ValueError, match="gamma"):
         assemble(SimplexLaw(GammaShape(1.0), 1.0, 3), gg3, 2, LONG_RANGE)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_degree_below_one_is_refused(degree):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    with pytest.raises(ValueError, match="degree"):
+        spectral_gap(law, make_kernel("kmp"), degree, NEAREST)
+    with pytest.raises(ValueError, match="degree"):
+        two_site_constant(make_kernel("gg3"), degree=degree)

@@ -7,6 +7,7 @@ from scipy.special import ellipk
 from gapforge import models
 from gapforge.measures import GammaShape
 from gapforge.models import (
+    RejectionLimitError,
     detailed_balance_defect,
     make_kernel,
     star_kernel,
@@ -52,6 +53,27 @@ def test_sampler_matches_density_moments(name):
         exact = float(np.sum(w * u**p))
         err = 4.0 * draws.std() / math.sqrt(n)
         assert abs((draws**p).mean() - exact) < max(err, 0.01)
+
+
+class _AlwaysReject:
+    """A generator stub whose every uniform draw is just below 1: proposals land
+    at the edge where the gg2/gg3 densities are small, and acceptance needs u <= ratio."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("name, draws_per_proposal", [("gg3", 2), ("gg2", 3)])
+def test_rejection_sampler_is_capped(name, draws_per_proposal):
+    rng = _AlwaysReject()
+    with pytest.raises(RejectionLimitError, match="rejected"):
+        make_kernel(name).alpha_sampler(0.5, 0.5, rng)
+    assert issubclass(RejectionLimitError, ArithmeticError)  # cli reports it, exit 2
+    assert rng.draws == draws_per_proposal * models._MAX_PROPOSALS
 
 
 def test_star_rate_and_naming():

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
+from gapforge.galerkin import KernelIntegrals
 from gapforge.measures import GammaShape, pair_alpha_moment
+from gapforge.models import make_kernel
 from gapforge.quad import (
+    _jacobi_reference,
+    _legendre_reference,
     beta_rule,
     graded_rule,
     legendre_rule,
@@ -66,8 +71,39 @@ def test_graded_rule_log_singularity():
     assert abs(np.sum(-w * np.log(u)) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("lo, hi, expo, n, at_lo", [
+    (0.0, 0.37, 0.5, 32, True),     # gg3, alpha < c
+    (0.63, 1.0, 0.5, 32, False),    # gg3, alpha > max(beta, 1 - beta)
+    (0.0, 0.41, 1.0, 48, False),    # stick m = 2: expo = m - 1
+    (0.41, 1.0, 1.0, 48, True),
+    (0.0, 0.8, -0.5, 48, False),    # stick m = 1/2
+    (0.0, 0.5, 0.5, 48, True),      # beta grid, gamma = 3/2
+    (0.5, 1.0, 0.5, 48, False),
+])
+def test_rules_are_the_affine_map_of_the_reference_rule(lo, hi, expo, n, at_lo):
+    # the cached reference rule must give exactly the numbers of a fresh solve;
+    # the second interval shares (n, expo) with the first, so it reads the cache
+    xj, wj = roots_jacobi(n, 0.0, expo) if at_lo else roots_jacobi(n, expo, 0.0)
+    xl, wl = np.polynomial.legendre.leggauss(n)
+    for a, b in ((lo, hi), (lo, 0.5 * (lo + hi))):
+        h = b - a
+        u, w = power_rule(a, b, expo, n, at_lo)
+        assert np.array_equal(u, a + h * 0.5 * (1.0 + xj))
+        assert np.array_equal(w, wj * (h / 2.0) ** (expo + 1.0))
+        u, w = legendre_rule(a, b, n)
+        assert np.array_equal(u, a + (b - a) * 0.5 * (1.0 + xl))
+        assert np.array_equal(w, wl * (b - a) * 0.5)
+
+
+def test_kernel_grid_is_the_same_on_every_build():
+    first, second = KernelIntegrals(make_kernel("gg2")), KernelIntegrals(make_kernel("gg2"))
+    for name in ("alpha_nodes", "beta_nodes", "node_weights"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
 def test_cached_rules_are_read_only():
-    for rule, args in ((beta_rule, (1.5, 1.5, 12)), (power_rule, (0.0, 0.5, -0.5, 12, True))):
+    for rule, args in ((beta_rule, (1.5, 1.5, 12)), (power_rule, (0.0, 0.5, -0.5, 12, True)),
+                       (_legendre_reference, (12,)), (_jacobi_reference, (12, 0.0, -0.5))):
         u, w = rule(*args)
         u0, w0 = u.copy(), w.copy()
         with pytest.raises(ValueError):
