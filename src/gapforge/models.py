@@ -159,8 +159,10 @@ def gg3_kernel() -> ExchangeKernel:
     mech = MechanicalForm(m=0.5, gamma_rev=GammaShape(1.5))
 
     def rate(a, b):
+        # _gg3_rate_r for one float, in the same operations
         s = a + b
-        return float(s ** 0.5 * _gg3_rate_r(a / s))
+        mx = max(a / s, 1.0 - a / s)
+        return s ** 0.5 * (_GG3_PREF * (0.5 + mx) / math.sqrt(mx))
 
     def density(a, b, alpha):
         return _gg3_density(a / (a + b), alpha)
@@ -305,26 +307,35 @@ def stick_kernel(m: float) -> ExchangeKernel:
         beta = np.asarray(beta, dtype=float)
         return beta ** m + (1.0 - beta) ** m
 
+    # rate_r at one float, bit-equal: ** on the 0-d array beta is a square
+    # root at m = 1/2, a square at m = 2 and np.power at other m, while the
+    # numpy scalar 1 - beta takes Python's pow
+    power = {0.5: math.sqrt, 1.0: float, 2.0: lambda v: v * v}.get(
+        m, lambda v: float(np.power(v, m)))
+
+    def lam_r(beta):
+        return power(beta) + (1.0 - beta) ** m
+
     def rate(a, b):
         s = a + b
-        return float(s ** m * rate_r(a / s))
+        return s ** m * lam_r(a / s)
 
     def density(a, b, alpha):
         beta = a / (a + b)
         alpha = np.asarray(alpha, dtype=float)
-        return m * np.abs(beta - alpha) ** (m - 1.0) / float(rate_r(beta))
+        return m * np.abs(beta - alpha) ** (m - 1.0) / lam_r(beta)
 
     def sampler(a, b, rng):
         # piecewise power-law CDF inverts in closed form
         beta = a / (a + b)
-        lam = float(rate_r(beta))
+        lam = lam_r(beta)
         u = rng.random() * lam
         if u < beta ** m:
             return beta - (beta ** m - u) ** (1.0 / m)
         return beta + (u - beta ** m) ** (1.0 / m)
 
     def rule(beta):
-        lam = float(rate_r(beta))
+        lam = lam_r(beta)
         nodes, weights = [], []
         if beta > 0:
             u, w = power_rule(0.0, beta, m - 1.0, 48, False)

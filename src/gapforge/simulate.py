@@ -4,8 +4,10 @@ The dynamics is a pure jump process: bond (i, j) fires with rate
 Lambda(x_i, x_j) (times 1/N for the long-range topology) and redistributes
 the pair energy by a fraction alpha drawn from the kernel.  The simulator is
 exact in law (Gillespie): exponential waiting times with the current total
-rate, bond choice proportional to bond rates, and O(1) rate bookkeeping per
-event with a periodic full refresh to control floating drift.
+rate and bond choice proportional to bond rates.  One event costs a linear
+scan over the bonds plus one rate call for each bond touching the updated
+pair (2 on a chain, 2N - 3 on the complete graph); the total rate is summed
+afresh every _REFRESH_EVERY events to control floating drift.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
@@ -62,13 +64,17 @@ class Trajectory:
     flagged: bool = False
 
 
-def _bond_adjacency(topo: Topology) -> list[list[int]]:
-    """For each site, the indices of bonds containing it."""
+def _bond_updates(topo: Topology) -> list[tuple[tuple[int, int, int], ...]]:
+    """For each bond (i, j), the (bond, site, site) triples whose rates change
+    when it fires: the bonds touching i, then the other bonds touching j."""
+    bonds = topo.bonds()
     touching = [[] for _ in range(topo.sites)]
-    for b, (i, j) in enumerate(topo.bonds()):
+    for b, (i, j) in enumerate(bonds):
         touching[i].append(b)
         touching[j].append(b)
-    return touching
+    return [tuple((k, *bonds[k]) for k in touching[i] + [k for k in touching[j]
+                                                         if k not in touching[i]])
+            for i, j in bonds]
 
 
 def run(
@@ -91,11 +97,16 @@ def run(
     """
     if n_events is None and t_max is None:
         raise ValueError("give n_events or t_max")
+    if n_events is not None and n_events < 1:
+        raise ValueError(f"n_events must be at least 1, got {n_events}")
+    for key, val in (("t_max", t_max), ("sample_dt", sample_dt)):
+        if val is not None and not 0 < val < math.inf:
+            raise ValueError(f"{key} must be finite and positive, got {val}")
     if law.sites != topo.sites:
         raise ValueError("law and topology disagree on the number of sites")
     check_reversible_law(kernel, law)
     bonds = topo.bonds()
-    touching = _bond_adjacency(topo)
+    updates = _bond_updates(topo)
     pref = topo.prefactor
     initial = EnergyConfiguration(sample_matrix(law, 1, rng)[0], law.mean_energy)
     x = [float(v) for v in initial.x]
@@ -115,30 +126,40 @@ def run(
     cap_events = n_events if n_events is not None else (1 << 62)
     cap_time = t_max if t_max is not None else math.inf
 
-    samples = [list(x)]
-    sample_times = [0.0]
+    # run-length snapshots: states[r] holds on the next repeats[r] grid points
+    states = [x.copy()]
+    repeats = [1]
+    n_samples = 1
+
+    def trajectory(done, t, flagged=False):
+        # np.cumsum adds in sequence, so this is the running next_sample
+        times = np.full(n_samples, sample_dt, dtype=float)
+        times[0] = 0.0
+        return Trajectory(topo, kernel.name, initial, np.cumsum(times),
+                          np.repeat(np.array(states), repeats, axis=0), done, t, flagged)
 
     t = 0.0
     next_sample = sample_dt
     done = 0
     block = 8192
-    exp_block = rng.exponential(1.0, block)
-    uni_block = rng.random(block)
-    ptr = 0
+    ptr = block
     while done < cap_events:
         if ptr == block:
-            exp_block = rng.exponential(1.0, block)
-            uni_block = rng.random(block)
+            exp_block = rng.exponential(1.0, block).tolist()
+            uni_block = rng.random(block).tolist()
             ptr = 0
         t_next = t + exp_block[ptr] / total
         if t_next > cap_time:
             t = cap_time
             break
-        # record the pre-event state on every grid point crossed by the wait
-        while next_sample <= t_next and len(samples) < _MAX_SAMPLES:
-            samples.append(list(x))
-            sample_times.append(next_sample)
+        # the pre-event state holds on every grid point crossed by the wait
+        seen = n_samples
+        while next_sample <= t_next and n_samples < _MAX_SAMPLES:
             next_sample += sample_dt
+            n_samples += 1
+        if n_samples > seen:
+            states.append(x.copy())
+            repeats.append(n_samples - seen)
         t = t_next
         # choose the firing bond proportionally to the current rates
         u = uni_block[ptr] * total
@@ -155,27 +176,16 @@ def run(
         s = x[i] + x[j]
         x[i] = alpha * s
         x[j] = s - alpha * s
-        for k in touching[i]:
+        for k, bi, bj in updates[b]:
             total -= rates[k]
-            bi, bj = bonds[k]
-            rates[k] = pref * rate(x[bi], x[bj])
-            total += rates[k]
-        for k in touching[j]:
-            if k in touching[i]:
-                continue
-            total -= rates[k]
-            bi, bj = bonds[k]
-            rates[k] = pref * rate(x[bi], x[bj])
-            total += rates[k]
+            rates[k] = r = pref * rate(x[bi], x[bj])
+            total += r
         done += 1
         if done % _REFRESH_EVERY == 0:
             total = sum(rates)
         if not total > 0:
-            return Trajectory(topo, kernel.name, initial,
-                              np.asarray(sample_times), np.asarray(samples),
-                              done, t, flagged=True)
-    return Trajectory(topo, kernel.name, initial,
-                      np.asarray(sample_times), np.asarray(samples), done, t)
+            return trajectory(done, t, flagged=True)
+    return trajectory(done, t)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +284,13 @@ def estimate_gap_autocorr(
     A fit with R^2 below _R2_THRESHOLD is flagged.
 
     The sampling interval is tuned by a short pilot run so that one decay
-    time spans roughly seven lags; ``n_events`` is the total event budget
-    (pilot plus main run, the main run also capped by the sample buffer).
+    time spans roughly seven lags.  ``n_events`` is the budget of the main
+    run, which the sample buffer may cut short; the pilot adds up to five
+    runs of min(30000, n_events // 10) events each, so ``n_events`` must be
+    at least 10.
     """
+    if n_events < 10:
+        raise ValueError(f"n_events must be at least 10 for the pilot run, got {n_events}")
     # pilot: locate the relaxation time scale
     pilot_events = min(30_000, n_events // 10)
     pilot_dt = None

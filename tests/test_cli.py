@@ -195,3 +195,19 @@ def test_rejection_limit_is_numerical_failure(tmp_path, monkeypatch, capsys):
                  "--budget", "100", "--seed", "3", "--out", str(tmp_path / "t.csv")])
     assert code == NUMERICAL_ERROR
     assert "rejected 0 proposals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["simulate", "--budget", "0"], ["simulate", "--budget", "-5"],
+    ["simulate", "--budget", "100", "--sample-dt", "0"],
+    ["simulate", "--budget", "100", "--sample-dt", "-1"],
+    ["simulate", "--budget", "100", "--sample-dt", "nan"],
+    ["gap", "--method", "mc", "--budget", "5"],
+])
+def test_bad_event_budget_or_sample_step_is_config_error(flags, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = flags[:1] + ["--model", "kmp", "--N", "3", "--topology", "nearest",
+                        "--seed", "3", "--out", str(out)] + flags[1:]
+    assert main(argv) == CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()

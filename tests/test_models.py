@@ -91,6 +91,45 @@ def test_stick_rate():
     assert abs(stick.rate(1.0, 3.0) - 10.0) < 1e-12
 
 
+RATE_PIN_KERNELS = ([("star", m) for m in (0.0, 0.5, 1.0, 2.0)]
+                    + [("stick", m) for m in (0.5, 1.0, 2.0, 3.0)] + [("gg3", None), ("gg2", None)])
+
+
+def _energy_pairs(n=10_000):
+    """Random pairs plus pairs whose beta sits near 0, at 1/2 and near 1."""
+    a, b = np.random.default_rng(3).uniform(0.0, 3.0, size=(2, n))
+    edge = [(1e-300, 1.0), (1e-12, 2.0), (1.0, 1.0), (0.25, 0.25), (1.0 - 1e-9, 1e-9),
+            (2.0, 1e-12), (1.0, 1e-15), (0.5 + 1e-12, 0.5), (3.0, 3.0 + 1e-9)]
+    return list(zip(a.tolist(), b.tolist())) + edge
+
+
+@pytest.mark.parametrize("name, m", RATE_PIN_KERNELS)
+def test_scalar_rate_is_the_mechanical_form_bit_for_bit(name, m):
+    # the simulator's rate is s^m rate_r(beta) with the Galerkin rate_r, to the last bit
+    kern = make_kernel(name, m=m, gamma=1.0 if name == "star" else None)
+    m = kern.mechanical.m
+    for a, b in _energy_pairs(10_000 if name != "gg2" else 2_000):
+        s = a + b
+        assert kern.rate(a, b) == float(s ** m * kern.rate_r(a / s)), (a, b)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+def test_stick_sampler_draws_are_pinned(m):
+    kern = make_kernel("stick", m=m)
+
+    def reference(a, b, rng):
+        beta = a / (a + b)
+        lam = float(kern.rate_r(beta))
+        u = rng.random() * lam
+        if u < beta ** m:
+            return beta - (beta ** m - u) ** (1.0 / m)
+        return beta + (u - beta ** m) ** (1.0 / m)
+
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    for a, b in _energy_pairs(3_000):
+        assert kern.alpha_sampler(a, b, rng_new) == reference(a, b, rng_ref), (a, b)
+
+
 def test_make_kernel_unknown():
     with pytest.raises(ValueError):
         make_kernel("nope")
