@@ -6,6 +6,13 @@ total degree <= d in the first N-1 energies.  Both the Gram matrix and the
 Dirichlet matrix factorize exactly over the stick-breaking decomposition
 (s, beta, rest) of a bond, so the only numerical integration left is the
 one-dimensional (beta, alpha) kernel integral I(a, b, a', b').
+
+Assembly is array code over the basis exponent table: G is a log-gamma
+broadcast, and A sums over bonds the broadcast Beta and Dirichlet moments
+times a small kernel matrix over the distinct (a, b) exponent pairs (closed
+form for the star family, V V^T on the node grid otherwise).  Both run over
+blocks of rows, so memory stays bounded at any N, and each entry takes the
+scalar formula's floating-point operations.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigvalsh, solve_triangular
 from scipy.special import gammaln
 
-from .measures import GammaShape, SimplexLaw, dirichlet_moment, pair_alpha_moment
+from .measures import GammaShape, SimplexLaw, pair_alpha_moment
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
 from .quad import beta_rule, graded_rule, orthonormal_values, power_rule, stieltjes_recurrence
 
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 _N_BETA = 48  # beta quadrature order of the kernel node grid
+_BLOCK_ENTRIES = 1 << 18  # log-gamma table entries assembly holds at once
 
 
 def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -42,12 +50,15 @@ def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
     total degree <= degree.  The constraint eliminates x_N."""
     if N < 2:
         raise ValueError("need N >= 2")
-    out: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        for k in itertools.product(range(total + 1), repeat=N - 1):
-            if sum(k) == total:
-                out.append(k)
-    return out
+    return [k for total in range(degree + 1) for k in _compositions(total, N - 1)]
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of ``parts`` entries summing to ``total``, lexicographic."""
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions(total - first, parts - 1)]
 
 
 def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,73 +81,46 @@ def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class KernelIntegrals:
-    """Cached evaluation of I(a, b, a', b') =
-    E_beta[ Lambda_r(beta) int P(beta, dalpha)
-            (g_ab(alpha) - g_ab(beta)) (g_a'b'(alpha) - g_a'b'(beta)) ]
-    with g_ab(u) = u^a (1-u)^b.
-
-    For the star family the integral is the exact covariance formula; for the
-    mechanical kernels it is a positive quadrature form, evaluated as a dot
-    product of per-(a,b) difference vectors so that the I matrix is PSD by
-    construction.
-    """
+    """The (beta, alpha) node grid of a kernel: positive weights w_n with
+    sum_n w_n F(alpha_n, beta_n) = E_beta[Lambda_r(beta) int P(beta, dalpha) F(alpha, beta)]
+    for beta ~ Beta(gamma, gamma)."""
 
     def __init__(self, kernel: ExchangeKernel):
-        self.kernel = kernel
-        self.gamma = kernel.mechanical.gamma_rev
-        self._exact = kernel.name in ("star", "kmp")
-        self._vecs: dict[tuple[float, float], np.ndarray] = {}
-        self._cache: dict[tuple, float] = {}
-        # the (beta, alpha) node grid is built even for the star family (whose
-        # monomial integrals are closed-form) so that grid-based consumers like
-        # two_site_constant can treat every kernel uniformly
         bu, bw = _beta_grid(kernel, _N_BETA)
-        alphas, betas, weights = [], [], []
         lam = np.atleast_1d(kernel.rate_r(bu))
-        for i, b in enumerate(bu):
-            au, aw = kernel.alpha_rule(b)
-            alphas.append(au)
-            betas.append(np.full(au.size, b))
-            weights.append(bw[i] * lam[i] * aw)
-        self.alpha_nodes = np.concatenate(alphas)
-        self.beta_nodes = np.concatenate(betas)
-        self.node_weights = np.concatenate(weights)
-        self._sqw = np.sqrt(self.node_weights)
-
-    def _vec(self, a: float, b: float) -> np.ndarray:
-        key = (a, b)
-        v = self._vecs.get(key)
-        if v is None:
-            ga = self.alpha_nodes ** a * (1.0 - self.alpha_nodes) ** b
-            gb = self.beta_nodes ** a * (1.0 - self.beta_nodes) ** b
-            v = self._sqw * (ga - gb)
-            self._vecs[key] = v
-        return v
-
-    def __call__(self, a: float, b: float, ap: float, bp: float) -> float:
-        key = (a, b, ap, bp) if (a, b) <= (ap, bp) else (ap, bp, a, b)
-        val = self._cache.get(key)
-        if val is None:
-            if self._exact:
-                g = self.gamma
-                val = 2.0 * (
-                    pair_alpha_moment(g, a + ap, b + bp)
-                    - pair_alpha_moment(g, a, b) * pair_alpha_moment(g, ap, bp)
-                )
-            else:
-                val = float(np.dot(self._vec(a, b), self._vec(ap, bp)))
-            self._cache[key] = val
-        return val
+        rules = [kernel.alpha_rule(b) for b in bu]
+        self.alpha_nodes = np.concatenate([au for au, _ in rules])
+        self.beta_nodes = np.repeat(bu, [au.size for au, _ in rules])
+        self.node_weights = np.concatenate([w * r * aw for w, r, (_, aw) in zip(bw, lam, rules)])
 
 
-def _s_moment(gamma: float, N: int, p: float, q: float) -> float:
-    """E[v^p (1-v)^q] for v ~ Beta(2 gamma, (N-2) gamma); valid for real p > -2 gamma."""
-    a, b = 2.0 * gamma, (N - 2) * gamma
-    log = (
-        gammaln(a + p) + gammaln(b + q) + gammaln(a + b)
-        - gammaln(a) - gammaln(b) - gammaln(a + b + p + q)
-    )
-    return float(np.exp(log))
+def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """I[u, v] = E_beta[Lambda_r(beta) int P(beta, dalpha)
+    (g_u(alpha) - g_u(beta)) (g_v(alpha) - g_v(beta))] with g_u(x) = x^a_u (1-x)^b_u.
+
+    The star family has the exact covariance form.  For the mechanical kernels
+    it is V V^T over the weighted per-pair difference vectors on the node grid,
+    so it is PSD by construction.
+    """
+    # built for the star family too, though its closed form reads no grid:
+    # perfbench's quadrature-cache hit ratios need rule calls on every workload,
+    # and its smoke mc-relax round assembles kmp alone (ROADMAP item 5)
+    grid = KernelIntegrals(kernel)
+    if kernel.name in ("star", "kmp"):
+        g = kernel.mechanical.gamma_rev
+        mom = pair_alpha_moment(g, a, b)
+        return 2.0 * (pair_alpha_moment(g, a[:, None] + a, b[:, None] + b) - np.outer(mom, mom))
+    al, be = grid.alpha_nodes, grid.beta_nodes
+    V = np.empty((a.size, al.size))
+    for u, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        V[u] = al ** x * (1.0 - al) ** y - be ** x * (1.0 - be) ** y
+    V *= np.sqrt(grid.node_weights)
+    # one dot product per entry: unlike a matrix product, whose blocking depends
+    # on the number of pairs, I[u, v] is then the same at every degree
+    I = np.empty((a.size, a.size))
+    for u, v in itertools.combinations_with_replacement(range(a.size), 2):
+        I[u, v] = I[v, u] = np.dot(V[u], V[v])
+    return I
 
 
 def assemble(
@@ -148,58 +132,59 @@ def assemble(
     """Dirichlet matrix A and Gram matrix G on the monomial basis.
 
     A[q, r] = D(f_q, f_r), G[q, r] = E[f_q f_r] under the conditioned measure,
-    which must be the kernel's reversible law.
+    which must be the kernel's reversible law.  With k = K[q] + K[r] over the
+    exponent table K (x_N's column zero) and T = sum(k), G = (NE)^T E_Dir[w^k],
+    and bond (i, j) with c = k_i + k_j adds
+    (1/2) w_bond (NE)^(m+T) E[v^(m+c) (1-v)^(T-c)] E_Dir[w^rest] I[u_q, u_r]:
+    v ~ Beta(2 gamma, (N-2) gamma) is the bond's share of the energy, rest the
+    other N-2 exponents (at N = 2 both moments are 1), and I the kernel matrix
+    over the bonds' distinct (a, b) = (K[., i], K[., j]) pairs, u its index.
     """
     check_reversible_law(kernel, law)
     N, E = law.sites, law.mean_energy
-    g = law.gamma.gamma
-    m = kernel.mechanical.m
+    g, m = law.gamma.gamma, kernel.mechanical.m
     basis = build_basis(N, degree)
     dim = len(basis)
-    full = np.zeros((dim, N), dtype=float)
-    for q, k in enumerate(basis):
-        full[q, : N - 1] = k
-    topo = Topology(topology, N)
-    bonds, wbond = topo.bonds(), topo.prefactor
-    I = KernelIntegrals(kernel)
-
+    K = np.zeros((dim, N), dtype=np.intp)
+    K[:, :-1] = basis
+    total = K.sum(axis=1)
     NE = N * E
-    G = np.empty((dim, dim))
-    for q in range(dim):
-        for r in range(q, dim):
-            k = full[q] + full[r]
-            G[q, r] = G[r, q] = NE ** k.sum() * dirichlet_moment(law.gamma, N, k)
+    deg = np.arange(2 * degree + 1)  # every degree a product f_q f_r can have
+    lg = gammaln(g + deg) - gammaln(g)
+    NE_pow = np.array([NE ** t for t in deg.tolist()])
 
-    A = np.zeros((dim, dim))
-    rest_mask = np.ones(N, dtype=bool)
-    for (i, j) in bonds:
-        rest_mask[:] = True
-        rest_mask[[i, j]] = False
-        for q in range(dim):
-            kq = full[q]
-            a, b = kq[i], kq[j]
-            for r in range(q, dim):
-                kr = full[r]
-                ap, bp = kr[i], kr[j]
-                ival = I(a, b, ap, bp)
-                if ival == 0.0:
-                    continue
-                krest = (kq + kr)[rest_mask]
-                p = m + a + b + ap + bp
-                if N == 2:
-                    val = 0.5 * wbond * (2.0 * E) ** p * ival
-                else:
-                    val = (
-                        0.5
-                        * wbond
-                        * NE ** (p + krest.sum())
-                        * _s_moment(g, N, p, krest.sum())
-                        * dirichlet_moment(GammaShape(g), N - 2, krest)
-                        * ival
-                    )
-                A[q, r] += val
-                if r != q:
-                    A[r, q] += val
+    topo = Topology(topology, N)
+    bonds = np.array(topo.bonds())
+    pairs, index = np.unique(K[:, bonds].reshape(-1, 2), axis=0, return_inverse=True)
+    I = _kernel_matrix(kernel, *pairs.T.astype(float))
+    index = index.reshape(dim, len(bonds))
+    p = m + deg
+    wp = 0.5 * topo.prefactor * np.array([NE ** x for x in p.tolist()])  # by T: w/2 (NE)^(m+T)
+    a, b = 2.0 * g, (N - 2) * g
+    if N > 2:  # E[v^p (1-v)^t] for v ~ Beta(a, b), by (p - m, t)
+        beta_moment = np.exp(
+            gammaln(a + p)[:, None] + gammaln(b + deg) + gammaln(a + b) - gammaln(a) - gammaln(b)
+            - gammaln((a + b + p)[:, None] + deg))
+
+    G, A = np.empty((dim, dim)), np.zeros((dim, dim))
+    rows = max(1, _BLOCK_ENTRIES // (dim * N))
+    for lo in range(0, dim, rows):
+        blk = slice(lo, lo + rows)
+        T = total[blk, None] + total
+        # L[q, r, l] = log Gamma(g + K[q, l] + K[r, l]) / Gamma(g), q in the block
+        L = lg[K[blk, None, :] + K[None, :, :]]
+        G[blk] = NE_pow[T] * np.exp(L.sum(axis=-1) + gammaln(N * g) - gammaln(N * g + T))
+        for col, (i, j) in enumerate(bonds):
+            u = index[:, col]
+            factor = wp[T]
+            if N > 2:
+                c = K[:, i] + K[:, j]
+                C = c[blk, None] + c
+                t = T - C
+                rest = np.delete(np.arange(N), (i, j))
+                factor = factor * beta_moment[C, t] * np.exp(
+                    L[:, :, rest].sum(axis=-1) + gammaln(b) - gammaln(b + t))
+            A[blk] += factor * I[u[blk, None], u]
     return A, G, basis
 
 
@@ -264,7 +249,7 @@ def spectral_gap(
     A, G, basis = assemble(law, kernel, degree, topology)
     history = []
     for d in range(1, degree + 1):
-        n = len(build_basis(law.sites, d))
+        n = math.comb(law.sites - 1 + d, d)
         val, cond = solve_gap(A[:n, :n], G[:n, :n], cond_limit)
         history.append(val)
     return GapResult(

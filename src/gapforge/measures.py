@@ -98,8 +98,7 @@ def dirichlet_moment(gamma: GammaShape, N: int, k) -> float:
     k = np.asarray(k, dtype=float)
     if k.size != N:
         raise ValueError(f"expected {N} exponents, got {k.size}")
-    if np.any(k < 0):
-        raise ValueError("negative exponents not supported")
+    _check_exponents(k)
     g = gamma.gamma
     log = (
         np.sum(gammaln(g + k) - gammaln(g))
@@ -109,10 +108,20 @@ def dirichlet_moment(gamma: GammaShape, N: int, k) -> float:
     return float(np.exp(log))
 
 
-def pair_alpha_moment(gamma: GammaShape, a: float, b: float) -> float:
-    """E[alpha^a (1-alpha)^b] for alpha ~ Beta(gamma, gamma)."""
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative")
+def pair_alpha_moment(gamma: GammaShape, a, b):
+    """E[alpha^a (1-alpha)^b] for alpha ~ Beta(gamma, gamma); a float, or an
+    array of them for array exponents (broadcast)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    _check_exponents(a)
+    _check_exponents(b)
     g = gamma.gamma
     log = gammaln(g + a) + gammaln(g + b) + gammaln(2 * g) - gammaln(g) * 2 - gammaln(2 * g + a + b)
-    return float(np.exp(log))
+    out = np.exp(log)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_exponents(k: np.ndarray) -> None:
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"exponents must be finite, got {k}")
+    if np.any(k < 0):
+        raise ValueError("negative exponents not supported")

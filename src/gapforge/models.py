@@ -303,18 +303,18 @@ def stick_kernel(m: float) -> ExchangeKernel:
         raise ValueError("stick kernel requires m > 0")
     mech = MechanicalForm(m=m, gamma_rev=GammaShape(1.0))
 
-    def rate_r(beta):
-        beta = np.asarray(beta, dtype=float)
-        return beta ** m + (1.0 - beta) ** m
-
-    # rate_r at one float, bit-equal: ** on the 0-d array beta is a square
-    # root at m = 1/2, a square at m = 2 and np.power at other m, while the
-    # numpy scalar 1 - beta takes Python's pow
+    # Lambda_r at one float.  Its operations fix the simulator's random stream:
+    # numpy's 0-d ** for the first power (a square root at m = 1/2, a square at
+    # m = 2, np.power at other m) and Python's pow for the second.
     power = {0.5: math.sqrt, 1.0: float, 2.0: lambda v: v * v}.get(
         m, lambda v: float(np.power(v, m)))
 
     def lam_r(beta):
         return power(beta) + (1.0 - beta) ** m
+
+    # element by element, so the node grid sees the simulator's rates: numpy's
+    # array ** can differ from pow in the last bit
+    rate_r = np.vectorize(lam_r, otypes=[float])
 
     def rate(a, b):
         s = a + b

@@ -78,6 +78,29 @@ def test_pair_alpha_moment_symmetry():
     assert abs(pair_alpha_moment(GammaShape(g), 0, 0) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dirichlet_moment_refuses_non_finite_exponents(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dirichlet_moment(GammaShape(1.0), 3, [1.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pair_alpha_moment_refuses_non_finite_exponents(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pair_alpha_moment(GammaShape(1.0), bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pair_alpha_moment(GammaShape(1.0), 2.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        pair_alpha_moment(GammaShape(1.0), np.array([1.0, bad]), np.zeros(2))
+
+
+def test_pair_alpha_moment_on_arrays_is_the_scalar_moment():
+    g = GammaShape(0.7)
+    a, b = np.meshgrid(np.arange(5.0), np.array([0.0, 0.5, 3.0]))
+    want = [[pair_alpha_moment(g, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert np.array_equal(pair_alpha_moment(g, a, b), np.array(want))
+
+
 @given(
     g=st.floats(0.2, 4.0),
     N=st.integers(2, 6),

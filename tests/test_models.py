@@ -130,6 +130,26 @@ def test_stick_sampler_draws_are_pinned(m):
         assert kern.alpha_sampler(a, b, rng_new) == reference(a, b, rng_ref), (a, b)
 
 
+_STICK_SCALAR_RATE = {
+    # Lambda_r(beta) = beta^m + (1 - beta)^m at one float, as the simulator computes it
+    0.5: lambda v: math.sqrt(v) + (1.0 - v) ** 0.5,
+    1.0: lambda v: v + (1.0 - v) ** 1.0,
+    2.0: lambda v: v * v + (1.0 - v) ** 2.0,
+    3.0: lambda v: float(np.power(v, 3.0)) + (1.0 - v) ** 3.0,
+}
+
+
+@pytest.mark.parametrize("m", sorted(_STICK_SCALAR_RATE))
+def test_stick_rate_r_on_an_array_is_the_scalar_rate(m):
+    # the node grid evaluates rate_r on arrays, the simulator on one float
+    kern = make_kernel("stick", m=m)
+    beta = np.random.default_rng(11).random(100_000)
+    want = np.array([_STICK_SCALAR_RATE[m](v) for v in beta.tolist()])
+    assert np.array_equal(kern.rate_r(beta), want)
+    assert np.array_equal(kern.rate_r(beta.reshape(400, 250)), want.reshape(400, 250))
+    assert all(float(kern.rate_r(v)) == w for v, w in zip(beta[:1000].tolist(), want.tolist()))
+
+
 def test_make_kernel_unknown():
     with pytest.raises(ValueError):
         make_kernel("nope")
