@@ -249,6 +249,11 @@ def verify_conditional_eigenrelation(gamma: float, n: int, n_nodes: int = 64,
 # ---------------------------------------------------------------------------
 # tridiagonal families and their spectral suprema
 
+def _c(family: str, k: int, gamma: float) -> float:
+    """Row weight c_k: 1 + 2 nu_k in family A, 1 - nu_k in family B."""
+    return 1.0 + 2.0 * nu_n(k, gamma) if family == "A" else 1.0 - nu_n(k, gamma)
+
+
 def family_tridiagonal(family: str, gamma: float, n_max: int,
                        exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Head block of the family-A (k = 2..n_max) or family-B (k = 1..n_max)
@@ -256,15 +261,11 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
     with c_k = 1 + 2 nu_k (A) or 1 - nu_k (B).  With ``exact`` the true q_n
     is used (the head supremum then reproduces the polynomial Galerkin value
     at matching degree); default is the certificate surrogate q_cert."""
-    qfun = q_n if exact else q_cert
-    if family == "A":
-        ks = np.arange(2, n_max + 1)
-        c = np.array([1.0 + 2.0 * nu_n(int(k), gamma) for k in ks])
-    elif family == "B":
-        ks = np.arange(1, n_max + 1)
-        c = np.array([1.0 - nu_n(int(k), gamma) for k in ks])
-    else:
+    if family not in ("A", "B"):
         raise ValueError("family must be 'A' or 'B'")
+    qfun = q_n if exact else q_cert
+    ks = np.arange(2 if family == "A" else 1, n_max + 1)
+    c = np.array([_c(family, int(k), gamma) for k in ks])
     diag = c * np.array([p_n(int(k), gamma) for k in ks])
     q = np.array([abs(qfun(int(k), gamma)) for k in ks[:-1]])
     off = np.sqrt(c[:-1] * c[1:]) * q
@@ -329,31 +330,23 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200,
     certificate coefficients; with ``exact`` the tail rows approach Gershgorin
     radius 1 and the certified upper bound is reported accordingly.
     """
-    qfun = q_n if exact else q_cert
-    diag, off = family_tridiagonal(family, gamma, n_max, exact=exact)
+    diag, off = family_tridiagonal(family, gamma, n_max + 1, exact=exact)
+    if off.size == 0:
+        raise ValueError(f"n_max = {n_max} leaves family {family} no head row")
+    e = off[-1]  # couples head row n_max to tail row n_max + 1
+    diag, off = diag[:-1], off[:-1]
     lower = _lambda_max(diag, off)
-    k_last = n_max  # index of the last head row in the family's numbering
-    c_last = diag[-1] / p_n(k_last, gamma)
-    c_next = 1.0 + (2.0 if family == "A" else 1.0) * nu_n(k_last + 1, gamma)
-    e = math.sqrt(abs(c_last * c_next)) * abs(qfun(k_last, gamma))
     if exact:
         # |q_k| -> 1/4 and p_k -> 1/2: tail Gershgorin rows approach 1 and for
         # alternating-sign nu they exceed it; bound rows directly over a long
         # window and cap with the worst observed value plus the limit row.
-        rows = [
-            (1.0 + (2.0 if family == "A" else 1.0) * nu_n(k, gamma))
-            * p_n(k, gamma)
-            + abs(q_n(k, gamma)) * math.sqrt(abs(
-                (1.0 + (2.0 if family == "A" else 1.0) * nu_n(k, gamma))
-                * (1.0 + (2.0 if family == "A" else 1.0) * nu_n(k + 1, gamma))))
-            + abs(q_n(k - 1, gamma)) * math.sqrt(abs(
-                (1.0 + (2.0 if family == "A" else 1.0) * nu_n(k - 1, gamma))
-                * (1.0 + (2.0 if family == "A" else 1.0) * nu_n(k, gamma))))
-            for k in range(n_max + 1, 20 * n_max)
-        ]
+        c = {k: _c(family, k, gamma) for k in range(n_max, 20 * n_max + 1)}
+        rows = [c[k] * p_n(k, gamma) + abs(q_n(k, gamma)) * math.sqrt(abs(c[k] * c[k + 1]))
+                + abs(q_n(k - 1, gamma)) * math.sqrt(abs(c[k - 1] * c[k]))
+                for k in range(n_max + 1, 20 * n_max)]
         tail0 = max(max(rows), 1.0)
     else:
-        tail0 = _tail_bound(family, gamma, k_last + 1)
+        tail0 = _tail_bound(family, gamma, n_max + 1)
     best = math.inf
     for tau in np.geomspace(1e-3, 1e3, 121):
         d2 = diag.copy()
@@ -489,6 +482,8 @@ def certificate_expressions(gamma: float, n_max: int = 200) -> tuple[np.ndarray,
     E_A(n) = (1+2 nu_n)(p_n + |q_n|/alpha_n + |q_{n-1}| alpha_{n-1}),  n >= 2,
     E_B(n) = (1- nu_n)(p_n + |q_n|/beta_n + |q_{n-1}| beta_{n-1}),    n >= 1,
     returned as arrays indexed from n = 2 (A) and n = 1 (B)."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     a = certificate_alphas(gamma, n_max)
     b = certificate_betas(gamma, n_max)
     ea = np.empty(n_max - 1)

@@ -171,6 +171,8 @@ def _sweep_job(payload: dict) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     e_grid = _parse_grid(args.energies, [cfg.energy])
     n_grid = [int(n) for n in _parse_grid(args.sites_grid, [float(cfg.sites)])]
     m_grid = _parse_grid(args.m_grid, [cfg.m])
@@ -180,8 +182,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         sub = ExperimentConfig(**{**asdict(cfg), "energy": e, "sites": n,
                                   "m": m, "gamma": g, "seed": master_seed(cfg)})
         jobs.append(asdict(sub))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))  # the pool starts every worker at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_job, jobs))
     else:
         rows = [_sweep_job(j) for j in jobs]

@@ -10,9 +10,10 @@ one-dimensional (beta, alpha) kernel integral I(a, b, a', b').
 Assembly is array code over the basis exponent table: G is a log-gamma
 broadcast, and A sums over bonds the broadcast Beta and Dirichlet moments
 times a small kernel matrix over the distinct (a, b) exponent pairs (closed
-form for the star family, V V^T on the node grid otherwise).  Both run over
-blocks of rows, so memory stays bounded at any N, and each entry takes the
-scalar formula's floating-point operations.
+form for the star family, V V^T otherwise on the node grid, which one call of
+the kernel's alpha_rule on all beta nodes builds).  Both run over blocks of
+rows, so memory stays bounded at any N, and each entry takes the scalar
+formula's floating-point operations.
 """
 
 from __future__ import annotations
@@ -87,11 +88,10 @@ class KernelIntegrals:
 
     def __init__(self, kernel: ExchangeKernel):
         bu, bw = _beta_grid(kernel, _N_BETA)
-        lam = np.atleast_1d(kernel.rate_r(bu))
-        rules = [kernel.alpha_rule(b) for b in bu]
-        self.alpha_nodes = np.concatenate([au for au, _ in rules])
-        self.beta_nodes = np.repeat(bu, [au.size for au, _ in rules])
-        self.node_weights = np.concatenate([w * r * aw for w, r, (_, aw) in zip(bw, lam, rules)])
+        au, aw = kernel.alpha_rule(bu)  # one row of alpha nodes per beta node
+        self.alpha_nodes = au.ravel()
+        self.beta_nodes = np.repeat(bu, au.shape[-1])
+        self.node_weights = ((bw * kernel.rate_r(bu))[:, None] * aw).ravel()
 
 
 def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ class GammaShape:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class SimplexLaw:
     sites: int
 
     def __post_init__(self) -> None:
-        if not self.mean_energy > 0:
-            raise ValueError("mean_energy must be positive")
+        if not 0 < self.mean_energy < np.inf:
+            raise ValueError(f"mean_energy must be positive and finite, got {self.mean_energy}")
         if self.sites < 1:
             raise ValueError("need at least one site")
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import betaln, ellipe, ellipk
 
 from .measures import GammaShape, SimplexLaw
-from .quad import beta_rule, graded_rule, legendre_rule, power_rule
+from .quad import beta_rule, graded_rule, legendre_rule, power_map
 
 __all__ = [
     "NEAREST",
@@ -90,8 +90,11 @@ class ExchangeKernel:
     """Rate function plus redistribution kernel.
 
     alpha_rule(beta) returns quadrature (nodes, weights) with the density
-    folded into the weights, so that sum w_i f(u_i) = int P(beta, dalpha) f(alpha);
-    it is the workhorse of the variational assembly.
+    folded into the weights, so that sum w_i f(u_i) = int P(beta, dalpha) f(alpha)
+    over the last axis; it builds the node grid of the variational assembly.
+    An array of betas gives one row per beta, of shape beta.shape + (n_alpha,)
+    with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
+    weights there (gg3's middle one at beta = 1/2).
     """
 
     name: str
@@ -100,13 +103,15 @@ class ExchangeKernel:
     alpha_sampler: Callable[[float, float, np.random.Generator], float]
     mechanical: MechanicalForm
     rate_r: Callable[[np.ndarray], np.ndarray]
-    alpha_rule: Callable[[float], tuple[np.ndarray, np.ndarray]]
+    alpha_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
 # star model: Lambda = (a+b)^m, alpha ~ Beta(gamma, gamma)
 
 def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
+    if not math.isfinite(m):
+        raise ValueError(f"star kernel requires a finite m, got {m}")
     g = gamma.gamma
     lognorm = betaln(g, g)
 
@@ -121,7 +126,9 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
         return float(rng.beta(g, g))
 
     def rule(beta):
-        return beta_rule(g, g, 48)
+        u, w = beta_rule(g, g, 48)
+        shape = np.shape(beta) + u.shape
+        return np.broadcast_to(u, shape), np.broadcast_to(w, shape)
 
     name = "kmp" if (m == 0 and g == 1) else "star"
     return ExchangeKernel(
@@ -178,22 +185,17 @@ def gg3_kernel() -> ExchangeKernel:
         raise RejectionLimitError("gg3", beta)
 
     def rule(beta):
-        c = min(beta, 1.0 - beta)
-        mx = max(beta, 1.0 - beta)
-        const = 1.5 / (0.5 + mx)
-        nodes, weights = [], []
-        # alpha < c: density = const * sqrt(alpha/c)
-        u, w = power_rule(0.0, c, 0.5, 32, True)
-        nodes.append(u)
-        weights.append(w * const / math.sqrt(c))
-        if mx > c:
-            u, w = legendre_rule(c, mx, 32)
-            nodes.append(u)
-            weights.append(w * const)
-        u, w = power_rule(mx, 1.0, 0.5, 32, False)
-        nodes.append(u)
-        weights.append(w * const / math.sqrt(c))
-        return np.concatenate(nodes), np.concatenate(weights)
+        c = np.minimum(beta, 1.0 - beta)
+        mx = np.maximum(beta, 1.0 - beta)
+        const = (1.5 / (0.5 + mx))[..., None]
+        root_c = np.sqrt(c)[..., None]
+        # density const * sqrt(alpha / c) below c, const between c and max,
+        # and its mirror image above max
+        lu, lw = power_map(0.0, c, 0.5, 32, True)
+        mu, mw = legendre_rule(c, mx, 32)
+        ru, rw = power_map(mx, 1.0, 0.5, 32, False)
+        return (np.concatenate([lu, mu, ru], axis=-1),
+                np.concatenate([lw * const / root_c, mw * const, rw * const / root_c], axis=-1))
 
     return ExchangeKernel("gg3", rate, density, sampler, mech, _gg3_rate_r, rule)
 
@@ -205,33 +207,29 @@ _GG2_PREF = math.sqrt(2.0 / math.pi ** 3)
 
 
 def _gg2_rate_r(beta):
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    mx = np.maximum(beta, 1.0 - beta)
+    beta = np.asarray(beta, dtype=float)
+    nb = 1.0 - beta
     # bstar is the squared modulus, i.e. scipy's parameter, matching the
     # K(sqrt(.)) pattern of the redistribution density; with it the
     # normalization int P~ dalpha = Lambda_r holds to machine precision
-    bstar = np.minimum(beta / (1.0 - beta), (1.0 - beta) / beta)
-    out = 2.0 * ellipe(bstar)
-    part = bstar < 1.0  # beta = 1/2: (1 - t^2) K(t) -> 0
-    out[part] -= (1.0 - bstar[part]) * ellipk(bstar[part])
-    out *= np.sqrt(8.0 * mx / math.pi ** 3)
-    return out if out.size > 1 else float(out[0])
+    bstar = np.minimum(beta / nb, nb / beta)
+    with np.errstate(invalid="ignore"):  # beta = 1/2: (1 - t^2) K(t) -> 0
+        out = 2.0 * ellipe(bstar) - np.where(bstar < 1.0, (1.0 - bstar) * ellipk(bstar), 0.0)
+    return out * np.sqrt(8.0 * np.maximum(beta, nb) / math.pi ** 3)
 
 
-def gg2_unnormalized(beta: float, alpha) -> np.ndarray:
-    """The symmetric branch density; +inf at the integrable singularity alpha = 1 - beta."""
+def gg2_unnormalized(beta, alpha) -> np.ndarray:
+    """The symmetric branch density, with beta broadcast against alpha (at
+    least 1-D); +inf at the integrable singularity alpha = 1 - beta."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    c = min(beta, 1.0 - beta)
-    mx = max(beta, 1.0 - beta)
-    lo, hi = alpha <= c, alpha >= mx
+    nb, na = 1.0 - beta, 1.0 - alpha
+    lo, hi = alpha <= np.minimum(beta, nb), alpha >= np.maximum(beta, nb)
+    # t^2 = y / x on every branch; between c and max it depends on the side of 1/2
+    x = np.where(lo, nb, np.where(hi, beta, np.where(beta <= 0.5, na, alpha)))
+    y = np.where(lo, alpha, np.where(hi, na, np.where(beta <= 0.5, beta, nb)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if beta <= 0.5:
-            x, t2 = 1.0 - alpha, beta / (1.0 - alpha)
-        else:
-            x, t2 = alpha, (1.0 - beta) / alpha
-        x = np.where(lo, 1.0 - beta, np.where(hi, beta, x))
-        t2 = np.where(lo, alpha / (1.0 - beta), np.where(hi, (1.0 - alpha) / beta, t2))
-    out = np.full_like(alpha, np.inf)
+        t2 = y / x
+    out = np.full_like(t2, np.inf)
     fin = t2 < 1.0
     out[fin] = np.sqrt(1.0 / x[fin]) * ellipk(t2[fin])
     return _GG2_PREF * out
@@ -270,27 +268,20 @@ def gg2_kernel() -> ExchangeKernel:
         raise RejectionLimitError("gg2", beta)
 
     def rule(beta):
-        c = min(beta, 1.0 - beta)
-        mx = max(beta, 1.0 - beta)
-        star = 1.0 - beta
-        lam = float(_gg2_rate_r(beta))
-        nodes, weights = [], []
-        if beta < 0.5:
-            segs = [(0.0, c, None), (c, star, "hi"), (star, 1.0, "lo")]
-        elif beta > 0.5:
-            segs = [(0.0, star, "hi"), (star, mx, "lo"), (mx, 1.0, None)]
-        else:
-            segs = [(0.0, 0.5, "hi"), (0.5, 1.0, "lo")]
-        for lo, hi, sing in segs:
-            if hi - lo <= 0:
-                continue
-            if sing is None:
-                u, w = legendre_rule(lo, hi, 48)
-            else:
-                u, w = graded_rule(lo, hi, sing, n_per_cell=32, n_cells=16)
-            nodes.append(u)
-            weights.append(w * gg2_unnormalized(beta, u) / lam)
-        return np.concatenate(nodes), np.concatenate(weights)
+        beta = np.asarray(beta, dtype=float)
+        star = 1.0 - beta  # location of the log singularity
+        left = beta < 0.5
+        # graded segments [p, star] and [star, q] meet at the singularity; the
+        # smooth one, [0, p] left of 1/2 and [q, 1] right of it ([1, 1], empty, at
+        # 1/2 where the kink meets the singularity), comes first left of 1/2, else last
+        p = np.where(left, beta, 0.0)
+        q = np.where(beta > 0.5, beta, 1.0)
+        su, sw = legendre_rule(np.where(left, 0.0, q), np.where(left, p, 1.0), 48)
+        hu, hw = graded_rule(p, star, "hi", n_per_cell=32, n_cells=16)
+        lu, lw = graded_rule(star, q, "lo", n_per_cell=32, n_cells=16)
+        rows = np.concatenate([[su, sw], [hu, hw], [lu, lw]], axis=-1)
+        u, w = np.where(left[..., None], rows, np.roll(rows, -su.shape[-1], axis=-1))
+        return u, w * gg2_unnormalized(beta[..., None], u) / _gg2_rate_r(beta)[..., None]
 
     return ExchangeKernel("gg2", rate, density, sampler, mech, _gg2_rate_r, rule)
 
@@ -299,8 +290,8 @@ def gg2_kernel() -> ExchangeKernel:
 # stick process (gamma = 1)
 
 def stick_kernel(m: float) -> ExchangeKernel:
-    if m <= 0:
-        raise ValueError("stick kernel requires m > 0")
+    if not 0 < m < math.inf:
+        raise ValueError(f"stick kernel requires a finite m > 0, got {m}")
     mech = MechanicalForm(m=m, gamma_rev=GammaShape(1.0))
 
     # Lambda_r at one float.  Its operations fix the simulator's random stream:
@@ -335,17 +326,10 @@ def stick_kernel(m: float) -> ExchangeKernel:
         return beta + (u - beta ** m) ** (1.0 / m)
 
     def rule(beta):
-        lam = lam_r(beta)
-        nodes, weights = [], []
-        if beta > 0:
-            u, w = power_rule(0.0, beta, m - 1.0, 48, False)
-            nodes.append(u)
-            weights.append(w * m / lam)
-        if beta < 1:
-            u, w = power_rule(beta, 1.0, m - 1.0, 48, True)
-            nodes.append(u)
-            weights.append(w * m / lam)
-        return np.concatenate(nodes), np.concatenate(weights)
+        lu, lw = power_map(0.0, beta, m - 1.0, 48, False)
+        ru, rw = power_map(beta, 1.0, m - 1.0, 48, True)
+        return (np.concatenate([lu, ru], axis=-1),
+                np.concatenate([lw, rw], axis=-1) * m / rate_r(beta)[..., None])
 
     return ExchangeKernel("stick", rate, density, sampler, mech, rate_r, rule)
 
@@ -392,7 +376,7 @@ def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:
     # irrational offset keeps every pair (grid_i, grid_j) off the singular
     # line alpha = 1 - beta of the gg2 density
     grid = (np.arange(n_grid) + 0.5 / math.sqrt(2.0)) / n_grid
-    lam = np.atleast_1d(kernel.rate_r(grid))
+    lam = kernel.rate_r(grid)
     wg = np.exp((g - 1) * (np.log(grid) + np.log1p(-grid)) - betaln(g, g))
     q = np.empty((n_grid, n_grid))
     for i, b in enumerate(grid):

@@ -137,6 +137,36 @@ def test_certificate_sup_bracket_ordered():
     assert b.width >= 0
 
 
+@pytest.mark.parametrize("family, n_max", [("A", 2), ("B", 1)])
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 3.0])
+def test_one_row_head_couples_to_the_next_row_of_the_family(family, n_max, gamma):
+    # with a one-row head the certified upper is the minimum over tau of
+    # max(d + e tau, tail + e / tau), e coupling row n_max to row n_max + 1
+    diag, off = family_tridiagonal(family, gamma, n_max + 1)
+    sup = tridiagonal_sup(family, gamma, n_max)
+    want = min(max(diag[0] + off[-1] * tau, sup.tail_bound + off[-1] / tau)
+               for tau in np.geomspace(1e-3, 1e3, 121))
+    assert sup.upper == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 3.0])
+def test_exact_tail_rows_are_the_rows_of_the_family(family, gamma):
+    # the exact tail bound is the largest Gershgorin row sum of the family's
+    # rows n_max + 1 .. 20 n_max - 1, and at least 1
+    n_max, first = 5, 2 if family == "A" else 1
+    diag, off = family_tridiagonal(family, gamma, 20 * n_max, exact=True)
+    rows = (diag[1:-1] + off[1:] + off[:-1])[n_max - first:]
+    sup = tridiagonal_sup(family, gamma, n_max, exact=True)
+    assert sup.tail_bound == pytest.approx(max(rows.max(), 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("family, n_max", [("A", 1), ("B", 0), ("C", 5)])
+def test_sup_needs_a_head_row_and_a_known_family(family, n_max):
+    with pytest.raises(ValueError, match="head row|family"):
+        tridiagonal_sup(family, 1.0, n_max)
+
+
 def test_exact_sup_tends_to_one():
     # true coefficients: head supremum approaches 1 from below
     b = tridiagonal_sup("B", 1.0, n_max=2000, exact=True)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gapforge import models
+from gapforge import cli, models
 from gapforge.cli import (
     CONFIG_ERROR,
     NUMERICAL_ERROR,
@@ -203,11 +203,45 @@ def test_rejection_limit_is_numerical_failure(tmp_path, monkeypatch, capsys):
     ["simulate", "--budget", "100", "--sample-dt", "-1"],
     ["simulate", "--budget", "100", "--sample-dt", "nan"],
     ["gap", "--method", "mc", "--budget", "5"],
+    ["verify", "--suite", "appendix", "--n-max", "0"],
+    ["verify", "--suite", "appendix", "--n-max", "1"],
+    ["gap", "--E", "inf"],
+    ["gap", "--model", "star", "--gamma", "inf"],
+    ["gap", "--model", "star", "--m", "inf"],
+    ["gap", "--model", "stick", "--m", "nan"],
+    ["sweep", "--jobs", "0"],
 ])
 def test_bad_event_budget_or_sample_step_is_config_error(flags, tmp_path, capsys):
     out = tmp_path / "t.csv"
     argv = flags[:1] + ["--model", "kmp", "--N", "3", "--topology", "nearest",
                         "--seed", "3", "--out", str(out)] + flags[1:]
     assert main(argv) == CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert f"got {flags[-1]}" in err  # the message names the bad value
     assert not out.exists()
+
+
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class Pool:  # records its size and runs the jobs in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    args = ["sweep", "--model", "kmp", "--topology", "long-range", "--degree", "2",
+            "--out", str(tmp_path / "s.csv"), "--jobs", "64"]
+    assert main(args + ["--sites-grid", "2,3"]) == 0
+    assert main(args + ["--sites-grid", "2"]) == 0  # one point: no pool
+    capsys.readouterr()
+    assert sizes == [2]

@@ -1,12 +1,13 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from scipy.special import gammaln
+from scipy.special import ellipe, ellipk, gammaln, roots_jacobi
 
-from gapforge import galerkin
+from gapforge import galerkin, models
 from gapforge.galerkin import (
     KernelIntegrals,
     assemble,
@@ -18,6 +19,7 @@ from gapforge.galerkin import (
 )
 from gapforge.measures import GammaShape, SimplexLaw, dirichlet_moment, pair_alpha_moment
 from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel, star_kernel
+from gapforge.quad import beta_rule
 
 
 def test_build_basis_counts():
@@ -267,3 +269,104 @@ def test_assemble_memory_is_bounded_by_blocks():
     assert A.shape == G.shape == (dim, dim)
     # a few dim x dim float arrays; one (dim, dim, N) log-gamma table alone is N of them
     assert peak < 8 * dim * dim * 8, peak
+
+
+# ---------------------------------------------------------------------------
+# the beta-by-beta node grid build, the reference for the array grid: one
+# scalar alpha rule per beta node, from freshly solved Gauss rules
+
+
+def _ref_power(lo, hi, expo, n, at_lo):
+    h = hi - lo
+    x, w = roots_jacobi(n, 0.0, expo) if at_lo else roots_jacobi(n, expo, 0.0)
+    return lo + h * 0.5 * (1.0 + x), w * (h / 2.0) ** (expo + 1.0)
+
+
+def _ref_legendre(lo, hi, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return lo + (hi - lo) * 0.5 * (1.0 + x), w * (hi - lo) * 0.5
+
+
+def _ref_graded(lo, hi, singular_at, n_per_cell, n_cells, ratio=0.35):
+    pts, h = [lo, hi], hi - lo
+    if singular_at in ("lo", "both"):
+        d = h if singular_at == "lo" else h / 2.0
+        pts += [lo + d * ratio ** k for k in range(1, n_cells)]
+    if singular_at in ("hi", "both"):
+        d = h if singular_at == "hi" else h / 2.0
+        pts += [hi - d * ratio ** k for k in range(1, n_cells)]
+    pts = np.unique(np.asarray(pts))
+    rules = [_ref_legendre(a, b, n_per_cell) for a, b in zip(pts[:-1], pts[1:])]
+    return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _ref_gg2_rate_r(beta):
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    mx = np.maximum(beta, 1.0 - beta)
+    bstar = np.minimum(beta / (1.0 - beta), (1.0 - beta) / beta)
+    out = 2.0 * ellipe(bstar)
+    part = bstar < 1.0
+    out[part] -= (1.0 - bstar[part]) * ellipk(bstar[part])
+    return out * np.sqrt(8.0 * mx / math.pi ** 3)
+
+
+def _ref_alpha_rule(kernel, beta):
+    if kernel.name in ("star", "kmp"):
+        g = kernel.mechanical.gamma_rev.gamma
+        return beta_rule(g, g, 48)
+    c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
+    if kernel.name == "gg3":
+        const = 1.5 / (0.5 + mx)
+        (u1, w1), (u2, w2), (u3, w3) = (_ref_power(0.0, c, 0.5, 32, True), _ref_legendre(c, mx, 32),
+                                        _ref_power(mx, 1.0, 0.5, 32, False))
+        return (np.concatenate([u1, u2, u3]),
+                np.concatenate([w1 * const / math.sqrt(c), w2 * const, w3 * const / math.sqrt(c)]))
+    if kernel.name == "gg2":
+        star, lam = 1.0 - beta, float(_ref_gg2_rate_r(beta)[0])
+        if beta < 0.5:
+            segs = [(0.0, c, None), (c, star, "hi"), (star, 1.0, "lo")]
+        else:
+            segs = [(0.0, star, "hi"), (star, mx, "lo"), (mx, 1.0, None)]
+        rules = [_ref_legendre(lo, hi, 48) if sing is None else _ref_graded(lo, hi, sing, 32, 16)
+                 for lo, hi, sing in segs]
+        return (np.concatenate([u for u, _ in rules]),
+                np.concatenate([w * models.gg2_unnormalized(beta, u) / lam for u, w in rules]))
+    m, lam = kernel.mechanical.m, float(kernel.rate_r(beta))
+    (u1, w1), (u2, w2) = (_ref_power(0.0, beta, m - 1.0, 48, False),
+                          _ref_power(beta, 1.0, m - 1.0, 48, True))
+    return np.concatenate([u1, u2]), np.concatenate([w1 * m / lam, w2 * m / lam])
+
+
+def _ref_beta_grid(kernel, n=48):
+    g = kernel.mechanical.gamma_rev.gamma
+    lognorm = gammaln(g) * 2 - gammaln(2 * g)
+    if kernel.name == "stick":
+        u, w = _ref_graded(0.0, 1.0, "both", n, 16)
+        return u, w * np.exp((g - 1) * (np.log(u) + np.log1p(-u)) - lognorm)
+    u1, w1 = _ref_power(0.0, 0.5, g - 1.0, n, True)
+    u2, w2 = _ref_power(0.5, 1.0, g - 1.0, n, False)
+    w1 = w1 * (1.0 - u1) ** (g - 1.0) / math.exp(lognorm)
+    w2 = w2 * u2 ** (g - 1.0) / math.exp(lognorm)
+    return np.concatenate([u1, u2]), np.concatenate([w1, w2])
+
+
+def _reference_grid(kernel):
+    bu, bw = _ref_beta_grid(kernel)
+    lam = _ref_gg2_rate_r(bu) if kernel.name == "gg2" else np.atleast_1d(kernel.rate_r(bu))
+    rules = [_ref_alpha_rule(kernel, b) for b in bu]
+    return (np.concatenate([au for au, _ in rules]),
+            np.repeat(bu, [au.size for au, _ in rules]),
+            np.concatenate([w * r * aw for w, r, (_, aw) in zip(bw, lam, rules)]))
+
+
+@pytest.mark.parametrize("name, m, gamma", [
+    ("gg2", None, None), ("gg3", None, None), ("star", 1.0, 1.5), ("star", 0.5, 0.5),
+    ("kmp", None, None),
+    ("stick", 0.5, None), ("stick", 1.0, None), ("stick", 2.0, None), ("stick", 3.0, None),
+])
+def test_kernel_grid_matches_the_per_beta_reference(name, m, gamma):
+    grid = KernelIntegrals(make_kernel(name, m=m, gamma=gamma))
+    alpha, beta, weights = _reference_grid(make_kernel(name, m=m, gamma=gamma))
+    assert np.array_equal(grid.alpha_nodes, alpha)
+    assert np.array_equal(grid.beta_nodes, beta)
+    assert np.array_equal(grid.node_weights, weights)

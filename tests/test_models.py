@@ -36,6 +36,32 @@ def test_alpha_rule_normalization(name):
         assert np.all(u >= 0) and np.all(u <= 1)
 
 
+@pytest.mark.parametrize("name", ALL_KERNELS + ["stick-1/2"])
+def test_alpha_rule_on_an_array_is_the_rows_of_scalar_calls(name):
+    kern = make_kernel("stick", m=0.5) if name == "stick-1/2" else _kernel(name)
+    beta = np.array([[0.13, 0.37, 0.5 - 1e-6], [0.5, 0.5 + 1e-6, 0.91]])
+    u, w = kern.alpha_rule(beta)
+    n = kern.alpha_rule(0.3)[0].size
+    assert u.shape == w.shape == beta.shape + (n,)
+    for i, j in np.ndindex(beta.shape):
+        ui, wi = kern.alpha_rule(float(beta[i, j]))
+        assert np.array_equal(u[i, j], ui) and np.array_equal(w[i, j], wi), beta[i, j]
+
+
+@pytest.mark.parametrize("name", ["gg2", "gg3"])
+def test_alpha_rule_at_one_half_is_finite_and_normalized(name):
+    # no grid holds beta = 1/2, where gg3's middle segment is empty and gg2's
+    # kink meets its singularity; the rule keeps its node count there
+    kern = make_kernel(name)
+    for beta in (0.5, np.array([0.3, 0.5])):
+        u, w = kern.alpha_rule(beta)
+        u, w = np.atleast_2d(u)[-1], np.atleast_2d(w)[-1]
+        assert u.size == kern.alpha_rule(0.3)[0].size
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert np.all(u >= 0) and np.all(u <= 1)
+        assert abs(w.sum() - 1.0) < 1e-6
+
+
 @pytest.mark.parametrize("name", ALL_KERNELS)
 def test_detailed_balance(name):
     assert detailed_balance_defect(_kernel(name)) < 1e-8

@@ -14,6 +14,7 @@ from gapforge.quad import (
     graded_rule,
     legendre_rule,
     orthonormal_values,
+    power_map,
     power_rule,
     stieltjes_recurrence,
 )
@@ -93,6 +94,25 @@ def test_rules_are_the_affine_map_of_the_reference_rule(lo, hi, expo, n, at_lo):
         u, w = legendre_rule(a, b, n)
         assert np.array_equal(u, a + (b - a) * 0.5 * (1.0 + xl))
         assert np.array_equal(w, wl * (b - a) * 0.5)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda lo, hi: power_map(lo, hi, -0.5, 12, True),
+    lambda lo, hi: power_map(lo, hi, 1.5, 12, False),
+    lambda lo, hi: legendre_rule(lo, hi, 12),
+    lambda lo, hi: graded_rule(lo, hi, "hi", n_per_cell=8, n_cells=6),
+    lambda lo, hi: graded_rule(lo, hi, "both", n_per_cell=8, n_cells=6),
+])
+def test_array_ends_give_the_rows_of_one_interval_calls(rule):
+    lo = np.array([[0.0, 0.13], [0.5, 0.3]])
+    hi = np.array([[0.41, 0.87], [1.0, 0.3 + 1e-3]])
+    u, w = rule(lo, hi)
+    assert u.shape == w.shape == lo.shape + rule(0.0, 1.0)[0].shape
+    for i, j in np.ndindex(lo.shape):
+        ui, wi = rule(float(lo[i, j]), float(hi[i, j]))
+        assert np.array_equal(u[i, j], ui) and np.array_equal(w[i, j], wi)
+    u, w = rule(0.0, hi)  # a scalar end broadcasts
+    assert np.array_equal(u[1, 0], rule(0.0, 1.0)[0])
 
 
 def test_kernel_grid_is_the_same_on_every_build():
