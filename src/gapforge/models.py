@@ -204,18 +204,26 @@ def gg3_kernel() -> ExchangeKernel:
 # two-dimensional billiard-lattice kernel (gamma = 1, m = 1/2)
 
 _GG2_PREF = math.sqrt(2.0 / math.pi ** 3)
+# within this of beta = 1/2 the kink beta and the singularity 1 - beta are too close
+# for a smooth segment between them; it is below the Galerkin beta grid's nearest
+# node to 1/2 (3.07e-4 away at 48 nodes per half), so no grid moves
+_GG2_HALF_BAND = 2.5e-4
 
 
-def _gg2_rate_r(beta):
-    beta = np.asarray(beta, dtype=float)
+def _gg2_lam_r(beta: float) -> float:
+    """Lambda_r at one float; the simulator's rate and sampler use it, and
+    `_gg2_rate_r` maps it over arrays, so both routes see the same bits."""
     nb = 1.0 - beta
     # bstar is the squared modulus, i.e. scipy's parameter, matching the
     # K(sqrt(.)) pattern of the redistribution density; with it the
     # normalization int P~ dalpha = Lambda_r holds to machine precision
-    bstar = np.minimum(beta / nb, nb / beta)
-    with np.errstate(invalid="ignore"):  # beta = 1/2: (1 - t^2) K(t) -> 0
-        out = 2.0 * ellipe(bstar) - np.where(bstar < 1.0, (1.0 - bstar) * ellipk(bstar), 0.0)
-    return out * np.sqrt(8.0 * np.maximum(beta, nb) / math.pi ** 3)
+    bstar = beta / nb if beta <= nb else nb / beta
+    # beta = 1/2: (1 - t^2) K(t) -> 0
+    out = 2.0 * ellipe(bstar) - ((1.0 - bstar) * ellipk(bstar) if bstar < 1.0 else 0.0)
+    return float(out * math.sqrt(8.0 * max(beta, nb) / math.pi ** 3))
+
+
+_gg2_rate_r = np.vectorize(_gg2_lam_r, otypes=[float])
 
 
 def gg2_unnormalized(beta, alpha) -> np.ndarray:
@@ -235,12 +243,26 @@ def gg2_unnormalized(beta, alpha) -> np.ndarray:
     return _GG2_PREF * out
 
 
+def _gg2_unnormalized_at(beta: float, alpha: float) -> float:
+    """gg2_unnormalized at one float pair, in the same operations."""
+    nb, na = 1.0 - beta, 1.0 - alpha
+    if alpha <= min(beta, nb):
+        x, y = nb, alpha
+    elif alpha >= max(beta, nb):
+        x, y = beta, na
+    else:
+        x, y = (na, beta) if beta <= 0.5 else (alpha, nb)
+    if x == 0.0 or not y / x < 1.0:
+        return math.inf
+    return float(_GG2_PREF * (math.sqrt(1.0 / x) * ellipk(y / x)))
+
+
 def gg2_kernel() -> ExchangeKernel:
     mech = MechanicalForm(m=0.5, gamma_rev=GammaShape(1.0))
 
     def rate(a, b):
         s = a + b
-        return float(s ** 0.5 * _gg2_rate_r(a / s))
+        return s ** 0.5 * _gg2_lam_r(a / s)
 
     def density(a, b, alpha):
         beta = a / (a + b)
@@ -248,7 +270,7 @@ def gg2_kernel() -> ExchangeKernel:
 
     def sampler(a, b, rng):
         beta = a / (a + b)
-        lam = float(_gg2_rate_r(beta))
+        lam = _gg2_lam_r(beta)
         star = 1.0 - beta  # location of the log singularity
         # envelope (pi/2) / (lam * sqrt(|alpha - star|)), from (1 - t^2 sin^2) >= 1 - t^2
         w_left, w_right = math.sqrt(star), math.sqrt(1.0 - star)
@@ -259,23 +281,23 @@ def gg2_kernel() -> ExchangeKernel:
                 alpha = star - star * u * u
             else:
                 alpha = star + (1.0 - star) * u * u
-            d = float(gg2_unnormalized(beta, alpha)[0]) / lam
-            env = (math.pi / 2.0) / (lam * math.sqrt(abs(alpha - star)))
-            if not math.isfinite(d):
+            d = _gg2_unnormalized_at(beta, alpha) / lam
+            if alpha == star or not math.isfinite(d):  # alpha on the singularity
                 continue
+            env = (math.pi / 2.0) / (lam * math.sqrt(abs(alpha - star)))
             if rng.random() <= d / env:
-                return float(alpha)
+                return alpha
         raise RejectionLimitError("gg2", beta)
 
     def rule(beta):
         beta = np.asarray(beta, dtype=float)
         star = 1.0 - beta  # location of the log singularity
-        left = beta < 0.5
-        # graded segments [p, star] and [star, q] meet at the singularity; the
-        # smooth one, [0, p] left of 1/2 and [q, 1] right of it ([1, 1], empty, at
-        # 1/2 where the kink meets the singularity), comes first left of 1/2, else last
+        left = beta < 0.5 - _GG2_HALF_BAND
+        # graded segments [p, star] and [star, q] meet at the singularity; the smooth
+        # one ([0, p] first left of 1/2, else [q, 1] last) is [1, 1], empty, within
+        # _GG2_HALF_BAND of 1/2, where it would end at a kink beside the singularity
         p = np.where(left, beta, 0.0)
-        q = np.where(beta > 0.5, beta, 1.0)
+        q = np.where(beta > 0.5 + _GG2_HALF_BAND, beta, 1.0)
         su, sw = legendre_rule(np.where(left, 0.0, q), np.where(left, p, 1.0), 48)
         hu, hw = graded_rule(p, star, "hi", n_per_cell=32, n_cells=16)
         lu, lw = graded_rule(star, q, "lo", n_per_cell=32, n_cells=16)

@@ -24,8 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import beta as beta_dist
-from scipy.stats import kstest
 
 from .measures import EnergyConfiguration, SimplexLaw, sample_matrix
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law
@@ -370,6 +368,8 @@ def equilibrium_check(
     """Kolmogorov-Smirnov test of the empirical single-site marginal against
     the exact scaled Beta(gamma, (N-1) gamma) marginal; pass below the 1%
     level.  Samples are thinned to roughly independent spacing."""
+    from scipy.stats import beta as beta_dist, kstest  # slow to import; only this check uses it
+
     traj = run(kernel, topo, law, rng, n_events=n_events)
     xs = traj.samples[:, 0]
     stride = max(1, xs.size // n_keep)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ellipk
+from scipy.special import ellipe, ellipk
 
 from gapforge import models
 from gapforge.measures import GammaShape
@@ -50,16 +50,20 @@ def test_alpha_rule_on_an_array_is_the_rows_of_scalar_calls(name):
 
 @pytest.mark.parametrize("name", ["gg2", "gg3"])
 def test_alpha_rule_at_one_half_is_finite_and_normalized(name):
-    # no grid holds beta = 1/2, where gg3's middle segment is empty and gg2's
-    # kink meets its singularity; the rule keeps its node count there
+    # no grid holds beta at or next to 1/2, where gg3's middle segment is empty
+    # and gg2's kink meets its singularity; the rule keeps its node count there.
+    # gg2 takes the layout of 1/2 within models._GG2_HALF_BAND = 2.5e-4 of it;
+    # 3.07e-4 is the beta grid's nearest node
     kern = make_kernel(name)
-    for beta in (0.5, np.array([0.3, 0.5])):
-        u, w = kern.alpha_rule(beta)
-        u, w = np.atleast_2d(u)[-1], np.atleast_2d(w)[-1]
-        assert u.size == kern.alpha_rule(0.3)[0].size
-        assert np.all(np.isfinite(w)) and np.all(w >= 0)
-        assert np.all(u >= 0) and np.all(u <= 1)
-        assert abs(w.sum() - 1.0) < 1e-6
+    offsets = (0.0, 1e-12, 3e-10, 1e-9, 1e-6, 1e-4, 2.4e-4, 2.6e-4, 3.07e-4, 1e-3)
+    for beta in [0.5 + s * d for d in offsets for s in (-1.0, 1.0)]:
+        for arg in (beta, np.array([0.3, beta])):
+            u, w = kern.alpha_rule(arg)
+            u, w = np.atleast_2d(u)[-1], np.atleast_2d(w)[-1]
+            assert u.size == kern.alpha_rule(0.3)[0].size
+            assert np.all(np.isfinite(w)) and np.all(w >= 0), beta
+            assert np.all(u >= 0) and np.all(u <= 1)
+            assert abs(w.sum() - 1.0) < 1e-6, beta
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -122,21 +126,40 @@ RATE_PIN_KERNELS = ([("star", m) for m in (0.0, 0.5, 1.0, 2.0)]
 
 
 def _energy_pairs(n=10_000):
-    """Random pairs plus pairs whose beta sits near 0, at 1/2 and near 1."""
+    """Random pairs plus pairs whose beta sits at and near 0, 1/2 and 1."""
     a, b = np.random.default_rng(3).uniform(0.0, 3.0, size=(2, n))
     edge = [(1e-300, 1.0), (1e-12, 2.0), (1.0, 1.0), (0.25, 0.25), (1.0 - 1e-9, 1e-9),
-            (2.0, 1e-12), (1.0, 1e-15), (0.5 + 1e-12, 0.5), (3.0, 3.0 + 1e-9)]
+            (2.0, 1e-12), (1.0, 1e-15), (0.5 + 1e-12, 0.5), (3.0, 3.0 + 1e-9),
+            (0.0, 1.0), (2.0, 0.0)]
     return list(zip(a.tolist(), b.tolist())) + edge
+
+
+def _gg2_array_rate_r(beta):
+    """gg2's Lambda_r in array operations, as it was before its scalar form:
+    the reference that form and its array map are pinned to."""
+    beta = np.asarray(beta, dtype=float)
+    nb = 1.0 - beta
+    bstar = np.minimum(beta / nb, nb / beta)
+    with np.errstate(invalid="ignore"):  # beta = 1/2: (1 - t^2) K(t) -> 0
+        out = 2.0 * ellipe(bstar) - np.where(bstar < 1.0, (1.0 - bstar) * ellipk(bstar), 0.0)
+    return out * np.sqrt(8.0 * np.maximum(beta, nb) / math.pi ** 3)
 
 
 @pytest.mark.parametrize("name, m", RATE_PIN_KERNELS)
 def test_scalar_rate_is_the_mechanical_form_bit_for_bit(name, m):
-    # the simulator's rate is s^m rate_r(beta) with the Galerkin rate_r, to the last bit
+    # the simulator's rate is s^m rate_r(beta) with the Galerkin rate_r, to the last bit;
+    # gg2's rate_r maps its scalar form over arrays, so both are pinned to the array form
     kern = make_kernel(name, m=m, gamma=1.0 if name == "star" else None)
-    m = kern.mechanical.m
-    for a, b in _energy_pairs(10_000 if name != "gg2" else 2_000):
+    m, rate_r = kern.mechanical.m, _gg2_array_rate_r if name == "gg2" else kern.rate_r
+    pairs = _energy_pairs(10_000)
+    for a, b in pairs:
         s = a + b
-        assert kern.rate(a, b) == float(s ** m * kern.rate_r(a / s)), (a, b)
+        with np.errstate(divide="ignore"):  # the gg2 array form divides by beta = 0
+            want = float(s ** m * rate_r(a / s))
+        assert kern.rate(a, b) == want, (a, b)
+    beta = np.array([a / (a + b) for a, b in pairs])
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(kern.rate_r(beta), rate_r(beta))
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
@@ -154,6 +177,55 @@ def test_stick_sampler_draws_are_pinned(m):
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     for a, b in _energy_pairs(3_000):
         assert kern.alpha_sampler(a, b, rng_new) == reference(a, b, rng_ref), (a, b)
+
+
+def _gg2_array_sampler(a, b, rng):
+    """The gg2 sampler on the array density and rate, as it was before its
+    scalar forms: the reference for their random stream."""
+    beta = a / (a + b)
+    lam = float(_gg2_array_rate_r(beta))
+    star = 1.0 - beta
+    w_left, w_right = math.sqrt(star), math.sqrt(1.0 - star)
+    p_left = w_left / (w_left + w_right)
+    for _ in range(models._MAX_PROPOSALS):
+        u = rng.random()
+        if rng.random() < p_left:
+            alpha = star - star * u * u
+        else:
+            alpha = star + (1.0 - star) * u * u
+        d = float(models.gg2_unnormalized(beta, alpha)[0]) / lam
+        env = (math.pi / 2.0) / (lam * math.sqrt(abs(alpha - star)))
+        if not math.isfinite(d):
+            continue
+        if rng.random() <= d / env:
+            return float(alpha)
+    raise RejectionLimitError("gg2", beta)
+
+
+def test_gg2_sampler_draws_are_pinned():
+    kern = make_kernel("gg2")
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    pairs = _energy_pairs(3_000)
+    with np.errstate(divide="ignore"):  # the array rate divides by beta = 0
+        want = [_gg2_array_sampler(a, b, rng_ref) for a, b in pairs]
+    assert repr([kern.alpha_sampler(a, b, rng_new) for a, b in pairs]) == repr(want)
+    assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+def test_gg2_sampler_skips_a_proposal_on_the_singularity():
+    # at beta = 0.1 the draw u = 0 puts alpha on star = 0.9, where the density
+    # rounds finite (1 - 0.9 < 0.1) but the envelope is infinite; the proposal
+    # is dropped without a further draw, so the next one starts the stream anew
+    class Lead:
+        def __init__(self, first, rng):
+            self.first, self.rng = list(first), rng
+
+        def random(self):
+            return self.first.pop(0) if self.first else self.rng.random()
+
+    kern = make_kernel("gg2")
+    got = kern.alpha_sampler(0.1, 0.9, Lead([0.0, 0.0], np.random.default_rng(6)))
+    assert got == kern.alpha_sampler(0.1, 0.9, np.random.default_rng(6))
 
 
 _STICK_SCALAR_RATE = {
@@ -201,6 +273,12 @@ def test_gg2_density_matches_pointwise_branches():
         alpha = np.concatenate([np.linspace(0.0, 1.0, 41), [beta, 1.0 - beta]])
         want = models._GG2_PREF * np.array([_gg2_pointwise(beta, a) for a in alpha])
         assert np.array_equal(models.gg2_unnormalized(beta, alpha), want)
+        # the sampler's one-float form, too
+        assert [models._gg2_unnormalized_at(beta, a) for a in alpha.tolist()] == want.tolist()
+    beta, alpha = np.random.default_rng(4).random((2, 10_000)).tolist()
+    for b, a in zip(beta + [0.0, 1.0, 1.0], alpha + [0.5, 0.0, 0.5]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert models._gg2_unnormalized_at(b, a) == models.gg2_unnormalized(b, a)[0], (b, a)
 
 
 def test_mechanical_metadata():
