@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Gillespie event rate and output fingerprint of ``simulate.run`` for the
+seven simulator shapes of the perfbench mc-relax workload.
+
+For each shape the script runs ``simulate.run`` from a fixed seed and prints
+the events per second (best of ``--repeat`` runs) and a sha256 over the
+samples, the sample times, the total time and the generator's next draw.
+The digests depend only on the random stream, so running the script on two
+commits checks in one go that the loop got faster and that it hands out the
+same numbers:
+
+    PYTHONPATH=src python3 scripts/event_rate.py --repeat 3
+"""
+
+import argparse
+import hashlib
+import time
+
+import numpy as np
+
+from gapforge import simulate
+from gapforge.measures import SimplexLaw
+from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
+
+# (model, m, gamma, N, topology, events): the five estimate kernels at the
+# script's event budget, then the two bare runs
+SHAPES = [
+    ("kmp", 0.0, 1.0, 3, NEAREST, 100_000),
+    ("kmp", 0.0, 1.0, 3, LONG_RANGE, 100_000),
+    ("stick", 1.0, 1.0, 3, NEAREST, 100_000),
+    ("gg3", 0.5, 1.5, 3, NEAREST, 100_000),
+    ("star", 1.0, 1.0, 4, LONG_RANGE, 100_000),
+    ("kmp", 0.0, 1.0, 16, LONG_RANGE, 100_000),
+    ("gg2", 0.5, 1.0, 4, NEAREST, 10_000),
+]
+
+
+def fingerprint(traj, rng) -> str:
+    h = hashlib.sha256()
+    h.update(traj.samples.tobytes())
+    h.update(traj.sample_times.tobytes())
+    h.update(repr((traj.n_events, traj.total_time, traj.flagged, rng.random())).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--seed", type=int, default=17)
+    ap.add_argument("--repeat", type=int, default=3, help="runs per shape; the fastest counts")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    print(f"{'shape':32s} {'events':>8s} {'events/s':>10s}  sha256")
+    for idx, (name, m, g, n, kind, events) in enumerate(SHAPES):
+        kern = make_kernel(name, m=m, gamma=g)
+        law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+        topo = Topology(kind, n)
+        best, digest = float("inf"), None
+        for _ in range(args.repeat):
+            rng = np.random.default_rng([args.seed, idx])
+            start = time.perf_counter()
+            traj = simulate.run(kern, topo, law, rng, n_events=events)
+            best = min(best, time.perf_counter() - start)
+            digest = fingerprint(traj, rng)
+        label = f"{name} m={m:g} gamma={g:g} N={n} {kind}"
+        print(f"{label:32s} {events:8d} {events / best:10.0f}  {digest}")
+
+
+if __name__ == "__main__":
+    main()

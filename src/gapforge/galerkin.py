@@ -104,7 +104,7 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
     """
     # built for the star family too, though its closed form reads no grid:
     # perfbench's quadrature-cache hit ratios need rule calls on every workload,
-    # and its smoke mc-relax round assembles kmp alone (ROADMAP item 5)
+    # and its smoke mc-relax round assembles kmp alone (ROADMAP item 3)
     grid = KernelIntegrals(kernel)
     if kernel.name in ("star", "kmp"):
         g = kernel.mechanical.gamma_rev

@@ -4,10 +4,13 @@ The dynamics is a pure jump process: bond (i, j) fires with rate
 Lambda(x_i, x_j) (times 1/N for the long-range topology) and redistributes
 the pair energy by a fraction alpha drawn from the kernel.  The simulator is
 exact in law (Gillespie): exponential waiting times with the current total
-rate and bond choice proportional to bond rates.  One event costs a linear
-scan over the bonds plus one rate call for each bond touching the updated
-pair (2 on a chain, 2N - 3 on the complete graph); the total rate is summed
-afresh every _REFRESH_EVERY events to control floating drift.
+rate and bond choice proportional to bond rates.  One event costs a bond
+scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
+2N - 3 on the complete graph) and a log append: 2-6 us on 3 or 4 sites, 25
+for gg2's rejection sampler, 9-11 for kmp on 16.  The log is sampled onto
+the grid every _LOG_EVENTS events, and the total rate is summed afresh every
+_REFRESH_EVERY to control floating drift.  Samplers get a Generator stand-in
+whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,6 +48,8 @@ __all__ = [
 
 _MAX_SAMPLES = 1 << 21  # state snapshots kept per run
 _REFRESH_EVERY = 64  # events between full recomputations of the total rate
+_LOG_EVENTS = 8192  # events logged between samplings of the grid
+_AHEAD = 2048  # most scalar draws an alpha sampler's generator takes at once
 _N_BATCHES = 8  # batch-means blocks of the gap estimate
 _BURN_IN = 0.1  # leading fraction of the series discarded
 _R2_THRESHOLD = 0.95  # fits with a lower R^2 are flagged
@@ -75,6 +82,62 @@ def _bond_updates(topo: Topology) -> list[tuple[tuple[int, int, int], ...]]:
             for i, j in bonds]
 
 
+class _DrawAhead:
+    """The generator an alpha sampler sees.  Scalar ``random()`` and float
+    ``beta(a, b)`` come from batches drawn ahead by the same numpy routine,
+    doubling up to _AHEAD while one kind repeats; any other use settles the
+    stand-in and goes to the generator.  Settling restores the state saved
+    before the batch and redraws the count served, which leaves the
+    generator where the scalar calls would."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._key = None  # (method, *args) of the values drawn ahead
+
+    def _refill(self, key):
+        size = min(2 * self._size, _AHEAD) if key == self._key else 8
+        self.settle()
+        self._state = self._rng.bit_generator.state
+        self._left = iter(getattr(self._rng, key[0])(*key[1:], size=size).tolist())
+        self._size, self._key = size, key
+        return next(self._left)
+
+    def settle(self) -> None:
+        if self._key is not None:
+            used = self._size - operator.length_hint(self._left)
+            if used < self._size:
+                self._rng.bit_generator.state = self._state
+                getattr(self._rng, self._key[0])(*self._key[1:], size=used)
+            self._key = None
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size is not None or out is not None or dtype is not np.float64:
+            return self.__getattr__("random")(size, dtype, out)
+        if self._key == ("random",):
+            for v in self._left:
+                return v
+        return self._refill(("random",))
+
+    def beta(self, a, b, size=None):
+        if size is not None or type(a) is not float or type(b) is not float:
+            return self.__getattr__("beta")(a, b, size)
+        if self._key == ("beta", a, b):
+            for v in self._left:
+                return v
+        return self._refill(("beta", a, b))
+
+    def __getattr__(self, name):
+        self.settle()
+        return getattr(self._rng, name)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def run(
     kernel: ExchangeKernel,
     topo: Topology,
@@ -93,10 +156,12 @@ def run(
     _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen so that
     roughly 2^18 samples cover the run, using the initial total rate.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     if n_events is None and t_max is None:
         raise ValueError("give n_events or t_max")
-    if n_events is not None and n_events < 1:
-        raise ValueError(f"n_events must be at least 1, got {n_events}")
+    if n_events is not None:
+        _check_count("n_events", n_events, 1)
     for key, val in (("t_max", t_max), ("sample_dt", sample_dt)):
         if val is not None and not 0 < val < math.inf:
             raise ValueError(f"{key} must be finite and positive, got {val}")
@@ -124,66 +189,75 @@ def run(
     cap_events = n_events if n_events is not None else (1 << 62)
     cap_time = t_max if t_max is not None else math.inf
 
-    # run-length snapshots: states[r] holds on the next repeats[r] grid points
-    states = [x.copy()]
-    repeats = [1]
-    n_samples = 1
+    # the log since the last flush: event times; the prior state, then each new one
+    times, flat = [], list(x)
+    grid, samples, n_samples = [np.zeros(1)], [np.array([x])], 1
+
+    def flush():
+        # grid point g takes the state before the first logged event at or
+        # after g; np.cumsum adds in sequence, so it continues the running sum
+        nonlocal n_samples
+        rows = np.array(flat).reshape(-1, len(x))
+        while times and n_samples < _MAX_SAMPLES and grid[-1][-1] + sample_dt <= times[-1]:
+            k = min(_MAX_SAMPLES - n_samples, int((times[-1] - grid[-1][-1]) / sample_dt) + 2)
+            g = np.cumsum(np.r_[grid[-1][-1], np.full(k, sample_dt)])[1:]
+            grid.append(g[:np.searchsorted(g, times[-1], "right")])
+            samples.append(rows[np.searchsorted(times, grid[-1], "left")])
+            n_samples += grid[-1].size
+        del times[:], flat[:-len(x)]
 
     def trajectory(done, t, flagged=False):
-        # np.cumsum adds in sequence, so this is the running next_sample
-        times = np.full(n_samples, sample_dt, dtype=float)
-        times[0] = 0.0
-        return Trajectory(topo, kernel.name, initial, np.cumsum(times),
-                          np.repeat(np.array(states), repeats, axis=0), done, t, flagged)
+        flush()
+        return Trajectory(topo, kernel.name, initial, np.concatenate(grid),
+                          np.concatenate(samples), done, t, flagged)
 
+    ahead = _DrawAhead(rng)
     t = 0.0
-    next_sample = sample_dt
     done = 0
     block = 8192
     ptr = block
-    while done < cap_events:
-        if ptr == block:
-            exp_block = rng.exponential(1.0, block).tolist()
-            uni_block = rng.random(block).tolist()
-            ptr = 0
-        t_next = t + exp_block[ptr] / total
-        if t_next > cap_time:
-            t = cap_time
-            break
-        # the pre-event state holds on every grid point crossed by the wait
-        seen = n_samples
-        while next_sample <= t_next and n_samples < _MAX_SAMPLES:
-            next_sample += sample_dt
-            n_samples += 1
-        if n_samples > seen:
-            states.append(x.copy())
-            repeats.append(n_samples - seen)
-        t = t_next
-        # choose the firing bond proportionally to the current rates
-        u = uni_block[ptr] * total
-        ptr += 1
-        acc = 0.0
-        b = len(rates) - 1
-        for k, r in enumerate(rates):
-            acc += r
-            if u < acc:
-                b = k
+    try:
+        while done < cap_events:
+            if ptr == block:
+                ahead.settle()
+                exp_block = rng.exponential(1.0, block).tolist()
+                uni_block = rng.random(block).tolist()
+                ptr = 0
+            t += exp_block[ptr] / total
+            if t > cap_time:
+                t = cap_time
                 break
-        i, j = bonds[b]
-        alpha = sampler(x[i], x[j], rng)
-        s = x[i] + x[j]
-        x[i] = alpha * s
-        x[j] = s - alpha * s
-        for k, bi, bj in updates[b]:
-            total -= rates[k]
-            rates[k] = r = pref * rate(x[bi], x[bj])
-            total += r
-        done += 1
-        if done % _REFRESH_EVERY == 0:
-            total = sum(rates)
-        if not total > 0:
-            return trajectory(done, t, flagged=True)
-    return trajectory(done, t)
+            # choose the firing bond proportionally to the current rates
+            u = uni_block[ptr] * total
+            ptr += 1
+            acc = 0.0
+            b = len(rates) - 1
+            for k, r in enumerate(rates):
+                acc += r
+                if u < acc:
+                    b = k
+                    break
+            i, j = bonds[b]
+            alpha = sampler(x[i], x[j], ahead)
+            s = x[i] + x[j]
+            x[i] = alpha * s
+            x[j] = s - alpha * s
+            for k, bi, bj in updates[b]:
+                total -= rates[k]
+                rates[k] = r = pref * rate(x[bi], x[bj])
+                total += r
+            times.append(t)
+            flat.extend(x)
+            done += 1
+            if done % _REFRESH_EVERY == 0:
+                total = sum(rates)
+                if len(times) >= _LOG_EVENTS:
+                    flush()
+            if not total > 0:
+                return trajectory(done, t, flagged=True)
+        return trajectory(done, t)
+    finally:
+        ahead.settle()
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +273,11 @@ def slowest_mode_observable(law: SimplexLaw, kernel: ExchangeKernel,
     M, L, d, _ = _whitened_pencil(A, G)
     _, V = np.linalg.eigh(M)
     coeff = d * solve_triangular(L, V[:, 0], lower=True, trans="T")
-    exponents = [k for k in basis[1:]]
 
     def observable(states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         out = np.zeros(states.shape[0])
-        for c, expo in zip(coeff, exponents):
+        for c, expo in zip(coeff, basis[1:]):
             term = np.full(states.shape[0], c)
             for axis, p in enumerate(expo):
                 if p:
@@ -237,6 +310,8 @@ def _autocorrelation(y: np.ndarray, max_lag: int) -> np.ndarray:
     f = np.fft.rfft(y, m)
     acf = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
     acf /= np.arange(n, n - max_lag - 1, -1)
+    if not acf[0] > 0:  # a constant series has no decay to measure
+        return np.full(acf.size, math.nan)
     return acf / acf[0]
 
 
@@ -244,8 +319,7 @@ def _fit_decay(rho: np.ndarray, dt: float, lo: float = 0.05, hi: float = 0.8):
     """Least-squares slope of log rho over the window where rho in [lo, hi].
     Returns (rate, window, r_squared) or None when no usable window exists."""
     below_hi = np.nonzero(rho < hi)[0]
-    start = int(below_hi[0]) if below_hi.size else 1
-    start = max(start, 1)
+    start = max(int(below_hi[0]), 1) if below_hi.size else 1
     end = start
     while end < rho.size and rho[end] > lo:
         end += 1
@@ -285,16 +359,22 @@ def estimate_gap_autocorr(
     time spans roughly seven lags.  ``n_events`` is the budget of the main
     run, which the sample buffer may cut short; the pilot adds up to five
     runs of min(30000, n_events // 10) events each, so ``n_events`` must be
-    at least 10.
+    at least 10.  A pilot or main run with fewer than two samples gives a
+    flagged NaN estimate.
     """
-    if n_events < 10:
-        raise ValueError(f"n_events must be at least 10 for the pilot run, got {n_events}")
+    _check_count("n_events", n_events, 10)
+
+    def unfit(dt, n_samples):
+        return GapEstimateMC(math.nan, math.nan, observable_name, (0, 0), 0.0,
+                             dt, n_samples, flagged=True)
+
     # pilot: locate the relaxation time scale
     pilot_events = min(30_000, n_events // 10)
-    pilot_dt = None
-    lam_hat = None
+    pilot_dt = lam_hat = None
     for _ in range(5):
         pilot = run(kernel, topo, law, rng, n_events=pilot_events, sample_dt=pilot_dt)
+        if pilot.sample_times.size < 2:
+            return unfit(math.nan, pilot.sample_times.size)
         y0 = pilot.samples[:, 0] if observable is None else observable(pilot.samples)
         dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
         rho0 = _autocorrelation(y0, min(y0.size // 4, 4096))
@@ -302,28 +382,27 @@ def estimate_gap_autocorr(
         if idx.size and idx[0] > 2:
             lam_hat = 1.0 / (idx[0] * dt0)
             break
-        pilot_dt = dt0 / 16.0  # grid too coarse for the decay; refine and retry
+        # a crossing at lag <= 2: the grid is too coarse for the decay, so
+        # refine it; no crossing in the lag window: too fine, so coarsen it
+        pilot_dt = dt0 / 16.0 if idx.size else dt0 * 16.0
     if lam_hat is None:
         lam_hat = 1.0 / dt0
     sample_dt = 0.15 / lam_hat
 
     traj = run(kernel, topo, law, rng, n_events=n_events,
                t_max=sample_dt * (_MAX_SAMPLES - 2), sample_dt=sample_dt)
-    states = traj.samples
+    if traj.sample_times.size < 2:
+        return unfit(sample_dt, traj.sample_times.size)
     dt = float(traj.sample_times[1] - traj.sample_times[0])
-    if observable is None:
-        y = states[:, 0]
-    else:
-        y = observable(states)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(traj.samples[:, 0] if observable is None else observable(traj.samples),
+                   dtype=float)
     y = y[int(_BURN_IN * y.size):]
 
     max_lag = min(y.size // 4, 1 << 14)
     rho = _autocorrelation(y, max_lag)
     fit = _fit_decay(rho, dt)
     if fit is None:
-        return GapEstimateMC(math.nan, math.nan, observable_name, (0, 0), 0.0,
-                             dt, y.size, flagged=True)
+        return unfit(dt, y.size)
     value, window, r2 = fit
 
     batch_vals = []
@@ -334,20 +413,12 @@ def estimate_gap_autocorr(
         seg_fit = _fit_decay(seg_rho, dt)
         if seg_fit is not None:
             batch_vals.append(seg_fit[0])
-    if len(batch_vals) >= 3:
-        stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
-    else:
-        stderr = math.nan
+    stderr = (float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
+              if len(batch_vals) >= 3 else math.nan)
     flagged = (r2 < _R2_THRESHOLD) or not np.isfinite(stderr)
     return GapEstimateMC(
-        value=value,
-        stderr=stderr,
-        observable=observable_name,
-        window=window,
-        r_squared=r2,
-        dt=dt,
-        n_samples=int(y.size),
-        flagged=flagged,
+        value=value, stderr=stderr, observable=observable_name, window=window,
+        r_squared=r2, dt=dt, n_samples=int(y.size), flagged=flagged,
         diagnostics={
             "n_events": traj.n_events,
             "total_time": traj.total_time,
@@ -368,12 +439,11 @@ def equilibrium_check(
     """Kolmogorov-Smirnov test of the empirical single-site marginal against
     the exact scaled Beta(gamma, (N-1) gamma) marginal; pass below the 1%
     level.  Samples are thinned to roughly independent spacing."""
+    _check_count("n_keep", n_keep, 1)
     from scipy.stats import beta as beta_dist, kstest  # slow to import; only this check uses it
 
     traj = run(kernel, topo, law, rng, n_events=n_events)
-    xs = traj.samples[:, 0]
-    stride = max(1, xs.size // n_keep)
-    xs = xs[::stride]
+    xs = traj.samples[::max(1, traj.samples.shape[0] // n_keep), 0]
     g = law.gamma.gamma
     n = law.sites
     dist = beta_dist(g, (n - 1) * g, scale=law.total_energy)

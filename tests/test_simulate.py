@@ -1,9 +1,13 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gapforge import simulate
 from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
+from gapforge.models import LONG_RANGE, NEAREST, RejectionLimitError, Topology, make_kernel
 from gapforge.simulate import (
     equilibrium_check,
     estimate_gap_autocorr,
@@ -212,8 +216,8 @@ ORACLE_SHAPES = [
 ]
 
 
-def _assert_same_run(kern, topo, law, seed, **kwargs):
-    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+def _assert_same_run(kern, topo, law, seed, make_rng=np.random.default_rng, **kwargs):
+    rng_new, rng_ref = make_rng(seed), make_rng(seed)
     got = run(kern, topo, law, rng_new, **kwargs)
     want = _reference_run(kern, topo, law, rng_ref, **kwargs)
     assert np.array_equal(got.samples, want.samples)
@@ -248,6 +252,117 @@ def test_run_is_bit_identical_to_the_reference_loop(shape, monkeypatch):
     assert capped.samples.shape[0] == 37
 
 
+def _shape_run(shape):
+    model, m, g, n, kind, events = shape
+    kern = make_kernel(model, m=m, gamma=g)
+    return kern, Topology(kind, n), SimplexLaw(kern.mechanical.gamma_rev, 1.0, n), events
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("shape", [ORACLE_SHAPES[0], ORACLE_SHAPES[4], ORACLE_SHAPES[5]],
+                         ids=lambda s: s[0])
+def test_run_is_bit_identical_for_every_bit_generator(shape, bit_generator):
+    kern, topo, law, events = _shape_run(shape)
+    # the kmp N=3 run crosses the 8192-event block, gg3 and gg2 refill the
+    # drawn-ahead uniforms many times
+    _assert_same_run(kern, topo, law, 23, lambda s: np.random.Generator(bit_generator(s)),
+                     n_events=events)
+
+
+def _mixed_sampler(a, b, rng):
+    # each switch between random(), beta() with two parameter pairs and a
+    # method the stand-in does not serve settles the values drawn ahead
+    u = rng.random()
+    if u < 0.25:
+        return float(rng.beta(2.0, 2.0))
+    if u < 0.4:
+        return float(rng.beta(0.5, 0.5))
+    if u < 0.5:
+        return 0.5 + 0.4 * math.tanh(rng.standard_normal())
+    return rng.random()
+
+
+def test_run_is_bit_identical_with_a_sampler_mixing_draws():
+    kern = dataclasses.replace(make_kernel("kmp"), alpha_sampler=_mixed_sampler)
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    # 9000 events cross the 8192-event block
+    traj = _assert_same_run(kern, Topology(NEAREST, 3), law, 4, n_events=9_000)
+    assert traj.n_events == 9_000
+
+
+def test_generator_ends_where_the_reference_leaves_it_when_a_sampler_raises():
+    def failing_after(limit):
+        calls = [0]
+
+        def sampler(a, b, rng):
+            calls[0] += 1
+            alpha = rng.random()
+            if calls[0] == limit:
+                raise RejectionLimitError("test", a / (a + b))
+            return alpha
+        return sampler
+
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    for limit in (1, 777, 9000):  # the first draw, mid-block, the second block
+        rngs = []
+        for loop in (run, _reference_run):
+            kern = dataclasses.replace(make_kernel("kmp"), alpha_sampler=failing_after(limit))
+            rngs.append(np.random.default_rng(limit))
+            with pytest.raises(RejectionLimitError):
+                loop(kern, Topology(NEAREST, 3), law, rngs[-1], n_events=20_000)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_stand_in_serves_the_generator_stream():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    ahead = simulate._DrawAhead(rng)
+    got = [ahead.random(), ahead.random(), ahead.beta(1.0, 1.0), ahead.beta(1.0, 2.0),
+           ahead.beta(np.array([1.0, 2.0]), 1.0).tolist(), ahead.beta(2, 2), ahead.beta(2, 2),
+           ahead.random(2).tolist(), ahead.beta(3.0, 3.0, 2).tolist(), ahead.random(),
+           ahead.standard_normal(), ahead.integers(0, 10), ahead.random()]
+    want = [ref.random(), ref.random(), ref.beta(1.0, 1.0), ref.beta(1.0, 2.0),
+            ref.beta(np.array([1.0, 2.0]), 1.0).tolist(), ref.beta(2, 2), ref.beta(2, 2),
+            ref.random(2).tolist(), ref.beta(3.0, 3.0, 2).tolist(), ref.random(),
+            ref.standard_normal(), ref.integers(0, 10), ref.random()]
+    assert repr(got) == repr(want)
+    ahead.settle()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}-m{s[1]}-N{s[3]}-{s[4]}")
+def test_run_is_bit_identical_across_log_flushes(shape, monkeypatch):
+    # the event log is sampled every _LOG_EVENTS events (checked every
+    # _REFRESH_EVERY); a small size makes every oracle run flush many times
+    monkeypatch.setattr(simulate, "_LOG_EVENTS", 50)
+    kern, topo, law, events = _shape_run(shape)
+    seed = [7, events]
+    traj = _assert_same_run(kern, topo, law, seed, n_events=events)
+    assert traj.n_events > 4 * simulate._REFRESH_EVERY
+    horizon = traj.total_time
+    # coarse and fine grids, and a cap reached in a later flush
+    _assert_same_run(kern, topo, law, seed, n_events=events, sample_dt=horizon / 7)
+    _assert_same_run(kern, topo, law, seed, t_max=0.6 * horizon, sample_dt=horizon / 5000)
+    monkeypatch.setattr(simulate, "_MAX_SAMPLES", 301)
+    capped = _assert_same_run(kern, topo, law, seed, n_events=events, sample_dt=horizon / 1000)
+    assert capped.samples.shape[0] == 301
+
+
+def test_event_log_memory_is_bounded():
+    # 40k events and 3 samples: an event log kept whole until the end peaks
+    # near 6 MB; flushed every _LOG_EVENTS events it stays under 2 MB
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        traj = run(make_kernel("kmp"), Topology(NEAREST, 3), law, rng,
+                   n_events=40_000, sample_dt=20_000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_events == 40_000 and traj.samples.shape[0] <= 4
+    assert peak < 3_000_000, peak
+
+
 # ---------------------------------------------------------------------------
 # inputs are checked where they enter
 
@@ -269,3 +384,54 @@ def test_estimate_refuses_a_budget_without_a_pilot(n_events):
     with pytest.raises(ValueError, match="n_events"):
         estimate_gap_autocorr(make_kernel("kmp"), Topology(NEAREST, 3), law,
                               np.random.default_rng(0), n_events=n_events)
+
+
+@pytest.mark.parametrize("n_events", [100.5, 1e4, True, "100"])
+def test_run_and_estimate_refuse_a_budget_that_is_not_an_integer(n_events):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    args = (make_kernel("kmp"), Topology(NEAREST, 3), law, np.random.default_rng(0))
+    for fn in (run, estimate_gap_autocorr):
+        with pytest.raises(TypeError, match=repr(n_events)):
+            fn(*args, n_events=n_events)
+
+
+def test_run_accepts_a_numpy_integer_budget():
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    traj = run(make_kernel("kmp"), Topology(NEAREST, 3), law, np.random.default_rng(0),
+               n_events=np.int64(50))
+    assert traj.n_events == 50
+
+
+def test_run_refuses_a_generator_of_another_type():
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    with pytest.raises(TypeError, match="RandomState"):
+        run(make_kernel("kmp"), Topology(NEAREST, 3), law, np.random.RandomState(0),
+            n_events=10)
+
+
+@pytest.mark.parametrize("n_keep", [0, -3])
+def test_equilibrium_check_refuses_a_keep_count_below_one(n_keep):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    with pytest.raises(ValueError, match=str(n_keep)):
+        equilibrium_check(make_kernel("kmp"), Topology(NEAREST, 3), law,
+                          np.random.default_rng(0), n_events=100, n_keep=n_keep)
+
+
+@pytest.mark.parametrize("n_events", [10, 60, 500, 1000, 3000])
+def test_estimate_with_a_small_budget_returns_an_estimate(n_events):
+    # a short pilot whose autocorrelation stays above 1/e over its lag window
+    # sampled too finely; refining it further left the main run one sample
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    for seed in range(3):
+        est = estimate_gap_autocorr(make_kernel("kmp"), Topology(NEAREST, 3), law,
+                                    np.random.default_rng(seed), n_events=n_events)
+        assert est.n_samples >= 2
+        assert est.flagged or (math.isfinite(est.value) and est.value > 0)
+
+
+def test_estimate_from_a_one_sample_run_is_flagged(monkeypatch):
+    monkeypatch.setattr(simulate, "_MAX_SAMPLES", 1)
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    est = estimate_gap_autocorr(make_kernel("kmp"), Topology(NEAREST, 3), law,
+                                np.random.default_rng(0), n_events=1000)
+    assert est.flagged and math.isnan(est.value) and est.n_samples == 1
