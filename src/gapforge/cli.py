@@ -144,10 +144,16 @@ def cmd_gap(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(spec: str | None, default) -> list:
+def _parse_grid(spec: str | None, default, kind=float) -> list:
     if spec is None:
         return list(default)
-    return [float(tok) for tok in spec.split(",") if tok]
+    grid = []
+    for tok in filter(None, spec.split(",")):
+        try:
+            grid.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"grid entries must be {kind.__name__}s, got {tok!r}") from None
+    return grid
 
 
 def _write_rows(path: str, rows: list[dict], cfg: ExperimentConfig) -> None:
@@ -174,7 +180,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     e_grid = _parse_grid(args.energies, [cfg.energy])
-    n_grid = [int(n) for n in _parse_grid(args.sites_grid, [float(cfg.sites)])]
+    n_grid = _parse_grid(args.sites_grid, [cfg.sites], int)
     m_grid = _parse_grid(args.m_grid, [cfg.m])
     g_grid = _parse_grid(args.gamma_grid, [cfg.gamma])
     jobs = []

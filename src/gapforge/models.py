@@ -95,6 +95,10 @@ class ExchangeKernel:
     An array of betas gives one row per beta, of shape beta.shape + (n_alpha,)
     with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
     weights there (gg3's middle one at beta = 1/2).
+
+    rate(a, b) must equal s^m Lambda_r(a / s), s = a + b, of the declared
+    form: the Galerkin assembly reads the form, and the simulator takes star
+    m = 0 rates as 1 and refuses such a kernel whose rate at the start is not.
     """
 
     name: str

@@ -6,8 +6,12 @@ the pair energy by a fraction alpha drawn from the kernel.  The simulator is
 exact in law (Gillespie): exponential waiting times with the current total
 rate and bond choice proportional to bond rates.  One event costs a bond
 scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
-2N - 3 on the complete graph) and a log append: 2-6 us on 3 or 4 sites, 25
-for gg2's rejection sampler, 9-11 for kmp on 16.  The log is sampled onto
+2N - 3 on the complete graph) and a log append: 3-7 us on 3 or 4 sites, 25
+for gg2's rejection sampler.  Star m = 0 (kmp) rates are constant, as
+(a + b) ** 0.0 is 1.0 for every float: its runs take 8192 waiting times and
+bonds at once from array calls that repeat the loop's sequential sums, so an
+event is an alpha draw and a log append, 1-3 us on 3 to 16 sites; a rate
+other than the declared form is refused.  The log is sampled onto
 the grid every _LOG_EVENTS events, and the total rate is summed afresh every
 _REFRESH_EVERY to control floating drift.  Samplers get a Generator stand-in
 whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
@@ -178,6 +182,12 @@ def run(
 
     rates = [pref * rate(x[i], x[j]) for (i, j) in bonds]
     total = sum(rates)
+    # star m = 0: (a + b) ** 0.0 is 1.0 for every float, so no rate ever moves
+    # and, when its update cancels exactly, neither does the total
+    steady = kernel.name in ("star", "kmp") and kernel.mechanical.m == 0
+    if steady and any(r != pref for r in rates):
+        raise ValueError(f"{kernel.name} kernel with m = 0 has a rate other than 1")
+    steady = steady and (total - pref) + pref == total
     if not total > 0:
         return Trajectory(topo, kernel.name, initial, np.zeros(1), np.array([x]),
                           0, 0.0, flagged=True)
@@ -217,6 +227,29 @@ def run(
     block = 8192
     ptr = block
     try:
+        # constant rates: a block's times and bonds come from array calls that
+        # repeat the loop's sequential sums (t += e / total, the bond scan)
+        cum = np.cumsum(rates)
+        while steady and done < cap_events:
+            ahead.settle()
+            ts = np.cumsum(np.r_[t, rng.exponential(1.0, block) / total])[1:]
+            u = rng.random(block) * total
+            n = min(block, cap_events - done)
+            stop = int(np.searchsorted(ts[:n], cap_time, "right"))
+            picks = np.minimum(np.searchsorted(cum, u[:stop], "right"), len(rates) - 1)
+            for b in picks.tolist():
+                i, j = bonds[b]
+                alpha = sampler(x[i], x[j], ahead)
+                s = x[i] + x[j]
+                x[i] = alpha * s
+                x[j] = s - alpha * s
+                flat.extend(x)
+            times.extend(ts[:stop].tolist())
+            done += stop
+            if stop < n:
+                return trajectory(done, cap_time)
+            t = times[-1]
+            flush()
         while done < cap_events:
             if ptr == block:
                 ahead.settle()

@@ -222,6 +222,17 @@ def test_bad_event_budget_or_sample_step_is_config_error(flags, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["2.9,3.5", "3,3.0", "inf", "nan", "2,three"])
+def test_sweep_sites_grid_takes_integers_only(grid, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--model", "kmp", "--topology", "nearest", "--degree", "2",
+            "--sites-grid", grid, "--out", str(out)]
+    assert main(argv) == CONFIG_ERROR
+    bad = next(tok for tok in grid.split(",") if not tok.isdigit())
+    assert f"got {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, capsys):
     sizes = []
 

@@ -204,10 +204,14 @@ def _reference_run(kernel, topo, law, rng, n_events=None, t_max=None, sample_dt=
                                np.asarray(sample_times), np.asarray(samples), done, t)
 
 
-# (model, m, gamma, N, topology, events); kmp N=3 crosses the 8192-draw block
+# (model, m, gamma, N, topology, events); kmp N=3 crosses the 8192-draw block;
+# the three m = 0 shapes take run's constant-rate branch, the long-range ones
+# with the non-dyadic bond rates 1/3, 1/16 and 1/5
 ORACLE_SHAPES = [
     ("kmp", None, None, 3, NEAREST, 10_000),
     ("kmp", None, None, 16, LONG_RANGE, 1_000),
+    ("kmp", None, None, 3, LONG_RANGE, 10_000),
+    ("star", 0.0, 2.0, 5, LONG_RANGE, 9_000),
     ("stick", 1.0, None, 3, NEAREST, 2_000),
     ("stick", 2.0, None, 3, NEAREST, 2_000),
     ("gg3", None, None, 3, NEAREST, 2_000),
@@ -216,10 +220,25 @@ ORACLE_SHAPES = [
 ]
 
 
+def _counting_rate(kern):
+    calls = [0]
+
+    def rate(a, b):
+        calls[0] += 1
+        return kern.rate(a, b)
+    return dataclasses.replace(kern, rate=rate), calls
+
+
 def _assert_same_run(kern, topo, law, seed, make_rng=np.random.default_rng, **kwargs):
     rng_new, rng_ref = make_rng(seed), make_rng(seed)
-    got = run(kern, topo, law, rng_new, **kwargs)
+    counted, calls = _counting_rate(kern)
+    got = run(counted, topo, law, rng_new, **kwargs)
     want = _reference_run(kern, topo, law, rng_ref, **kwargs)
+    # a star m = 0 run asks for each bond's rate once, before the first event
+    if kern.name in ("star", "kmp") and kern.mechanical.m == 0:
+        assert calls[0] == len(topo.bonds())
+    elif got.n_events:
+        assert calls[0] > len(topo.bonds())
     assert np.array_equal(got.samples, want.samples)
     assert np.array_equal(got.sample_times, want.sample_times)
     assert got.samples.dtype == want.samples.dtype == got.sample_times.dtype
@@ -246,6 +265,9 @@ def test_run_is_bit_identical_to_the_reference_loop(shape, monkeypatch):
                             sample_dt=horizon / 500)
     assert both.total_time == 0.5 * horizon and both.n_events < events
     _assert_same_run(kern, topo, law, seed, n_events=events // 2, t_max=horizon)
+    # a time budget that an event time meets exactly keeps that event
+    exact = _assert_same_run(kern, topo, law, seed, t_max=horizon, sample_dt=horizon / 300)
+    assert exact.n_events == events and exact.total_time == horizon
     # a run that fills the snapshot buffer
     monkeypatch.setattr(simulate, "_MAX_SAMPLES", 37)
     capped = _assert_same_run(kern, topo, law, seed, n_events=events, sample_dt=horizon / 100)
@@ -259,7 +281,7 @@ def _shape_run(shape):
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-@pytest.mark.parametrize("shape", [ORACLE_SHAPES[0], ORACLE_SHAPES[4], ORACLE_SHAPES[5]],
+@pytest.mark.parametrize("shape", [ORACLE_SHAPES[0], ORACLE_SHAPES[6], ORACLE_SHAPES[7]],
                          ids=lambda s: s[0])
 def test_run_is_bit_identical_for_every_bit_generator(shape, bit_generator):
     kern, topo, law, events = _shape_run(shape)
@@ -290,6 +312,24 @@ def test_run_is_bit_identical_with_a_sampler_mixing_draws():
     assert traj.n_events == 9_000
 
 
+class _TiedUniforms(np.random.Generator):
+    """Puts some of each block's uniforms at 1/2, 1/3 and 2/3, where u * total
+    lands exactly on a cumulative bond rate of kmp N=3 (rates 1 or 1/3)."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        if size == 8192:
+            u[::7], u[1::7], u[2::7] = 0.5, 1.0 / 3.0, 2.0 / 3.0
+        return u
+
+
+@pytest.mark.parametrize("kind", [NEAREST, LONG_RANGE])
+def test_a_uniform_on_a_cumulative_rate_picks_the_next_bond(kind):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    _assert_same_run(make_kernel("kmp"), Topology(kind, 3), law, 9,
+                     lambda s: _TiedUniforms(np.random.PCG64(s)), n_events=9_000)
+
+
 def test_generator_ends_where_the_reference_leaves_it_when_a_sampler_raises():
     def failing_after(limit):
         calls = [0]
@@ -306,11 +346,37 @@ def test_generator_ends_where_the_reference_leaves_it_when_a_sampler_raises():
     for limit in (1, 777, 9000):  # the first draw, mid-block, the second block
         rngs = []
         for loop in (run, _reference_run):
-            kern = dataclasses.replace(make_kernel("kmp"), alpha_sampler=failing_after(limit))
+            kern, calls = _counting_rate(
+                dataclasses.replace(make_kernel("kmp"), alpha_sampler=failing_after(limit)))
             rngs.append(np.random.default_rng(limit))
             with pytest.raises(RejectionLimitError):
                 loop(kern, Topology(NEAREST, 3), law, rngs[-1], n_events=20_000)
+            if loop is run:  # the constant-rate branch raised
+                assert calls[0] == 2
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("kind", [NEAREST, LONG_RANGE])
+def test_constant_rates_are_asked_for_once_per_bond(kind):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 6)
+    topo = Topology(kind, 6)
+    kmp, calls = _counting_rate(make_kernel("kmp"))
+    assert run(kmp, topo, law, np.random.default_rng(2), n_events=3_000).n_events == 3_000
+    assert calls[0] == len(topo.bonds())
+    # m = 1 rates move: every event asks again for the rates of the bonds it touches
+    star, calls = _counting_rate(make_kernel("star", m=1.0, gamma=1.0))
+    assert run(star, topo, law, np.random.default_rng(2), n_events=3_000).n_events == 3_000
+    assert calls[0] >= len(topo.bonds()) + 3_000
+
+
+def test_constant_rate_kernel_with_another_rate_is_refused():
+    # a star m = 0 kernel whose rate is not its declared form (a + b) ** 0
+    kern = make_kernel("star", m=0.0, gamma=2.0)
+    wrong = dataclasses.replace(kern, rate=lambda a, b: 1.0 + a)
+    law = SimplexLaw(GammaShape(2.0), 1.0, 4)
+    for kind in (NEAREST, LONG_RANGE):
+        with pytest.raises(ValueError, match="star kernel with m = 0"):
+            run(wrong, Topology(kind, 4), law, np.random.default_rng(0), n_events=100)
 
 
 def test_stand_in_serves_the_generator_stream():
