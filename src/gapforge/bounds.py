@@ -90,6 +90,8 @@ class MovingPath:
 def build_moving_path(i: int, j: int) -> MovingPath:
     """Site sequence of the four-segment construction: ascend i..j, then an
     interleaved descent j-2, j-1, j-3, j-2, ..., then the final ascent."""
+    if i < 0:
+        raise ValueError(f"sites are numbered from 0, got i = {i}")
     if not i < j:
         raise ValueError("need i < j")
     K = j - i

@@ -144,7 +144,7 @@ def cmd_gap(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(spec: str | None, default, kind=float) -> list:
+def _parse_grid(flag: str, spec: str | None, default, kind=float) -> list:
     if spec is None:
         return list(default)
     grid = []
@@ -152,7 +152,9 @@ def _parse_grid(spec: str | None, default, kind=float) -> list:
         try:
             grid.append(kind(tok))
         except ValueError:
-            raise ValueError(f"grid entries must be {kind.__name__}s, got {tok!r}") from None
+            raise ValueError(f"{flag} entries must be {kind.__name__}s, got {tok!r}") from None
+    if not grid:
+        raise ValueError(f"{flag} lists no values, got {spec!r}")
     return grid
 
 
@@ -179,10 +181,10 @@ def _sweep_job(payload: dict) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    e_grid = _parse_grid(args.energies, [cfg.energy])
-    n_grid = _parse_grid(args.sites_grid, [cfg.sites], int)
-    m_grid = _parse_grid(args.m_grid, [cfg.m])
-    g_grid = _parse_grid(args.gamma_grid, [cfg.gamma])
+    e_grid = _parse_grid("--energies", args.energies, [cfg.energy])
+    n_grid = _parse_grid("--sites-grid", args.sites_grid, [cfg.sites], int)
+    m_grid = _parse_grid("--m-grid", args.m_grid, [cfg.m])
+    g_grid = _parse_grid("--gamma-grid", args.gamma_grid, [cfg.gamma])
     jobs = []
     for e, n, m, g in itertools.product(e_grid, n_grid, m_grid, g_grid):
         sub = ExperimentConfig(**{**asdict(cfg), "energy": e, "sites": n,
@@ -329,6 +331,24 @@ def cmd_path(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument surface
 
+# the configuration flags; a subcommand takes only those its command reads,
+# so a flag it would ignore exits 1
+_FLAGS = {
+    "--config": dict(help="JSON config file (flags override)"),
+    "--model": dict(choices=["star", "kmp", "gg2", "gg3", "stick"]),
+    "--m": dict(type=float),
+    "--gamma": dict(type=float),
+    "--E": dict(dest="energy", type=float),
+    "--N": dict(dest="sites", type=int),
+    "--topology": dict(choices=["nearest", "long-range"]),
+    "--method": dict(choices=["galerkin", "mc"]),
+    "--degree": dict(type=int),
+    "--budget": dict(type=int, help="MC event budget"),
+    "--seed": dict(type=int),
+    "--out": dict(dest="output"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapforge",
@@ -336,52 +356,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--model", choices=["star", "kmp", "gg2", "gg3", "stick"])
-        p.add_argument("--m", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--E", dest="energy", type=float)
-        p.add_argument("--N", dest="sites", type=int)
-        p.add_argument("--topology", choices=["nearest", "long-range"])
-        p.add_argument("--method", choices=["galerkin", "mc"])
-        p.add_argument("--degree", type=int)
-        p.add_argument("--budget", type=int, help="MC event budget")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="output")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("gap", help="compute a single spectral gap")
-    common(p)
+    kernel = ("--config", "--model", "--m", "--gamma")
+    command("gap", "compute a single spectral gap", *_FLAGS)
 
-    p = sub.add_parser("sweep", help="grid sweep over E, N, m, gamma")
-    common(p)
+    p = command("sweep", "grid sweep over E, N, m, gamma", *_FLAGS)
     p.add_argument("--energies", help="comma-separated E grid")
     p.add_argument("--sites-grid", help="comma-separated N grid")
     p.add_argument("--m-grid", help="comma-separated m grid")
     p.add_argument("--gamma-grid", help="comma-separated gamma grid")
     p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("kappa", help="three-site constants, both routes")
-    common(p)
+    command("kappa", "three-site constants, both routes", *kernel, "--degree", "--out")
 
-    p = sub.add_parser("two-site", help="two-site constant C~")
-    common(p)
+    p = command("two-site", "two-site constant C~", *kernel)
     p.add_argument("--two-site-degree", type=int, default=30)
 
-    p = sub.add_parser("verify", help="lemma / theorem verification suites")
-    common(p)
+    p = command("verify", "lemma / theorem verification suites", "--out")
     p.add_argument("--suite", choices=["appendix", "theorems", "all"],
                    default="all")
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--fast", action="store_true",
                    help="reduced grids for smoke runs")
 
-    p = sub.add_parser("simulate", help="dump a sampled trajectory to CSV")
-    common(p)
+    p = command("simulate", "dump a sampled trajectory to CSV", *kernel,
+                "--E", "--N", "--topology", "--budget", "--seed", "--out")
     p.add_argument("--sample-dt", type=float)
 
-    p = sub.add_parser("path", help="moving-path construction for a site pair")
-    common(p)
+    p = command("path", "moving-path construction for a site pair")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     return parser

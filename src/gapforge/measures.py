@@ -17,13 +17,12 @@ from scipy.special import gammaln
 __all__ = [
     "GammaShape",
     "SimplexLaw",
-    "EnergyConfiguration",
     "sample_matrix",
     "dirichlet_moment",
     "pair_alpha_moment",
 ]
 
-ENERGY_RTOL = 1e-12
+ENERGY_RTOL = 1e-12  # relative drift of the total energy N*E a run may show
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,6 @@ class SimplexLaw:
     @property
     def total_energy(self) -> float:
         return self.mean_energy * self.sites
-
-
-@dataclass(frozen=True)
-class EnergyConfiguration:
-    """Positive energy vector with declared mean energy."""
-
-    x: np.ndarray
-    mean_energy: float
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        total = self.mean_energy * x.size
-        if np.any(x <= 0):
-            raise ValueError("all energies must be positive")
-        if abs(x.sum() - total) > ENERGY_RTOL * total:
-            raise ValueError("energies do not sum to N*E")
-
-    @property
-    def sites(self) -> int:
-        return self.x.size
 
 
 def sample_matrix(law: SimplexLaw, n_samples: int, rng: np.random.Generator) -> np.ndarray:

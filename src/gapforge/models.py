@@ -4,7 +4,8 @@ energy fraction alpha.
 All concrete kernels are of mechanical form: Lambda(a,b) factorizes as
 Lambda_s(a+b) * Lambda_r(a/(a+b)) with Lambda_s(s) = s^m, and the alpha law
 depends on the pair only through beta = a/(a+b).  The reversible marginal of
-beta is Beta(gamma, gamma) for the kernel's gamma.
+beta is Beta(gamma, gamma) for the kernel's gamma.  Each factory writes its
+Lambda_r once, at one float, and returns its kernel through ``_mechanical``.
 
 ``Topology``, the bonds the kernel acts on, is shared by the Galerkin and
 Monte Carlo routes: a nearest-neighbour chain or a complete graph with weight 1/N.
@@ -96,9 +97,9 @@ class ExchangeKernel:
     with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
     weights there (gg3's middle one at beta = 1/2).
 
-    rate(a, b) must equal s^m Lambda_r(a / s), s = a + b, of the declared
-    form: the Galerkin assembly reads the form, and the simulator takes star
-    m = 0 rates as 1 and refuses such a kernel whose rate at the start is not.
+    The factories build ``rate`` (one float pair, for the simulator) and
+    ``rate_r`` (arrays, for the node grid) from one one-float Lambda_r, so
+    rate(a, b) = s^m Lambda_r(a / s), s = a + b, holds to the last bit.
     """
 
     name: str
@@ -110,6 +111,29 @@ class ExchangeKernel:
     alpha_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+def _mechanical(name, m, gamma, lam_r, density, sampler, rule) -> ExchangeKernel:
+    """The kernel of rate s^m lam_r(a / s), s = a + b.  ``rate`` and ``rate_r``
+    both call the one-float ``lam_r``; None stands for lam_r = 1, whose rate
+    stays (a + b) ** m without the call.  ``density(beta, alpha)`` becomes
+    ``alpha_density(a, b, alpha)``; samplers take (a, b, rng) as they are."""
+    if lam_r is None:
+        def rate(a, b):
+            return (a + b) ** m
+
+        def lam_r(beta):
+            return 1.0
+    else:
+        def rate(a, b):
+            s = a + b
+            return s ** m * lam_r(a / s)
+
+    def alpha_density(a, b, alpha):
+        return density(a / (a + b), alpha)
+
+    return ExchangeKernel(name, rate, alpha_density, sampler, MechanicalForm(m, gamma),
+                          np.vectorize(lam_r, otypes=[float]), rule)
+
+
 # ---------------------------------------------------------------------------
 # star model: Lambda = (a+b)^m, alpha ~ Beta(gamma, gamma)
 
@@ -119,10 +143,7 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
     g = gamma.gamma
     lognorm = betaln(g, g)
 
-    def rate(a, b):
-        return (a + b) ** m
-
-    def density(a, b, alpha):
+    def density(beta, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return np.exp((g - 1) * (np.log(alpha) + np.log1p(-alpha)) - lognorm)
 
@@ -135,15 +156,7 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
         return np.broadcast_to(u, shape), np.broadcast_to(w, shape)
 
     name = "kmp" if (m == 0 and g == 1) else "star"
-    return ExchangeKernel(
-        name=name,
-        rate=rate,
-        alpha_density=density,
-        alpha_sampler=sampler,
-        mechanical=MechanicalForm(m=m, gamma_rev=gamma),
-        rate_r=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
-        alpha_rule=rule,
-    )
+    return _mechanical(name, m, gamma, None, density, sampler, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +165,9 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
 _GG3_PREF = math.sqrt(2.0 * math.pi) / 6.0
 
 
-def _gg3_rate_r(beta):
-    beta = np.asarray(beta, dtype=float)
-    mx = np.maximum(beta, 1.0 - beta)
-    return _GG3_PREF * (0.5 + mx) / np.sqrt(mx)
+def _gg3_lam_r(beta: float) -> float:
+    mx = max(beta, 1.0 - beta)
+    return _GG3_PREF * (0.5 + mx) / math.sqrt(mx)
 
 
 def _gg3_density(beta: float, alpha) -> np.ndarray:
@@ -167,17 +179,6 @@ def _gg3_density(beta: float, alpha) -> np.ndarray:
 
 
 def gg3_kernel() -> ExchangeKernel:
-    mech = MechanicalForm(m=0.5, gamma_rev=GammaShape(1.5))
-
-    def rate(a, b):
-        # _gg3_rate_r for one float, in the same operations
-        s = a + b
-        mx = max(a / s, 1.0 - a / s)
-        return s ** 0.5 * (_GG3_PREF * (0.5 + mx) / math.sqrt(mx))
-
-    def density(a, b, alpha):
-        return _gg3_density(a / (a + b), alpha)
-
     def sampler(a, b, rng):
         beta = a / (a + b)
         c = min(beta, 1.0 - beta)
@@ -201,7 +202,7 @@ def gg3_kernel() -> ExchangeKernel:
         return (np.concatenate([lu, mu, ru], axis=-1),
                 np.concatenate([lw * const / root_c, mw * const, rw * const / root_c], axis=-1))
 
-    return ExchangeKernel("gg3", rate, density, sampler, mech, _gg3_rate_r, rule)
+    return _mechanical("gg3", 0.5, GammaShape(1.5), _gg3_lam_r, _gg3_density, sampler, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,7 @@ _GG2_HALF_BAND = 2.5e-4
 
 
 def _gg2_lam_r(beta: float) -> float:
-    """Lambda_r at one float; the simulator's rate and sampler use it, and
-    `_gg2_rate_r` maps it over arrays, so both routes see the same bits."""
+    """Lambda_r at one float; the sampler uses it too."""
     nb = 1.0 - beta
     # bstar is the squared modulus, i.e. scipy's parameter, matching the
     # K(sqrt(.)) pattern of the redistribution density; with it the
@@ -225,9 +225,6 @@ def _gg2_lam_r(beta: float) -> float:
     # beta = 1/2: (1 - t^2) K(t) -> 0
     out = 2.0 * ellipe(bstar) - ((1.0 - bstar) * ellipk(bstar) if bstar < 1.0 else 0.0)
     return float(out * math.sqrt(8.0 * max(beta, nb) / math.pi ** 3))
-
-
-_gg2_rate_r = np.vectorize(_gg2_lam_r, otypes=[float])
 
 
 def gg2_unnormalized(beta, alpha) -> np.ndarray:
@@ -262,15 +259,8 @@ def _gg2_unnormalized_at(beta: float, alpha: float) -> float:
 
 
 def gg2_kernel() -> ExchangeKernel:
-    mech = MechanicalForm(m=0.5, gamma_rev=GammaShape(1.0))
-
-    def rate(a, b):
-        s = a + b
-        return s ** 0.5 * _gg2_lam_r(a / s)
-
-    def density(a, b, alpha):
-        beta = a / (a + b)
-        return gg2_unnormalized(beta, alpha) / _gg2_rate_r(beta)
+    def density(beta, alpha):
+        return gg2_unnormalized(beta, alpha) / _gg2_lam_r(beta)
 
     def sampler(a, b, rng):
         beta = a / (a + b)
@@ -307,9 +297,10 @@ def gg2_kernel() -> ExchangeKernel:
         lu, lw = graded_rule(star, q, "lo", n_per_cell=32, n_cells=16)
         rows = np.concatenate([[su, sw], [hu, hw], [lu, lw]], axis=-1)
         u, w = np.where(left[..., None], rows, np.roll(rows, -su.shape[-1], axis=-1))
-        return u, w * gg2_unnormalized(beta[..., None], u) / _gg2_rate_r(beta)[..., None]
+        return u, w * gg2_unnormalized(beta[..., None], u) / kernel.rate_r(beta)[..., None]
 
-    return ExchangeKernel("gg2", rate, density, sampler, mech, _gg2_rate_r, rule)
+    kernel = _mechanical("gg2", 0.5, GammaShape(1.0), _gg2_lam_r, density, sampler, rule)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +309,6 @@ def gg2_kernel() -> ExchangeKernel:
 def stick_kernel(m: float) -> ExchangeKernel:
     if not 0 < m < math.inf:
         raise ValueError(f"stick kernel requires a finite m > 0, got {m}")
-    mech = MechanicalForm(m=m, gamma_rev=GammaShape(1.0))
-
     # Lambda_r at one float.  Its operations fix the simulator's random stream:
     # numpy's 0-d ** for the first power (a square root at m = 1/2, a square at
     # m = 2, np.power at other m) and Python's pow for the second.
@@ -329,16 +318,7 @@ def stick_kernel(m: float) -> ExchangeKernel:
     def lam_r(beta):
         return power(beta) + (1.0 - beta) ** m
 
-    # element by element, so the node grid sees the simulator's rates: numpy's
-    # array ** can differ from pow in the last bit
-    rate_r = np.vectorize(lam_r, otypes=[float])
-
-    def rate(a, b):
-        s = a + b
-        return s ** m * lam_r(a / s)
-
-    def density(a, b, alpha):
-        beta = a / (a + b)
+    def density(beta, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return m * np.abs(beta - alpha) ** (m - 1.0) / lam_r(beta)
 
@@ -355,9 +335,10 @@ def stick_kernel(m: float) -> ExchangeKernel:
         lu, lw = power_map(0.0, beta, m - 1.0, 48, False)
         ru, rw = power_map(beta, 1.0, m - 1.0, 48, True)
         return (np.concatenate([lu, ru], axis=-1),
-                np.concatenate([lw, rw], axis=-1) * m / rate_r(beta)[..., None])
+                np.concatenate([lw, rw], axis=-1) * m / kernel.rate_r(beta)[..., None])
 
-    return ExchangeKernel("stick", rate, density, sampler, mech, rate_r, rule)
+    kernel = _mechanical("stick", m, GammaShape(1.0), lam_r, density, sampler, rule)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

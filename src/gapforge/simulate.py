@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .measures import EnergyConfiguration, SimplexLaw, sample_matrix
+from .measures import SimplexLaw, sample_matrix
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law
 
 __all__ = [
@@ -65,7 +65,6 @@ class Trajectory:
 
     topology: Topology
     kernel_name: str
-    initial: EnergyConfiguration
     sample_times: np.ndarray
     samples: np.ndarray  # (n_samples, N) states at the sample times
     n_events: int
@@ -175,8 +174,7 @@ def run(
     bonds = topo.bonds()
     updates = _bond_updates(topo)
     pref = topo.prefactor
-    initial = EnergyConfiguration(sample_matrix(law, 1, rng)[0], law.mean_energy)
-    x = [float(v) for v in initial.x]
+    x = sample_matrix(law, 1, rng)[0].tolist()
     rate = kernel.rate
     sampler = kernel.alpha_sampler
 
@@ -189,7 +187,7 @@ def run(
         raise ValueError(f"{kernel.name} kernel with m = 0 has a rate other than 1")
     steady = steady and (total - pref) + pref == total
     if not total > 0:
-        return Trajectory(topo, kernel.name, initial, np.zeros(1), np.array([x]),
+        return Trajectory(topo, kernel.name, np.zeros(1), np.array([x]),
                           0, 0.0, flagged=True)
 
     if sample_dt is None:
@@ -218,7 +216,7 @@ def run(
 
     def trajectory(done, t, flagged=False):
         flush()
-        return Trajectory(topo, kernel.name, initial, np.concatenate(grid),
+        return Trajectory(topo, kernel.name, np.concatenate(grid),
                           np.concatenate(samples), done, t, flagged)
 
     ahead = _DrawAhead(rng)

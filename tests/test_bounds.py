@@ -42,6 +42,12 @@ def test_moving_path_invariants_hold(i, j):
             build_moving_path(i, j)
 
 
+def test_moving_path_refuses_a_negative_site():
+    with pytest.raises(ValueError, match="got i = -2"):
+        build_moving_path(-2, 1)
+    assert build_moving_path(0, 2).sites == (0, 1, 2, 0, 1, 2)
+
+
 def test_exact_gap_formula_values():
     assert exact_gap_lr_m0(1.0, 3) == pytest.approx(4.0 / 9.0)
     assert exact_gap_lr_m0(1.0, 2) == pytest.approx(0.5)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -213,8 +215,9 @@ def test_rejection_limit_is_numerical_failure(tmp_path, monkeypatch, capsys):
 ])
 def test_bad_event_budget_or_sample_step_is_config_error(flags, tmp_path, capsys):
     out = tmp_path / "t.csv"
-    argv = flags[:1] + ["--model", "kmp", "--N", "3", "--topology", "nearest",
-                        "--seed", "3", "--out", str(out)] + flags[1:]
+    run = [] if flags[0] == "verify" else ["--model", "kmp", "--N", "3",
+                                          "--topology", "nearest", "--seed", "3"]
+    argv = flags[:1] + run + ["--out", str(out)] + flags[1:]
     assert main(argv) == CONFIG_ERROR
     err = capsys.readouterr().err
     assert "config error:" in err
@@ -231,6 +234,51 @@ def test_sweep_sites_grid_takes_integers_only(grid, tmp_path, capsys):
     bad = next(tok for tok in grid.split(",") if not tok.isdigit())
     assert f"got {bad!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--energies", "--sites-grid", "--m-grid", "--gamma-grid"])
+@pytest.mark.parametrize("grid", [",", ""], ids=["comma", "blank"])
+def test_sweep_empty_grid_is_config_error(flag, grid, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--model", "star", "--topology", "nearest", "--degree", "2",
+            flag, grid, "--out", str(out)]
+    assert main(argv) == CONFIG_ERROR
+    assert f"{flag} lists no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_path_refuses_a_negative_site(capsys):
+    assert main(["path", "--i", "-2", "--j", "1"]) == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and "got i = -2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-site", "--model", "stick", "--degree", "3"],
+    ["two-site", "--model", "stick", "--N", "4"],
+    ["kappa", "--degree", "2", "--N", "4"],
+    ["kappa", "--degree", "2", "--seed", "1"],
+    ["kappa", "--degree", "2", "--method", "mc"],
+    ["path", "--i", "1", "--j", "3", "--N", "9"],
+    ["path", "--i", "1", "--j", "3", "--model", "gg2"],
+    ["simulate", "--model", "kmp", "--budget", "100", "--degree", "3"],
+    ["verify", "--suite", "appendix", "--model", "gg2", "--degree", "9"],
+])
+def test_a_flag_the_command_does_not_read_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # simulate writes trajectory.csv when it runs
+    assert main(argv) == CONFIG_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for line in readme.replace("\\\n", " ").splitlines()
+                if line.startswith("gapforge ")]
+    assert len(examples) == 8
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, capsys):

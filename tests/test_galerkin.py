@@ -310,6 +310,12 @@ def _ref_gg2_rate_r(beta):
     return out * np.sqrt(8.0 * mx / math.pi ** 3)
 
 
+def _ref_gg3_rate_r(beta):
+    beta = np.asarray(beta, dtype=float)
+    mx = np.maximum(beta, 1.0 - beta)
+    return math.sqrt(2.0 * math.pi) / 6.0 * (0.5 + mx) / np.sqrt(mx)
+
+
 def _ref_alpha_rule(kernel, beta):
     if kernel.name in ("star", "kmp"):
         g = kernel.mechanical.gamma_rev.gamma
@@ -352,7 +358,8 @@ def _ref_beta_grid(kernel, n=48):
 
 def _reference_grid(kernel):
     bu, bw = _ref_beta_grid(kernel)
-    lam = _ref_gg2_rate_r(bu) if kernel.name == "gg2" else np.atleast_1d(kernel.rate_r(bu))
+    lam = {"gg2": _ref_gg2_rate_r, "gg3": _ref_gg3_rate_r, "star": np.ones_like,
+           "kmp": np.ones_like}.get(kernel.name, kernel.rate_r)(bu)
     rules = [_ref_alpha_rule(kernel, b) for b in bu]
     return (np.concatenate([au for au, _ in rules]),
             np.repeat(bu, [au.size for au, _ in rules]),

@@ -145,12 +145,40 @@ def _gg2_array_rate_r(beta):
     return out * np.sqrt(8.0 * np.maximum(beta, nb) / math.pi ** 3)
 
 
+def _gg3_array_rate_r(beta):
+    """gg3's Lambda_r in array operations, as it was before its one-float form."""
+    beta = np.asarray(beta, dtype=float)
+    mx = np.maximum(beta, 1.0 - beta)
+    return math.sqrt(2.0 * math.pi) / 6.0 * (0.5 + mx) / np.sqrt(mx)
+
+
+_STICK_SCALAR_RATE = {
+    # Lambda_r(beta) = beta^m + (1 - beta)^m at one float, as the simulator computes it
+    0.5: lambda v: math.sqrt(v) + (1.0 - v) ** 0.5,
+    1.0: lambda v: v + (1.0 - v) ** 1.0,
+    2.0: lambda v: v * v + (1.0 - v) ** 2.0,
+    3.0: lambda v: float(np.power(v, 3.0)) + (1.0 - v) ** 3.0,
+}
+
+
+def _reference_rate_r(name, m):
+    """Each kernel's Lambda_r on arrays, written apart from its one-float form."""
+    if name == "star":
+        return lambda beta: np.ones(np.shape(beta))
+    if name == "gg3":
+        return _gg3_array_rate_r
+    if name == "gg2":
+        return _gg2_array_rate_r
+    return np.vectorize(_STICK_SCALAR_RATE[m], otypes=[float])
+
+
 @pytest.mark.parametrize("name, m", RATE_PIN_KERNELS)
 def test_scalar_rate_is_the_mechanical_form_bit_for_bit(name, m):
-    # the simulator's rate is s^m rate_r(beta) with the Galerkin rate_r, to the last bit;
-    # gg2's rate_r maps its scalar form over arrays, so both are pinned to the array form
+    # the simulator's rate is s^m rate_r(beta) and the Galerkin rate_r is Lambda_r, to
+    # the last bit; both call one one-float Lambda_r, so both are pinned to a reference
+    # written apart from it
     kern = make_kernel(name, m=m, gamma=1.0 if name == "star" else None)
-    m, rate_r = kern.mechanical.m, _gg2_array_rate_r if name == "gg2" else kern.rate_r
+    m, rate_r = kern.mechanical.m, _reference_rate_r(name, m)
     pairs = _energy_pairs(10_000)
     for a, b in pairs:
         s = a + b
@@ -226,15 +254,6 @@ def test_gg2_sampler_skips_a_proposal_on_the_singularity():
     kern = make_kernel("gg2")
     got = kern.alpha_sampler(0.1, 0.9, Lead([0.0, 0.0], np.random.default_rng(6)))
     assert got == kern.alpha_sampler(0.1, 0.9, np.random.default_rng(6))
-
-
-_STICK_SCALAR_RATE = {
-    # Lambda_r(beta) = beta^m + (1 - beta)^m at one float, as the simulator computes it
-    0.5: lambda v: math.sqrt(v) + (1.0 - v) ** 0.5,
-    1.0: lambda v: v + (1.0 - v) ** 1.0,
-    2.0: lambda v: v * v + (1.0 - v) ** 2.0,
-    3.0: lambda v: float(np.power(v, 3.0)) + (1.0 - v) ** 3.0,
-}
 
 
 @pytest.mark.parametrize("m", sorted(_STICK_SCALAR_RATE))

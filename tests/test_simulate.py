@@ -124,16 +124,14 @@ def _reference_run(kernel, topo, law, rng, n_events=None, t_max=None, sample_dt=
     bonds = topo.bonds()
     touching = _reference_adjacency(topo)
     pref = topo.prefactor
-    initial = simulate.EnergyConfiguration(simulate.sample_matrix(law, 1, rng)[0],
-                                           law.mean_energy)
-    x = [float(v) for v in initial.x]
+    x = [float(v) for v in simulate.sample_matrix(law, 1, rng)[0]]
     rate = kernel.rate
     sampler = kernel.alpha_sampler
 
     rates = [pref * rate(x[i], x[j]) for (i, j) in bonds]
     total = sum(rates)
     if not total > 0:
-        return simulate.Trajectory(topo, kernel.name, initial, np.zeros(1), np.array([x]),
+        return simulate.Trajectory(topo, kernel.name, np.zeros(1), np.array([x]),
                                    0, 0.0, flagged=True)
 
     if sample_dt is None:
@@ -197,10 +195,10 @@ def _reference_run(kernel, topo, law, rng, n_events=None, t_max=None, sample_dt=
         if done % simulate._REFRESH_EVERY == 0:
             total = sum(rates)
         if not total > 0:
-            return simulate.Trajectory(topo, kernel.name, initial,
+            return simulate.Trajectory(topo, kernel.name,
                                        np.asarray(sample_times), np.asarray(samples),
                                        done, t, flagged=True)
-    return simulate.Trajectory(topo, kernel.name, initial,
+    return simulate.Trajectory(topo, kernel.name,
                                np.asarray(sample_times), np.asarray(samples), done, t)
 
 
