@@ -54,7 +54,10 @@ class ExperimentConfig:
     output: str | None = None
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def from_file(cls, path: str, command: str, keys: set[str]) -> "ExperimentConfig":
+        """The config a JSON file sets for ``command``.  ``keys`` are the
+        settings the command takes a flag for; any other key is refused rather
+        than ignored, and so is a file written for another command."""
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -65,6 +68,11 @@ class ExperimentConfig:
         unknown = set(raw) - set(hints)
         if unknown:
             raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
+        unread = set(raw) - keys
+        if unread:
+            raise ValueError(f"config {path}: {command} takes no flag for keys {sorted(unread)}")
+        if raw.get("command", command) != command:
+            raise ValueError(f"config {path}: written for command {raw['command']!r}, not {command!r}")
         for key, val in raw.items():
             types = typing.get_args(hints[key]) or (hints[key],)
             # JSON integers stand for floats; booleans stand for nothing
@@ -412,7 +420,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return CONFIG_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = (ExperimentConfig.from_file(args.config)
+        # the command's flags are the attributes its parser sets
+        cfg = (ExperimentConfig.from_file(args.config, args.command, set(vars(args)))
                if getattr(args, "config", None) else ExperimentConfig())
         cfg.apply_flags(args)
         cfg.command = args.command

@@ -11,9 +11,9 @@ Assembly is array code over the basis exponent table: G is a log-gamma
 broadcast, and A sums over bonds the broadcast Beta and Dirichlet moments
 times a small kernel matrix over the distinct (a, b) exponent pairs (closed
 form for the star family, V V^T otherwise on the node grid, which one call of
-the kernel's alpha_rule on all beta nodes builds).  Both run over blocks of
-rows, so memory stays bounded at any N, and each entry takes the scalar
-formula's floating-point operations.
+the kernel's alpha_rule on all beta nodes builds, one row of alpha nodes per
+beta node).  Both run over blocks of rows, so memory stays bounded at any N,
+and each entry takes the scalar formula's floating-point operations.
 """
 
 from __future__ import annotations
@@ -84,14 +84,24 @@ def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
 class KernelIntegrals:
     """The (beta, alpha) node grid of a kernel: positive weights w_n with
     sum_n w_n F(alpha_n, beta_n) = E_beta[Lambda_r(beta) int P(beta, dalpha) F(alpha, beta)]
-    for beta ~ Beta(gamma, gamma)."""
+    for beta ~ Beta(gamma, gamma).
+
+    Row-wise: ``beta_rows`` holds the distinct beta nodes, and the flat,
+    C-contiguous ``alpha_nodes`` and ``node_weights`` hold one equal-length row
+    per beta node, so ``reshape(beta_rows.size, -1)`` views them by row and a
+    function of beta is evaluated once per row."""
 
     def __init__(self, kernel: ExchangeKernel):
         bu, bw = _beta_grid(kernel, _N_BETA)
         au, aw = kernel.alpha_rule(bu)  # one row of alpha nodes per beta node
+        self.beta_rows = bu
         self.alpha_nodes = au.ravel()
-        self.beta_nodes = np.repeat(bu, au.shape[-1])
         self.node_weights = ((bw * kernel.rate_r(bu))[:, None] * aw).ravel()
+
+    def by_row(self, values: np.ndarray) -> np.ndarray:
+        """View of the C-contiguous ``values`` (..., nodes) with the nodes
+        split into beta rows, so that writes to it land in ``values``."""
+        return values.reshape(values.shape[:-1] + (self.beta_rows.size, -1))
 
 
 def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,10 +120,21 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
         g = kernel.mechanical.gamma_rev
         mom = pair_alpha_moment(g, a, b)
         return 2.0 * (pair_alpha_moment(g, a[:, None] + a, b[:, None] + b) - np.outer(mom, mom))
-    al, be = grid.alpha_nodes, grid.beta_nodes
+    al, bu = grid.alpha_nodes, grid.beta_rows
+    x, y = a.tolist(), b.tolist()
+    # V[u] = al^x (1-al)^y: each distinct power is taken once and multiplied
+    # into the rows that use it, one table row live at a time
     V = np.empty((a.size, al.size))
-    for u, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-        V[u] = al ** x * (1.0 - al) ** y - be ** x * (1.0 - be) ** y
+    om = 1.0 - al
+    for e in set(y):
+        V[b == e] = om ** e
+    for e in set(x):
+        p = al ** e
+        for u in np.flatnonzero(a == e):
+            V[u] *= p
+    del om, p
+    # minus g_u(beta), taken once per beta row, then weighted
+    grid.by_row(V)[...] -= np.array([bu ** xu * (1.0 - bu) ** yu for xu, yu in zip(x, y)])[:, :, None]
     V *= np.sqrt(grid.node_weights)
     # one dot product per entry: unlike a matrix product, whose blocking depends
     # on the number of pairs, I[u, v] is then the same at every degree
@@ -267,7 +288,9 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     over polynomials f of the given degree, mu = Beta(gamma, gamma).
 
     Worked in the basis orthonormal w.r.t. mu (Gram = identity), so high
-    degrees stay well conditioned.
+    degrees stay well conditioned.  The basis is evaluated on the alpha nodes
+    and on the distinct beta rows only, and the difference vectors are formed
+    in place in the alpha values, so one (degree + 1, nodes) table is live.
     """
     if degree < 1:
         raise ValueError(f"two-site degree must be at least 1, got {degree}")
@@ -275,9 +298,11 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     g = kernel.mechanical.gamma_rev.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))
     ra, rb = stieltjes_recurrence(u, w, degree)
-    phi_a = orthonormal_values(ra, rb, I.alpha_nodes)
-    phi_b = orthonormal_values(ra, rb, I.beta_nodes)
-    diff = (phi_a - phi_b)[1:] * np.sqrt(I.node_weights)
+    # phi(alpha) - phi(beta) in place in rows 1.. of the alpha values, phi(beta)
+    # taken once per beta row; the same C-contiguous operand as forming it anew
+    diff = orthonormal_values(ra, rb, I.alpha_nodes)[1:]
+    I.by_row(diff)[...] -= orthonormal_values(ra, rb, I.beta_rows)[1:, :, None]
+    diff *= np.sqrt(I.node_weights)
     A = 0.5 * (diff @ diff.T)
     return float(eigvalsh(0.5 * (A + A.T))[0])
 

@@ -57,6 +57,40 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert main(["gap", "--config", str(cfg)]) == CONFIG_ERROR
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--degree", "2"],
+    ["two-site", "--model", "stick"],
+])
+def test_config_key_the_command_takes_no_flag_for_is_config_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema": 1, "sites": 9, "method": "mc", "budget": 5}))
+    assert main(argv + ["--config", str(cfg)]) == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and "['budget', 'method', 'sites']" in err
+
+
+def test_config_keys_the_command_takes_flags_for_are_read(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema": 1, "model": "stick", "m": 1.0}))
+    assert main(["two-site", "--config", str(cfg), "--two-site-degree", "6"]) == 0
+    assert abs(float(capsys.readouterr().out) - 1.0) < 1e-6
+    cfg.write_text(json.dumps({"schema": 1, "model": "kmp", "command": "gap"}))
+    assert main(["kappa", "--config", str(cfg), "--degree", "2"]) == CONFIG_ERROR
+    assert "written for command 'gap', not 'kappa'" in capsys.readouterr().err
+
+
+def test_sweep_reruns_from_its_metadata(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--model", "kmp", "--topology", "long-range", "--degree", "2",
+                 "--sites-grid", "2,3", "--out", str(out)]) == 0
+    first = out.read_text()
+    meta = tmp_path / "s.meta.json"
+    assert json.loads(meta.read_text())["command"] == "sweep"
+    assert main(["sweep", "--config", str(meta), "--sites-grid", "2,3"]) == 0
+    assert out.read_text() == first
+    assert main(["gap", "--config", str(meta)]) == CONFIG_ERROR
+
+
 def test_config_requires_schema(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": "star"}))

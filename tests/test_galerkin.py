@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvalsh
 from scipy.special import ellipe, ellipk, gammaln, roots_jacobi
 
 from gapforge import galerkin, models
@@ -19,7 +20,7 @@ from gapforge.galerkin import (
 )
 from gapforge.measures import GammaShape, SimplexLaw, dirichlet_moment, pair_alpha_moment
 from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel, star_kernel
-from gapforge.quad import beta_rule
+from gapforge.quad import beta_rule, orthonormal_values, stieltjes_recurrence
 
 
 def test_build_basis_counts():
@@ -101,6 +102,65 @@ def test_law_must_be_the_kernel_reversible_law():
         assemble(SimplexLaw(GammaShape(1.0), 1.0, 3), gg3, 2, LONG_RANGE)
 
 
+def _repeated_betas(grid):
+    """The beta node of every grid node: each of ``beta_rows`` once per alpha node of its row."""
+    return np.repeat(grid.beta_rows, grid.alpha_nodes.size // grid.beta_rows.size)
+
+
+def _reference_two_site(kernel, degree):
+    """``two_site_constant`` on the repeated-node grid, phi(beta) taken at every node."""
+    grid = KernelIntegrals(kernel)
+    g = kernel.mechanical.gamma_rev.gamma
+    ra, rb = stieltjes_recurrence(*beta_rule(g, g, 4 * (degree + 2)), degree)
+    phi_a = orthonormal_values(ra, rb, grid.alpha_nodes)
+    phi_b = orthonormal_values(ra, rb, _repeated_betas(grid))
+    diff = (phi_a - phi_b)[1:] * np.sqrt(grid.node_weights)
+    A = 0.5 * (diff @ diff.T)
+    return float(eigvalsh(0.5 * (A + A.T))[0])
+
+
+# the two-site constants verify --suite theorems --fast computes
+@pytest.mark.parametrize("name, m, degree", [
+    ("stick", 1.0, 30), ("stick", 2.0, 30), ("stick", 3.0, 30),
+    ("gg2", None, 20), ("gg3", None, 20), ("stick", None, 20),
+])
+def test_two_site_constant_matches_the_repeated_node_formula(name, m, degree):
+    kernel = make_kernel(name, m=m)
+    assert repr(two_site_constant(kernel, degree)) == repr(_reference_two_site(kernel, degree))
+
+
+def test_two_site_constant_holds_one_value_table():
+    kernel = make_kernel("stick", m=3.0)
+    grid = KernelIntegrals(kernel)
+    assert grid.beta_rows.size == 1488 and grid.alpha_nodes.size == 142_848
+    tracemalloc.start()
+    try:
+        two_site_constant(kernel, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (degree + 1, nodes) alpha values and a few node rows; no second table
+    assert peak <= 1.25 * 31 * grid.alpha_nodes.size * 8, peak
+
+
+def test_kernel_matrix_holds_little_beside_its_vectors():
+    kernel = make_kernel("stick", m=1.0)
+    basis = build_basis(3, 6)
+    K = np.zeros((len(basis), 3), dtype=np.intp)
+    K[:, :-1] = basis
+    pairs = np.unique(K[:, np.array(Topology(NEAREST, 3).bonds())].reshape(-1, 2), axis=0)
+    assert len(pairs) == 28
+    v_bytes = len(pairs) * KernelIntegrals(kernel).alpha_nodes.size * 8
+    tracemalloc.start()
+    try:
+        galerkin._kernel_matrix(kernel, *pairs.T.astype(float))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V and a few node rows: power tables as large as a quarter of V would not fit
+    assert peak <= 1.25 * v_bytes, peak
+
+
 @pytest.mark.parametrize("degree", [0, -1])
 def test_degree_below_one_is_refused(degree):
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
@@ -120,7 +180,7 @@ class _ReferenceIntegrals:
         self.gamma = kernel.mechanical.gamma_rev
         self._exact = kernel.name in ("star", "kmp")
         grid = KernelIntegrals(kernel)
-        self.alpha_nodes, self.beta_nodes = grid.alpha_nodes, grid.beta_nodes
+        self.alpha_nodes, self.beta_nodes = grid.alpha_nodes, _repeated_betas(grid)
         self._sqw = np.sqrt(grid.node_weights)
         self._vecs, self._cache = {}, {}
 
@@ -375,5 +435,5 @@ def test_kernel_grid_matches_the_per_beta_reference(name, m, gamma):
     grid = KernelIntegrals(make_kernel(name, m=m, gamma=gamma))
     alpha, beta, weights = _reference_grid(make_kernel(name, m=m, gamma=gamma))
     assert np.array_equal(grid.alpha_nodes, alpha)
-    assert np.array_equal(grid.beta_nodes, beta)
+    assert np.array_equal(_repeated_betas(grid), beta)
     assert np.array_equal(grid.node_weights, weights)

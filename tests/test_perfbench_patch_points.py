@@ -38,7 +38,7 @@ def test_traced_functions_resolve():
 
 def test_kernel_integrals_has_the_traced_grid():
     grid = galerkin.KernelIntegrals(models.make_kernel("gg3"))
-    assert grid.alpha_nodes.size == grid.beta_nodes.size == grid.node_weights.size > 0
+    assert grid.alpha_nodes.size == grid.node_weights.size > grid.beta_rows.size > 0
 
 
 @pytest.mark.parametrize("factory", tracing.KERNEL_FACTORIES)

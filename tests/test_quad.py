@@ -117,7 +117,7 @@ def test_array_ends_give_the_rows_of_one_interval_calls(rule):
 
 def test_kernel_grid_is_the_same_on_every_build():
     first, second = KernelIntegrals(make_kernel("gg2")), KernelIntegrals(make_kernel("gg2"))
-    for name in ("alpha_nodes", "beta_nodes", "node_weights"):
+    for name in ("alpha_nodes", "beta_rows", "node_weights"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
