@@ -16,8 +16,11 @@ The module provides two versions of the off-diagonal coefficient sequence:
   / E[J_n^2]) under mu = Beta(gamma, 2 gamma), in simplified closed form.  It
   satisfies |q_n| -> 1/4, so the tridiagonal suprema tend to 1 and the
   three-site constant is kappa~_1 = 1/3 exactly (an infimum, not attained).
-  This version agrees with the independent quadrature route to machine
-  precision and with the polynomial Galerkin solver on matching truncations.
+  This version agrees to machine precision with the independent quadrature
+  route (``nu_quadrature``, ``p_quadrature``, ``q_quadrature``), which reads
+  nu_n, p_n and q_n off the orthonormal polynomials of mu that the Stieltjes
+  procedure of ``quad`` builds on a Gauss rule, and with the polynomial
+  Galerkin solver on matching truncations.
 
 * ``q_cert`` -- the decayed surrogate |q_cert_n| = |q_n| / sqrt(n + 2 gamma),
   which is the sequence the diagonal-dominance certificate machinery
@@ -33,27 +36,23 @@ The module provides two versions of the off-diagonal coefficient sequence:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .galerkin import kappa_tilde
-from .quad import beta_rule
+from .quad import beta_rule, orthonormal_values, stieltjes_recurrence
 
 __all__ = [
     "nu_n",
     "p_n",
     "q_n",
     "q_cert",
-    "jacobi_coefficients",
-    "jacobi_values",
-    "JacobiBasis",
     "nu_quadrature",
     "p_quadrature",
     "q_quadrature",
-    "p_from_coefficients",
     "verify_conditional_eigenrelation",
     "family_tridiagonal",
     "tridiagonal_sup",
@@ -107,143 +106,52 @@ def q_cert(n: int, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# independent route: explicit Jacobi polynomials + Gauss quadrature
+# independent route: the orthonormal polynomials P_n of mu by the Stieltjes
+# procedure on a Gauss rule.  J_n = c_n P_n with sign(c_n) = (-1)^n, so the
+# normalization cancels in nu_n and p_n, and q_n = -b_{n+1}.
 
-def jacobi_coefficients(n: int, gamma: float) -> np.ndarray:
-    """Monomial coefficients of J_n on [0, 1] (orthogonal for Beta(gamma, 2 gamma)):
-
-    J_n(u) = Gamma(n+g)/(n! Gamma(n+3g-1)) *
-             sum_m (-1)^m C(n,m) Gamma(n+m+3g-1)/Gamma(m+g) u^m
-    evaluated with log-Gamma and explicit sign tracking.
-    """
-    g = gamma
-    pref = gammaln(n + g) - gammaln(n + 1) - gammaln(n + 3 * g - 1)
-    out = np.empty(n + 1)
-    for m in range(n + 1):
-        log = (
-            pref
-            + gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
-            + gammaln(n + m + 3 * g - 1) - gammaln(m + g)
-        )
-        out[m] = (-1.0) ** m * math.exp(log)
-    return out
+_MU_NODES = 120  # Gauss nodes of the mu and Beta(gamma, gamma) rules
 
 
-def _jacobi_values_recurrence(n: int, gamma: float, u: np.ndarray) -> np.ndarray:
-    """J_n via the three-term recurrence of the shifted Jacobi family with
-    parameters (a, b) = (2 gamma - 1, gamma - 1) on [0, 1]; numerically stable
-    for large n, then rescaled to the explicit normalization (leading
-    coefficient Gamma(2n+3g-1) / (n! Gamma(n+3g-1)))."""
-    a = 2 * gamma - 1.0
-    b = gamma - 1.0
-    x = 2.0 * u - 1.0
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = 0.5 * ((a + b + 2.0) * x + (a - b))
-    for k in range(1, n):
-        k2 = 2.0 * k + a + b
-        c1 = 2.0 * (k + 1.0) * (k + a + b + 1.0) * k2
-        c2 = (k2 + 1.0) * (a * a - b * b)
-        c3 = k2 * (k2 + 1.0) * (k2 + 2.0)
-        c4 = 2.0 * (k + a) * (k + b) * (k2 + 2.0)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    # standard leading coeff of P_n^{(a,b)} in x is 2^-n C(2n+a+b, n); ours in
-    # u carries the explicit convention's (-1)^n sign on the leading term
-    log_std = gammaln(2 * n + a + b + 1) - gammaln(n + 1) - gammaln(n + a + b + 1)
-    log_target = gammaln(2 * n + 3 * gamma - 1) - gammaln(n + 1) - gammaln(n + 3 * gamma - 1)
-    return p * (-1.0) ** n * math.exp(log_target - log_std)
+def _mu_recurrence(gamma: float, degree: int):
+    """Nodes, weights and recurrence (a, b) of P_0..P_degree for mu = Beta(gamma, 2 gamma)."""
+    u, w = beta_rule(gamma, 2 * gamma, _MU_NODES)
+    return (u, w) + stieltjes_recurrence(u, w, degree)
 
 
-def jacobi_values(n: int, gamma: float, u: np.ndarray) -> np.ndarray:
-    """J_n evaluated by Horner on the explicit coefficients for small n and by
-    the stable three-term recurrence for larger orders (the alternating
-    coefficient table cancels catastrophically past n ~ 15)."""
-    u = np.asarray(u, dtype=float)
-    if n > 12:
-        return _jacobi_values_recurrence(n, gamma, u)
-    c = jacobi_coefficients(n, gamma)
-    out = np.full_like(u, c[-1])
-    for m in range(n - 1, -1, -1):
-        out = out * u + c[m]
-    return out
+def _conditional_means(gamma: float, a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """E[P_n((1 - x) t)] for each x in xs, t ~ Beta(gamma, gamma), n = a.size - 1."""
+    t, v = beta_rule(gamma, gamma, _MU_NODES)
+    pn = orthonormal_values(a, b, np.outer(1.0 - xs, t).ravel())[-1]
+    return pn.reshape(xs.size, t.size) @ v
 
 
-@dataclass(frozen=True)
-class JacobiBasis:
-    """Coefficient table of J_0..J_{n_max} for weight Beta(gamma, 2 gamma)."""
-
-    gamma: float
-    n_max: int
-    coefficients: list = field(default_factory=list)
-
-    @classmethod
-    def build(cls, gamma: float, n_max: int) -> "JacobiBasis":
-        return cls(gamma, n_max, [jacobi_coefficients(n, gamma) for n in range(n_max + 1)])
-
-    def orthogonality_defect(self, n_nodes: int = 200) -> float:
-        u, w = _mu_rule(self.gamma, n_nodes)
-        vals = np.array([jacobi_values(n, self.gamma, u) for n in range(self.n_max + 1)])
-        gram = (vals * w) @ vals.T
-        norms = np.sqrt(np.diag(gram))
-        off = gram / np.outer(norms, norms)
-        np.fill_diagonal(off, 0.0)
-        return float(np.abs(off).max())
-
-
-def _mu_rule(gamma: float, n_nodes: int):
-    return beta_rule(gamma, 2 * gamma, n_nodes)
-
-
-def nu_quadrature(n: int, gamma: float, n_nodes: int = 120) -> float:
+def nu_quadrature(n: int, gamma: float) -> float:
     """nu_n from the conditional eigenrelation by double quadrature:
-    E[J_n(x_i) J_n(x_j)] = nu_n E[J_n^2], with x_i | x_j = (1 - x_j) t,
+    E[P_n(x_i) P_n(x_j)] = nu_n E[P_n^2], with x_i | x_j = (1 - x_j) t."""
+    u, w, a, b = _mu_recurrence(gamma, n)
+    pn = orthonormal_values(a, b, u)[-1]
+    return float(np.sum(w * pn * _conditional_means(gamma, a, b, u)) / np.sum(w * pn * pn))
+
+
+def p_quadrature(n: int, gamma: float) -> float:
+    """p_n = E_mu[(1-u) P_n^2] = 1 - a_n."""
+    return float(1.0 - _mu_recurrence(gamma, n)[2][n])
+
+
+def q_quadrature(n: int, gamma: float) -> float:
+    """q_n = -b_{n+1}: the leading-coefficient ratio of P_n to P_{n+1}, signed
+    by the alternating leading coefficients of J_n."""
+    return float(-_mu_recurrence(gamma, n + 1)[3][n + 1])
+
+
+def verify_conditional_eigenrelation(gamma: float, n: int) -> float:
+    """Max over a grid of x_j of |E[P_n((1-x_j) t)] - nu_n P_n(x_j)| with
     t ~ Beta(gamma, gamma)."""
-    u, w = _mu_rule(gamma, n_nodes)
-    t, v = beta_rule(gamma, gamma, n_nodes)
-    Jn = jacobi_values(n, gamma, u)
-    inner = np.array([np.sum(v * jacobi_values(n, gamma, (1.0 - x) * t)) for x in u])
-    return float(np.sum(w * Jn * inner) / np.sum(w * Jn * Jn))
-
-
-def p_quadrature(n: int, gamma: float, n_nodes: int = 120) -> float:
-    u, w = _mu_rule(gamma, n_nodes)
-    Jn = jacobi_values(n, gamma, u)
-    return float(np.sum(w * (1.0 - u) * Jn * Jn) / np.sum(w * Jn * Jn))
-
-
-def q_quadrature(n: int, gamma: float, n_nodes: int = 120) -> float:
-    """q_n from its definition: leading-coefficient ratio times the quadrature
-    norm ratio.  Sign is negative by the theory (|q_n| = -q_n)."""
-    u, w = _mu_rule(gamma, n_nodes)
-    Jn = jacobi_values(n, gamma, u)
-    Jn1 = jacobi_values(n + 1, gamma, u)
-    lead = jacobi_coefficients(n, gamma)[-1] / jacobi_coefficients(n + 1, gamma)[-1]
-    return float(
-        -abs(lead) * math.sqrt(np.sum(w * Jn1 * Jn1) / np.sum(w * Jn * Jn))
-    )
-
-
-def p_from_coefficients(n: int, gamma: float) -> float:
-    """p_n = 1 + J_{n+1,n}/J_{n+1,n+1} - J_{n,n-1}/J_{n,n} from the explicit
-    coefficient table (independent of the closed form)."""
-    cn = jacobi_coefficients(n, gamma)
-    cn1 = jacobi_coefficients(n + 1, gamma)
-    return float(1.0 + cn1[-2] / cn1[-1] - cn[-2] / cn[-1])
-
-
-def verify_conditional_eigenrelation(gamma: float, n: int, n_nodes: int = 64,
-                                     n_grid: int = 41) -> float:
-    """Max over a grid of x_j of |E[J_n((1-x_j) t)] - nu_n J_n(x_j)| with
-    t ~ Beta(gamma, gamma)."""
-    t, v = beta_rule(gamma, gamma, n_nodes)
-    xs = np.linspace(0.02, 0.98, n_grid)
-    nu = nu_n(n, gamma)
-    defect = 0.0
-    for x in xs:
-        lhs = np.sum(v * jacobi_values(n, gamma, (1.0 - x) * t))
-        defect = max(defect, abs(lhs - nu * jacobi_values(n, gamma, np.array([x]))[0]))
-    return float(defect)
+    _, _, a, b = _mu_recurrence(gamma, n)
+    xs = np.linspace(0.02, 0.98, 41)
+    lhs = _conditional_means(gamma, a, b, xs)
+    return float(np.max(np.abs(lhs - nu_n(n, gamma) * orthonormal_values(a, b, xs)[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -318,35 +226,23 @@ class SupBracket:
         return self.upper - self.lower
 
 
-def tridiagonal_sup(family: str, gamma: float, n_max: int = 200,
-                    exact: bool = False) -> SupBracket:
-    """Two-sided bracket on the spectral supremum S of the infinite family.
+def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
+    """Two-sided bracket on the spectral supremum S of the infinite family in
+    the certificate coefficients.
 
     Lower bound: lambda_max of the head block (principal submatrices increase
     to S).  Upper bound: split head/tail at n_max; the coupling entry e is
     absorbed as 2 e x y <= e (tau x^2 + y^2 / tau), giving
     S <= max(lambda_max(head + e tau E_last), tail_gershgorin + e / tau),
-    minimized over tau.  The tail estimate is only available for the
-    certificate coefficients; with ``exact`` the tail rows approach Gershgorin
-    radius 1 and the certified upper bound is reported accordingly.
+    minimized over tau.
     """
-    diag, off = family_tridiagonal(family, gamma, n_max + 1, exact=exact)
+    diag, off = family_tridiagonal(family, gamma, n_max + 1)
     if off.size == 0:
         raise ValueError(f"n_max = {n_max} leaves family {family} no head row")
     e = off[-1]  # couples head row n_max to tail row n_max + 1
     diag, off = diag[:-1], off[:-1]
     lower = _lambda_max(diag, off)
-    if exact:
-        # |q_k| -> 1/4 and p_k -> 1/2: tail Gershgorin rows approach 1 and for
-        # alternating-sign nu they exceed it; bound rows directly over a long
-        # window and cap with the worst observed value plus the limit row.
-        c = {k: _c(family, k, gamma) for k in range(n_max, 20 * n_max + 1)}
-        rows = [c[k] * p_n(k, gamma) + abs(q_n(k, gamma)) * math.sqrt(abs(c[k] * c[k + 1]))
-                + abs(q_n(k - 1, gamma)) * math.sqrt(abs(c[k - 1] * c[k]))
-                for k in range(n_max + 1, 20 * n_max)]
-        tail0 = max(max(rows), 1.0)
-    else:
-        tail0 = _tail_bound(family, gamma, n_max + 1)
+    tail0 = _tail_bound(family, gamma, n_max + 1)
     best = math.inf
     for tau in np.geomspace(1e-3, 1e3, 121):
         d2 = diag.copy()

@@ -166,8 +166,9 @@ def _gap(kernel: ExchangeKernel, topology: str, energy: float, n_sites: int,
 
 
 def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0), n_sites: int = 3,
-                  degree: int = 3, rtol: float = 1e-10) -> TheoremCheck:
-    """gap(E, N) = E^m gap(1, N) on the energy grid."""
+                  degree: int = 3) -> TheoremCheck:
+    """gap(E, N) = E^m gap(1, N) on the energy grid, to relative error 1e-10."""
+    rtol = 1e-10
     star = star_kernel(m, GammaShape(gamma))
     base = _gap(star, LONG_RANGE, 1.0, n_sites, degree)
     worst = 0.0
@@ -185,9 +186,10 @@ def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0), n_sites: int
 
 
 def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
-               degree: int = 3, tol: float = 1e-8) -> list[TheoremCheck]:
-    """Long-range m = 0 Galerkin gap equals the exact formula; the values
-    decrease monotonically in N toward gamma/(2 gamma + 1)."""
+               degree: int = 3) -> list[TheoremCheck]:
+    """Long-range m = 0 Galerkin gap equals the exact formula to 1e-8; the
+    values decrease monotonically in N toward gamma/(2 gamma + 1)."""
+    tol = 1e-8
     out = []
     for g in gamma_grid:
         worst = 0.0
@@ -210,15 +212,14 @@ def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
     return out
 
 
-def check_convex(m: float, gamma: float, energy: float = 1.0, n_sites: int = 3,
-                 degree: int = 4) -> TheoremCheck:
-    """Convex comparison: lambda_LR^(m) >= (E^m kappa_m / 2) lambda_LR^(0)."""
-    lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, energy, n_sites, degree)
+def check_convex(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> TheoremCheck:
+    """Convex comparison at E = 1: lambda_LR^(m) >= (E^m kappa_m / 2) lambda_LR^(0)."""
+    lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, 1.0, n_sites, degree)
     k_m = kappa(m, gamma, degree=6)
-    rhs = (energy ** m) * k_m / 2.0 * exact_gap_lr_m0(gamma, n_sites)
+    rhs = k_m / 2.0 * exact_gap_lr_m0(gamma, n_sites)
     return TheoremCheck(
         claim="convex-comparison",
-        params={"m": m, "gamma": gamma, "E": energy, "N": n_sites},
+        params={"m": m, "gamma": gamma, "E": 1.0, "N": n_sites},
         lhs=lhs,
         rhs=rhs,
         provenance="galerkin-plateau (consistent) / exact * galerkin-kappa",
@@ -335,15 +336,14 @@ def check_negative_m_remark(m: float = -1.0, n_sites: int = 16, gamma: float = 1
 
 
 def stick_two_site_lower(m: float) -> float:
-    """max over 0 < a < 1/4 of a^(m-1) (1 - 4a) (equals 1 at m = 1; maximizer
-    a = (m-1)/(4m) for m > 1)."""
+    """sup over 0 < a < 1/4 of a^(m-1) (1 - 4a) (equals 1 at m = 1; maximizer
+    a = (m-1)/(4m) for m > 1; +inf for m < 1, so no bound there)."""
+    if not m >= 1.0:
+        raise ValueError(f"the stick two-site bound needs m >= 1, got {m}")
     if m == 1.0:
         return 1.0
-    if m > 1.0:
-        a = (m - 1.0) / (4.0 * m)
-        return a ** (m - 1.0) * (1.0 - 4.0 * a)
-    grid = np.linspace(1e-6, 0.25 - 1e-6, 20_001)
-    return float(np.max(grid ** (m - 1.0) * (1.0 - 4.0 * grid)))
+    a = (m - 1.0) / (4.0 * m)
+    return a ** (m - 1.0) * (1.0 - 4.0 * a)
 
 
 def check_stick_two_site(m_list=(1.0, 2.0, 3.0), degree: int = 30) -> list[TheoremCheck]:
@@ -351,8 +351,8 @@ def check_stick_two_site(m_list=(1.0, 2.0, 3.0), degree: int = 30) -> list[Theor
     piecewise-power lower bound for larger m."""
     out = []
     for m in m_list:
-        val = two_site_constant(make_kernel("stick", m=m), degree=degree)
         bound = stick_two_site_lower(m)
+        val = two_site_constant(make_kernel("stick", m=m), degree=degree)
         if m == 1.0:
             passed = abs(val - 1.0) < 1e-6
             note = "identity value 1"

@@ -285,15 +285,17 @@ def spectral_gap(
 def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     """The two-site constant: infimum of
     (1/2) E_mu[Lambda_r(beta) int P(beta, dalpha) (f(alpha) - f(beta))^2] / Var_mu(f)
-    over polynomials f of the given degree, mu = Beta(gamma, gamma).
+    over polynomials f of the given degree (1 to 47), mu = Beta(gamma, gamma).
 
     Worked in the basis orthonormal w.r.t. mu (Gram = identity), so high
     degrees stay well conditioned.  The basis is evaluated on the alpha nodes
     and on the distinct beta rows only, and the difference vectors are formed
     in place in the alpha values, so one (degree + 1, nodes) table is live.
     """
-    if degree < 1:
-        raise ValueError(f"two-site degree must be at least 1, got {degree}")
+    if not 1 <= degree <= _N_BETA - 1:
+        # the beta rules integrate products of two basis polynomials exactly
+        # only up to this degree; past it the value is silently wrong
+        raise ValueError(f"two-site degree must be between 1 and {_N_BETA - 1}, got {degree}")
     I = KernelIntegrals(kernel)
     g = kernel.mechanical.gamma_rev.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))
@@ -308,20 +310,20 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
 
 
 _KAPPA_COND_LIMIT = 1e14  # degree-8 monomial Gram matrices reach cond ~3e12
+_KAPPA_ENERGY = 1.0 / 3.0  # the definition of kappa_m fixes the mean energy
 
 
-def _three_site_gap(topology: str, m: float, gamma: float, degree: int,
-                    mean_energy: float) -> float:
-    law = SimplexLaw(GammaShape(gamma), mean_energy, 3)
+def _three_site_gap(topology: str, m: float, gamma: float, degree: int) -> float:
+    law = SimplexLaw(GammaShape(gamma), _KAPPA_ENERGY, 3)
     return spectral_gap(law, star_kernel(m, GammaShape(gamma)), degree, topology,
                         cond_limit=_KAPPA_COND_LIMIT).value
 
 
-def kappa(m: float, gamma: float, degree: int = 8, mean_energy: float = 1.0 / 3.0) -> float:
+def kappa(m: float, gamma: float, degree: int = 8) -> float:
     """kappa_m: nearest-neighbor three-site gap of the star-m chain at E = 1/3."""
-    return _three_site_gap(NEAREST, m, gamma, degree, mean_energy)
+    return _three_site_gap(NEAREST, m, gamma, degree)
 
 
-def kappa_tilde(m: float, gamma: float, degree: int = 8, mean_energy: float = 1.0 / 3.0) -> float:
+def kappa_tilde(m: float, gamma: float, degree: int = 8) -> float:
     """kappa~_m: long-range three-site gap of the star-m model at E = 1/3."""
-    return _three_site_gap(LONG_RANGE, m, gamma, degree, mean_energy)
+    return _three_site_gap(LONG_RANGE, m, gamma, degree)

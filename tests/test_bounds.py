@@ -85,6 +85,15 @@ def test_stick_two_site_lower_closed_form():
     assert stick_two_site_lower(3.0) == pytest.approx(1.0 / 108.0)
 
 
+@pytest.mark.parametrize("m", [0.5, 0.25, float("nan")])
+def test_stick_two_site_lower_refuses_m_below_one(m):
+    # sup_a a^(m-1) (1 - 4a) is +inf for m < 1: no finite bound to check against
+    with pytest.raises(ValueError, match="m >= 1"):
+        stick_two_site_lower(m)
+    with pytest.raises(ValueError, match="m >= 1"):
+        check_stick_two_site(m_list=(m,))
+
+
 def test_stick_two_site_checks():
     for c in check_stick_two_site():
         assert c.passed, c.to_record()

@@ -218,6 +218,7 @@ def test_config_malformed_is_config_error(tmp_path, raw, capsys):
 @pytest.mark.parametrize("argv", [
     ["gap", "--model", "kmp", "--N", "3", "--degree", "0"],
     ["two-site", "--model", "gg3", "--two-site-degree", "0"],
+    ["two-site", "--model", "gg3", "--two-site-degree", "48"],
     ["kappa", "--degree", "0"],
 ])
 def test_degree_below_one_is_config_error(argv, capsys):

@@ -161,6 +161,22 @@ def test_kernel_matrix_holds_little_beside_its_vectors():
     assert peak <= 1.25 * v_bytes, peak
 
 
+# values at the last degree the beta rules integrate exactly, and below it
+@pytest.mark.parametrize("name, m, degree, want", [
+    ("star", 1.0, 30, "0.9999999999898566"), ("star", 1.0, 47, "0.9999999999877359"),
+    ("stick", 2.0, 30, "0.5095007124074946"), ("stick", 2.0, 47, "0.5041098323960764"),
+    ("gg3", None, 30, "0.5461743861335961"), ("gg3", None, 47, "0.5461743861267077"),
+])
+def test_two_site_constant_up_to_the_degree_limit(name, m, degree, want):
+    assert repr(two_site_constant(make_kernel(name, m=m), degree)) == want
+
+
+def test_two_site_degree_past_the_rules_is_refused():
+    # star m = 1 would give 0.5 at degree 48 instead of 1
+    with pytest.raises(ValueError, match="47"):
+        two_site_constant(make_kernel("star", m=1.0), degree=48)
+
+
 @pytest.mark.parametrize("degree", [0, -1])
 def test_degree_below_one_is_refused(degree):
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
