@@ -1,21 +1,46 @@
 #!/usr/bin/env python3
-"""Resident-memory high-water mark of ``verify --suite theorems --fast`` and
-``verify --suite appendix``, call by call, in one process.
+"""Resident-memory high-water mark of the Galerkin checks or of the Monte
+Carlo runs, call by call, in one process.
 
-The script runs ``bounds.run_all_checks(fast=True)`` with each of its check
-calls wrapped, then the appendix suite, and prints the process's peak RSS
-(``ru_maxrss``) after the imports and after each call, with the rise that
-call caused. The call with the largest rise is the one that sets the peak:
+The ``verify`` section (the default) runs ``bounds.run_all_checks(fast=True)``
+with each of its check calls wrapped, then the appendix suite.  The ``mc``
+section runs the seven shapes of the perfbench mc-relax workload in the order
+of ``MC_SHAPES``: five autocorrelation gap estimates on the Galerkin
+slow-mode observable, then two bare ``simulate.run`` calls, each from the
+generator ``default_rng([seed, index])``; each output is held until the next
+call returns, as the benchmark worker holds it.  After the imports and after
+each call the script prints the process's peak RSS (``ru_maxrss``) and the
+rise that call caused. The call with the largest rise is the one that sets
+the peak:
 
     PYTHONPATH=src python3 scripts/peak_rss.py
+    PYTHONPATH=src python3 scripts/peak_rss.py mc --seed 3001
 """
 
+import argparse
 import functools
 import os
 import resource
 import tempfile
 
-from gapforge import bounds, cli
+import numpy as np
+
+from gapforge import bounds, cli, simulate
+from gapforge.measures import GammaShape, SimplexLaw
+from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
+
+# (model, m, gamma, N, topology, events, estimate): the five estimates of the
+# mc-relax workload at its event budget, then its two bare runs
+MC_SHAPES = [
+    ("kmp", 0.0, 1.0, 3, NEAREST, 200_000, True),
+    ("kmp", 0.0, 1.0, 3, LONG_RANGE, 200_000, True),
+    ("stick", 1.0, 1.0, 3, NEAREST, 200_000, True),
+    ("gg3", 0.5, 1.5, 3, NEAREST, 200_000, True),
+    ("star", 1.0, 1.0, 4, LONG_RANGE, 200_000, True),
+    ("kmp", 0.0, 1.0, 16, LONG_RANGE, 100_000, False),
+    ("gg2", 0.5, 1.0, 4, NEAREST, 3_000, False),
+]
+OBSERVABLE_DEGREE = 3
 
 
 def peak_mb() -> float:
@@ -29,11 +54,7 @@ def report(label: str, last: list) -> None:
     last[0] = now
 
 
-def main() -> None:
-    last = [peak_mb()]
-    print(f"{'peak MB':>9s} {'rise':>8s}  after")
-    report("imports", last)
-
+def verify_section(last: list) -> None:
     def traced(name, fn):
         @functools.wraps(fn)
         def call(*args, **kwargs):
@@ -57,6 +78,37 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli.main(["verify", "--suite", "appendix", "--out", os.path.join(tmp, "appendix.json")])
     report("verify --suite appendix", last)
+
+
+def mc_section(last: list, seed: int) -> None:
+    for idx, (name, m, g, n, kind, events, estimate) in enumerate(MC_SHAPES):
+        kern = make_kernel(name, m=m, gamma=g)
+        law = SimplexLaw(GammaShape(g), 1.0, n)
+        topo = Topology(kind, n)
+        rng = np.random.default_rng([seed, idx])
+        if estimate:
+            obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, kind)
+            held = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=events,
+                                                  observable=obs, observable_name="galerkin_mode")
+            label = f"estimate_gap_autocorr n_samples={held.n_samples}"
+        else:
+            held = simulate.run(kern, topo, law, rng, n_events=events)
+            label = f"run samples={held.samples.shape}"
+        report(f"{name} m={m:g} gamma={g:g} N={n} {kind} events={events}: {label}", last)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("section", nargs="?", choices=("verify", "mc"), default="verify")
+    ap.add_argument("--seed", type=int, default=3001, help="generator seed of the mc section")
+    args = ap.parse_args()
+    last = [peak_mb()]
+    print(f"{'peak MB':>9s} {'rise':>8s}  after")
+    report("imports", last)
+    if args.section == "verify":
+        verify_section(last)
+    else:
+        mc_section(last, args.seed)
 
 
 if __name__ == "__main__":

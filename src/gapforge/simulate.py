@@ -12,14 +12,17 @@ for gg2's rejection sampler.  Star m = 0 (kmp) rates are constant, as
 bonds at once from array calls that repeat the loop's sequential sums, so an
 event is an alpha draw and a log append, 1-3 us on 3 to 16 sites; a rate
 other than the declared form is refused.  The log is sampled onto
-the grid every _LOG_EVENTS events, and the total rate is summed afresh every
+the grid every _LOG_EVENTS events into one sample buffer pair, grown in place
+by half and trimmed once at the end, and the total rate is summed afresh every
 _REFRESH_EVERY to control floating drift.  Samplers get a Generator stand-in
 whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
 only through the observable's overlap with the spectral edge), reported with
-batch-means error bars and fit diagnostics, never as a certified bound.
+batch-means error bars and fit diagnostics, never as a certified bound.  The
+autocorrelation comes from one real FFT zero-padded to the smallest
+2^a 3^b 5^c >= n + max_lag, which is exact up to max_lag (no wraparound).
 """
 
 from __future__ import annotations
@@ -199,25 +202,36 @@ def run(
 
     # the log since the last flush: event times; the prior state, then each new one
     times, flat = [], list(x)
-    grid, samples, n_samples = [np.zeros(1)], [np.array([x])], 1
+    # the output: rows [0, n_samples) of one buffer pair, grown in place
+    grid = np.zeros(min(4096, _MAX_SAMPLES))
+    samples = np.zeros((grid.size, len(x)))
+    samples[0], n_samples = x, 1
 
     def flush():
         # grid point g takes the state before the first logged event at or
         # after g; np.cumsum adds in sequence, so it continues the running sum
         nonlocal n_samples
         rows = np.array(flat).reshape(-1, len(x))
-        while times and n_samples < _MAX_SAMPLES and grid[-1][-1] + sample_dt <= times[-1]:
-            k = min(_MAX_SAMPLES - n_samples, int((times[-1] - grid[-1][-1]) / sample_dt) + 2)
-            g = np.cumsum(np.r_[grid[-1][-1], np.full(k, sample_dt)])[1:]
-            grid.append(g[:np.searchsorted(g, times[-1], "right")])
-            samples.append(rows[np.searchsorted(times, grid[-1], "left")])
-            n_samples += grid[-1].size
+        while times and n_samples < _MAX_SAMPLES and grid[n_samples - 1] + sample_dt <= times[-1]:
+            last = grid[n_samples - 1]
+            k = min(_MAX_SAMPLES - n_samples, int((times[-1] - last) / sample_dt) + 2)
+            g = np.cumsum(np.r_[last, np.full(k, sample_dt)])[1:]
+            g = g[:np.searchsorted(g, times[-1], "right")]
+            end = n_samples + g.size
+            if end > grid.size:
+                size = min(max(end, grid.size + grid.size // 2), _MAX_SAMPLES)
+                grid.resize(size, refcheck=False)
+                samples.resize((size, len(x)), refcheck=False)
+            grid[n_samples:end] = g
+            samples[n_samples:end] = rows[np.searchsorted(times, g, "left")]
+            n_samples = end
         del times[:], flat[:-len(x)]
 
     def trajectory(done, t, flagged=False):
         flush()
-        return Trajectory(topo, kernel.name, np.concatenate(grid),
-                          np.concatenate(samples), done, t, flagged)
+        grid.resize(n_samples, refcheck=False)
+        samples.resize((n_samples, len(x)), refcheck=False)
+        return Trajectory(topo, kernel.name, grid, samples, done, t, flagged)
 
     ahead = _DrawAhead(rng)
     t = 0.0
@@ -334,12 +348,23 @@ class GapEstimateMC:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _fft_length(k: int) -> int:
+    """Smallest 2^a 3^b 5^c at least k >= 1: the least p 2^a >= k over odd
+    parts p = 3^b 5^c with b and c at most the bit length of k."""
+    e = range(k.bit_length() + 1)
+    return min(p << (-(-k // p) - 1).bit_length() for p in (3 ** b * 5 ** c for b in e for c in e))
+
+
 def _autocorrelation(y: np.ndarray, max_lag: int) -> np.ndarray:
-    y = y - y.mean()
     n = y.size
-    m = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(y, m)
-    acf = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
+    if not 0 <= max_lag < n:
+        raise ValueError(f"max_lag must lie in [0, {n}) for {n} samples, got {max_lag}")
+    # zero padding to n + max_lag keeps lags up to max_lag free of wraparound
+    m = _fft_length(n + max_lag)
+    f = np.fft.rfft(y - y.mean(), m)
+    f *= f.conj()
+    acf = np.fft.irfft(f, m)[: max_lag + 1]
+    del f
     acf /= np.arange(n, n - max_lag - 1, -1)
     if not acf[0] > 0:  # a constant series has no decay to measure
         return np.full(acf.size, math.nan)
@@ -391,7 +416,9 @@ def estimate_gap_autocorr(
     run, which the sample buffer may cut short; the pilot adds up to five
     runs of min(30000, n_events // 10) events each, so ``n_events`` must be
     at least 10.  A pilot or main run with fewer than two samples gives a
-    flagged NaN estimate.
+    flagged NaN estimate.  Each pilot run is released before the next run;
+    the observable is evaluated on the main run's rows after burn-in only
+    (it acts row by row), and the trajectory is released once it has.
     """
     _check_count("n_events", n_events, 10)
 
@@ -406,10 +433,11 @@ def estimate_gap_autocorr(
         pilot = run(kernel, topo, law, rng, n_events=pilot_events, sample_dt=pilot_dt)
         if pilot.sample_times.size < 2:
             return unfit(math.nan, pilot.sample_times.size)
-        y0 = pilot.samples[:, 0] if observable is None else observable(pilot.samples)
         dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
-        rho0 = _autocorrelation(y0, min(y0.size // 4, 4096))
-        idx = np.nonzero(rho0 < 1.0 / math.e)[0]
+        y0 = pilot.samples[:, 0] if observable is None else observable(pilot.samples)
+        del pilot
+        idx = np.nonzero(_autocorrelation(y0, min(y0.size // 4, 4096)) < 1.0 / math.e)[0]
+        del y0
         if idx.size and idx[0] > 2:
             lam_hat = 1.0 / (idx[0] * dt0)
             break
@@ -425,9 +453,11 @@ def estimate_gap_autocorr(
     if traj.sample_times.size < 2:
         return unfit(sample_dt, traj.sample_times.size)
     dt = float(traj.sample_times[1] - traj.sample_times[0])
-    y = np.asarray(traj.samples[:, 0] if observable is None else observable(traj.samples),
-                   dtype=float)
-    y = y[int(_BURN_IN * y.size):]
+    n_run, total_time = traj.n_events, traj.total_time
+    kept = traj.samples[int(_BURN_IN * traj.sample_times.size):]
+    del traj  # then the buffer goes with kept, once y is formed
+    y = np.ascontiguousarray(kept[:, 0] if observable is None else observable(kept), dtype=float)
+    del kept
 
     max_lag = min(y.size // 4, 1 << 14)
     rho = _autocorrelation(y, max_lag)
@@ -451,8 +481,8 @@ def estimate_gap_autocorr(
         value=value, stderr=stderr, observable=observable_name, window=window,
         r_squared=r2, dt=dt, n_samples=int(y.size), flagged=flagged,
         diagnostics={
-            "n_events": traj.n_events,
-            "total_time": traj.total_time,
+            "n_events": n_run,
+            "total_time": total_time,
             "n_batches_used": len(batch_vals),
             "estimator": "log-autocorrelation least squares, window rho in [0.05, 0.8]",
         },

@@ -427,6 +427,24 @@ def test_event_log_memory_is_bounded():
     assert peak < 3_000_000, peak
 
 
+def test_sample_buffer_memory_is_bounded():
+    # 100k kmp events on 16 sites keep about 2^18 samples (34 MB): per-flush
+    # chunks joined at the end held them twice (2.0x); one buffer pair grown
+    # in place by half its size and trimmed once peaks near 1.4x
+    law = SimplexLaw(GammaShape(1.0), 1.0, 16)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        traj = run(make_kernel("kmp"), Topology(LONG_RANGE, 16), law, rng, n_events=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = traj.samples.nbytes + traj.sample_times.nbytes
+    assert traj.samples.shape == (traj.sample_times.size, 16)
+    assert traj.samples.shape[0] > 200_000
+    assert peak <= 1.6 * kept, peak / kept
+
+
 # ---------------------------------------------------------------------------
 # inputs are checked where they enter
 
@@ -499,3 +517,86 @@ def test_estimate_from_a_one_sample_run_is_flagged(monkeypatch):
     est = estimate_gap_autocorr(make_kernel("kmp"), Topology(NEAREST, 3), law,
                                 np.random.default_rng(0), n_events=1000)
     assert est.flagged and math.isnan(est.value) and est.n_samples == 1
+
+
+# ---------------------------------------------------------------------------
+# the autocorrelation: one FFT zero-padded to a 5-smooth length >= n + max_lag
+
+def test_fft_length_is_the_smallest_five_smooth_length():
+    def smooth(j):
+        for p in (2, 3, 5):
+            while j % p == 0:
+                j //= p
+        return j == 1
+
+    nxt = 5120  # 2^10 * 5
+    for k in range(nxt, 0, -1):
+        if smooth(k):
+            nxt = k
+        assert simulate._fft_length(k) == nxt, k
+
+
+def _lag_sums(y, lags):
+    # sum_t y_t y_{t+k} of the centred series, over its k = 0 sum
+    y = y - y.mean()
+    n = y.size
+    return np.array([np.dot(y[:n - k], y[k:]) for k in lags]) / np.dot(y, y)
+
+
+def _assert_matches_direct_sum(y, max_lag, lags=None):
+    # FFT rounding is a fraction of the whole sum of squares, so each lag is
+    # compared as its sum, rho_k (n - k) / n, not as its mean over n - k terms
+    n = y.size
+    rho = simulate._autocorrelation(y, max_lag)
+    assert rho.shape == (max_lag + 1,)
+    lags = np.arange(max_lag + 1) if lags is None else lags
+    np.testing.assert_allclose(rho[lags] * (n - lags) / n, _lag_sums(y, lags),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, max_lag", [
+    (2, 0), (2, 1), (5, 0), (5, 4), (97, 0), (97, 96), (97, 28), (4096, 0),
+    (4096, 4095), (4096, 1024), (100_000, 0), (100_000, 99_999), (100_000, 8_000),
+])
+def test_autocorrelation_matches_the_direct_sum(n, max_lag):
+    # (97, 28), (4096, 0), (100_000, 0) and (100_000, 8_000): n + max_lag is
+    # already 5-smooth, so the FFT has no spare point
+    rng = np.random.default_rng([n, max_lag])
+    y = np.cumsum(rng.standard_normal(n))
+    lags = None
+    if max_lag > 3000:  # the first and last 500 lags and 500 between
+        lags = np.r_[0:500, np.sort(rng.choice(np.arange(500, max_lag - 499), 500, replace=False)),
+                     max_lag - 499:max_lag + 1]
+    _assert_matches_direct_sum(y, max_lag, lags)
+
+
+@pytest.mark.parametrize("n, max_lag", [(100, 25), (100, 99), (4096, 1024)])
+def test_autocorrelation_has_no_wraparound(n, max_lag):
+    # large values at both ends: a circular correlation over fewer than
+    # n + max_lag points would pair the last samples with the first
+    y = 1e-3 * np.random.default_rng(1).standard_normal(n)
+    y[:3] += [50.0, -40.0, 30.0]
+    y[-3:] += [-30.0, 45.0, 60.0]
+    _assert_matches_direct_sum(y, max_lag)
+
+
+@pytest.mark.parametrize("max_lag", [-1, 10, 11, 1000])
+def test_autocorrelation_refuses_a_lag_outside_the_series(max_lag):
+    # lag 10 of 10 samples has no pair to average over
+    with pytest.raises(ValueError, match="max_lag"):
+        simulate._autocorrelation(np.arange(10.0), max_lag)
+
+
+def test_autocorrelation_memory_is_bounded():
+    # an mc-relax size: an FFT over up to 4n points with a copy of its
+    # spectrum peaked at 12x the series; zero padding to n + max_lag and an
+    # in-place power spectrum keep it near 2x
+    y = np.random.default_rng(2).standard_normal(562_572)
+    tracemalloc.start()
+    try:
+        rho = simulate._autocorrelation(y, 16_384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (16_385,) and rho[0] == 1.0
+    assert peak <= 3 * y.nbytes, peak / y.nbytes
