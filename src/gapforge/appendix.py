@@ -35,7 +35,11 @@ The module provides two versions of the off-diagonal coefficient sequence:
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +80,7 @@ __all__ = [
 
 def nu_n(n: int, gamma: float) -> float:
     """Conditional-expectation eigenvalue: E[J_n(x_i) | x_j] = nu_n J_n(x_j)."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -86,12 +91,14 @@ def nu_n(n: int, gamma: float) -> float:
 
 def p_n(n: int, gamma: float) -> float:
     """Diagonal coefficient: E_mu[(1-u) J_n^2] / E_mu[J_n^2], mu = Beta(gamma, 2 gamma)."""
+    n = operator.index(n)
     return 0.5 + (1.5 * gamma * gamma - gamma) / ((2 * n + 3 * gamma) * (2 * n + 3 * gamma - 2))
 
 
 def q_n(n: int, gamma: float) -> float:
     """Off-diagonal coefficient (J_{n,n}/J_{n+1,n+1}) sqrt(E[J_{n+1}^2]/E[J_n^2]);
     always negative, |q_n| increasing to 1/4."""
+    n = operator.index(n)
     g3 = 3 * gamma
     return -(1.0 / (2 * n + g3)) * math.sqrt(
         (n + g3 - 1) * (n + 1) * (n + gamma) * (n + 2 * gamma)
@@ -162,6 +169,13 @@ def _c(family: str, k: int, gamma: float) -> float:
     return 1.0 + 2.0 * nu_n(k, gamma) if family == "A" else 1.0 - nu_n(k, gamma)
 
 
+def _check_gamma_n_max(gamma: float, n_max: int) -> None:
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise TypeError(f"n_max must be an integer, got {n_max!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+
+
 def family_tridiagonal(family: str, gamma: float, n_max: int,
                        exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Head block of the family-A (k = 2..n_max) or family-B (k = 1..n_max)
@@ -169,6 +183,7 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
     with c_k = 1 + 2 nu_k (A) or 1 - nu_k (B).  With ``exact`` the true q_n
     is used (the head supremum then reproduces the polynomial Galerkin value
     at matching degree); default is the certificate surrogate q_cert."""
+    _check_gamma_n_max(gamma, n_max)
     if family not in ("A", "B"):
         raise ValueError("family must be 'A' or 'B'")
     qfun = q_n if exact else q_cert
@@ -233,9 +248,14 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
     Lower bound: lambda_max of the head block (principal submatrices increase
     to S).  Upper bound: split head/tail at n_max; the coupling entry e is
     absorbed as 2 e x y <= e (tau x^2 + y^2 / tau), giving
-    S <= max(lambda_max(head + e tau E_last), tail_gershgorin + e / tau),
-    minimized over tau.
+    S <= max(lambda_max(head + e tau E_last), tail_gershgorin + e / tau)
+    for every tau > 0, minimized over a 121-point geometric tau grid.  With
+    e >= 0 the head term is nondecreasing in tau (a positive semidefinite
+    rank-one increase, by Weyl's inequality) and the tail term decreases, so
+    the grid minimum sits at their crossing: bisection on the grid index
+    finds it in at most 7 head eigenvalues.
     """
+    _check_gamma_n_max(gamma, n_max)
     diag, off = family_tridiagonal(family, gamma, n_max + 1)
     if off.size == 0:
         raise ValueError(f"n_max = {n_max} leaves family {family} no head row")
@@ -243,15 +263,20 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
     diag, off = diag[:-1], off[:-1]
     lower = _lambda_max(diag, off)
     tail0 = _tail_bound(family, gamma, n_max + 1)
-    best = math.inf
-    for tau in np.geomspace(1e-3, 1e3, 121):
+    taus = np.geomspace(1e-3, 1e3, 121)
+    tails = tail0 + e / taus
+
+    @functools.cache
+    def head(i: int) -> float:
         d2 = diag.copy()
-        d2[-1] += e * tau
-        head = _lambda_max(d2, off)
-        cand = max(head, tail0 + e / tau)
-        best = min(best, cand)
+        d2[-1] += e * taus[i]
+        return _lambda_max(d2, off)
+
+    # first index where head reaches tail; bisection has cached k - 1 and k
+    k = bisect.bisect_left(range(taus.size), True, key=lambda i: head(i) >= tails[i])
+    best = min(max(head(i), tails[i]) for i in (k - 1, k) if 0 <= i < taus.size)
     return SupBracket(truncated_max_eig=lower, tail_bound=tail0,
-                      certified_sup_upper=best, n_max=n_max)
+                      certified_sup_upper=float(best), n_max=n_max)
 
 
 class BracketInversionError(RuntimeError):

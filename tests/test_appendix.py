@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from gapforge import appendix
 from gapforge.appendix import (
     BracketInversionError,
     family_tridiagonal,
@@ -127,6 +128,79 @@ def test_one_row_head_couples_to_the_next_row_of_the_family(family, n_max, gamma
 def test_sup_needs_a_head_row_and_a_known_family(family, n_max):
     with pytest.raises(ValueError, match="head row|family"):
         tridiagonal_sup(family, 1.0, n_max)
+
+
+# the kappa~ bracket gammas of the appendix suite, and a sweep over gamma from
+# 0.2 to 5 and n_max from the one-row head (2 in family A, 1 in B) up to 300
+SUITE_GAMMAS = (0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0)
+SWEEP_GAMMAS = (0.2, 1.0 / 3.0, 0.5, 2.5, 4.0, 5.0) + SUITE_GAMMAS
+SWEEP_N_MAX = (3, 4, 6, 10, 20, 40, 80, 120, 200, 250, 300)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("gamma", SUITE_GAMMAS)
+def test_suite_sup_upper_is_not_below_its_lower(family, gamma):
+    sup = tridiagonal_sup(family, gamma, 200)
+    assert sup.upper >= sup.lower
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("gamma", SWEEP_GAMMAS)
+def test_crossing_bisection_matches_the_full_tau_scan(family, gamma):
+    # reference: the bound at every one of the 121 grid points, the head
+    # term by the same LAPACK bisection; past the crossing the head term
+    # moves by less than an ulp, so the scan's minimum may be rounding noise
+    for n_max in ((2 if family == "A" else 1),) + SWEEP_N_MAX:
+        diag, off = family_tridiagonal(family, gamma, n_max + 1)
+        e, head, head_off = off[-1], diag[:-1], off[:-1]
+        sup = tridiagonal_sup(family, gamma, n_max)
+        want = min(
+            max(eigvalsh_tridiagonal(np.r_[head[:-1], head[-1] + e * tau], head_off,
+                                     select="i", select_range=(head.size - 1,) * 2)[0],
+                sup.tail_bound + e / tau)
+            for tau in np.geomspace(1e-3, 1e3, 121))
+        assert abs(sup.upper - want) <= 4 * np.spacing(want), n_max
+        assert sup.upper >= sup.lower, n_max
+
+
+@pytest.mark.parametrize("family, gamma, n_max",
+                         [("A", 1.0, 200), ("B", 0.4, 200), ("A", 0.2, 2), ("B", 5.0, 1)])
+def test_sup_takes_at_most_nine_head_eigenvalues(monkeypatch, family, gamma, n_max):
+    calls = []
+    lambda_max = appendix._lambda_max
+    monkeypatch.setattr(appendix, "_lambda_max",
+                        lambda diag, off: calls.append(diag.size) or lambda_max(diag, off))
+    tridiagonal_sup(family, gamma, n_max)
+    assert len(calls) <= 9
+
+
+@pytest.mark.parametrize("coefficient", [nu_n, p_n, q_n, q_cert])
+def test_coefficients_refuse_a_fractional_index(coefficient):
+    # nu_n(2.5, 1.0) would be the complex (-1)^2.5 Gamma-ratio
+    with pytest.raises(TypeError):
+        coefficient(2.5, 1.0)
+
+
+ENTRY_POINTS = {
+    "family_tridiagonal": lambda gamma, n_max: family_tridiagonal("B", gamma, n_max),
+    "tridiagonal_sup": lambda gamma, n_max: tridiagonal_sup("B", gamma, n_max),
+    "kappa_tilde_1_bracket": lambda gamma, n_max: kappa_tilde_1_bracket(
+        gamma, n_max=n_max, strict=False),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("n_max", [200.5, 200.0, True, "200"])
+def test_entry_points_refuse_an_n_max_that_is_not_an_integer(entry, n_max):
+    with pytest.raises(TypeError, match="n_max"):
+        entry(1.0, n_max)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+def test_entry_points_refuse_a_gamma_that_is_not_finite_and_positive(entry, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        entry(gamma, 200)
 
 
 def test_exact_sup_tends_to_one():
