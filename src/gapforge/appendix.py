@@ -8,7 +8,8 @@ larger of the two spectral suprema,
     kappa~_1 = (1/3) (2 - S),
 
 so an upper bound on S yields a lower bound on kappa~_1, and S < 1 is
-exactly kappa~_1 > 1/3.
+exactly kappa~_1 > 1/3.  The coefficients take an int n or an integer array of
+n: one call gives a sequence, with C exp per element, equal to the scalar calls.
 
 The module provides two versions of the off-diagonal coefficient sequence:
 
@@ -78,38 +79,52 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # closed-form coefficients
 
-def nu_n(n: int, gamma: float) -> float:
+def _over_n(formula):
+    """Let a coefficient formula take an int n (giving a float) or an integer array."""
+
+    @functools.wraps(formula)
+    def coefficient(n, gamma: float):
+        if isinstance(n, np.ndarray):
+            if n.dtype.kind not in "iu":
+                raise TypeError(f"n must have an integer dtype, got {n.dtype}")
+            return formula(n.astype(np.int64, copy=False), gamma)  # 2 * n wraps in int8
+        return float(formula(operator.index(n), gamma))
+    return coefficient
+
+
+@_over_n
+def nu_n(n, gamma: float):
     """Conditional-expectation eigenvalue: E[J_n(x_i) | x_j] = nu_n J_n(x_j)."""
-    n = operator.index(n)
-    if n < 0:
+    if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1.0
     log = gammaln(2 * gamma) + gammaln(n + gamma) - gammaln(gamma) - gammaln(n + 2 * gamma)
-    return (-1.0) ** n * math.exp(log)
+    # C exp, one element at a time: numpy's array exp can differ from it in the last bit
+    mag = np.reshape([math.exp(v) for v in np.ravel(log).tolist()], np.shape(n))
+    return np.where(n == 0, 1.0, (-1.0) ** n * mag)
 
 
-def p_n(n: int, gamma: float) -> float:
+@_over_n
+def p_n(n, gamma: float):
     """Diagonal coefficient: E_mu[(1-u) J_n^2] / E_mu[J_n^2], mu = Beta(gamma, 2 gamma)."""
-    n = operator.index(n)
     return 0.5 + (1.5 * gamma * gamma - gamma) / ((2 * n + 3 * gamma) * (2 * n + 3 * gamma - 2))
 
 
-def q_n(n: int, gamma: float) -> float:
+@_over_n
+def q_n(n, gamma: float):
     """Off-diagonal coefficient (J_{n,n}/J_{n+1,n+1}) sqrt(E[J_{n+1}^2]/E[J_n^2]);
     always negative, |q_n| increasing to 1/4."""
-    n = operator.index(n)
     g3 = 3 * gamma
-    return -(1.0 / (2 * n + g3)) * math.sqrt(
+    return -(1.0 / (2 * n + g3)) * np.sqrt(
         (n + g3 - 1) * (n + 1) * (n + gamma) * (n + 2 * gamma)
         / ((2 * n + g3 + 1) * (2 * n + g3 - 1))
     )
 
 
-def q_cert(n: int, gamma: float) -> float:
+@_over_n
+def q_cert(n, gamma: float):
     """Decayed surrogate |q_n| / sqrt(n + 2 gamma) ~ 1/(4 sqrt(n)) used by the
     certificate sequences, tail bounds and the monotonicity fact suite."""
-    return q_n(n, gamma) / math.sqrt(n + 2 * gamma)
+    return q_n(n, gamma) / np.sqrt(n + 2 * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +179,8 @@ def verify_conditional_eigenrelation(gamma: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # tridiagonal families and their spectral suprema
 
-def _c(family: str, k: int, gamma: float) -> float:
-    """Row weight c_k: 1 + 2 nu_k in family A, 1 - nu_k in family B."""
+def _c(family: str, k: np.ndarray, gamma: float) -> np.ndarray:
+    """Row weights c_k: 1 + 2 nu_k in family A, 1 - nu_k in family B."""
     return 1.0 + 2.0 * nu_n(k, gamma) if family == "A" else 1.0 - nu_n(k, gamma)
 
 
@@ -188,10 +203,9 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
         raise ValueError("family must be 'A' or 'B'")
     qfun = q_n if exact else q_cert
     ks = np.arange(2 if family == "A" else 1, n_max + 1)
-    c = np.array([_c(family, int(k), gamma) for k in ks])
-    diag = c * np.array([p_n(int(k), gamma) for k in ks])
-    q = np.array([abs(qfun(int(k), gamma)) for k in ks[:-1]])
-    off = np.sqrt(c[:-1] * c[1:]) * q
+    c = _c(family, ks, gamma)
+    diag = c * p_n(ks, gamma)
+    off = np.sqrt(c[:-1] * c[1:]) * np.abs(qfun(ks[:-1], gamma))
     return diag, off
 
 
@@ -332,17 +346,24 @@ _DELTA = 1e-3  # strictness perturbation where the textbook choice gives equalit
 def n_zero(gamma: float, n_cap: int = 10_000) -> int:
     """Smallest n0 with |q_cert_n| (1/(1+2|nu_n|) - 1/2)^(-1) < 1/2 for all
     n >= n0 (verified up to n_cap; the quantity is eventually decreasing to 0)."""
-    n0 = None
-    for n in range(2, n_cap + 1):
-        val = abs(q_cert(n, gamma)) / (1.0 / (1.0 + 2.0 * abs(nu_n(n, gamma))) - 0.5)
-        if val < 0.5:
-            if n0 is None:
-                n0 = n
-        else:
-            n0 = None
-    if n0 is None:
+    ns = np.arange(2, n_cap + 1)
+    val = np.abs(q_cert(ns, gamma)) / (1.0 / (1.0 + 2.0 * np.abs(nu_n(ns, gamma))) - 0.5)
+    fails = ns[~(val < 0.5)]
+    n0 = int(fails[-1]) + 1 if fails.size else 2
+    if n0 > n_cap:
         raise RuntimeError("n0 not found below cap")
     return n0
+
+
+def _alternating_weights(family: str, gamma: float, n0: int, n_max: int) -> np.ndarray:
+    """Certificate weights at n = n0..n_max for gamma < 2/3, with
+    gap_n = 1/c_n - 1/2: max(|q_n| / gap_n, 1) at n0, max(2 |q_n| / gap_n, 1)
+    at the later n of n0's parity, 1 / max(2 |q_n| / gap_{n+1}, 1) between."""
+    ns = np.arange(n0, n_max + 1)
+    gap = 1.0 / _c(family, np.arange(n0, n_max + 2), gamma) - 0.5
+    q = np.where(ns == n0, 1.0, 2.0) * np.abs(q_cert(ns, gamma))
+    return np.where(ns % 2 == n0 % 2, np.maximum(q / gap[:-1], 1.0),
+                    1.0 / np.maximum(q / gap[1:], 1.0))
 
 
 def certificate_alphas(gamma: float, n_max: int) -> np.ndarray:
@@ -351,30 +372,21 @@ def certificate_alphas(gamma: float, n_max: int) -> np.ndarray:
     a = np.ones(n_max + 1)
     a[0] = math.nan
     a[1] = 0.0
+
+    def gap(n):
+        return 1.0 / (1.0 + 2.0 * nu_n(n, gamma)) - p_n(n, gamma)
     if gamma < 2.0 / 3.0:
-        for n in range(2, n_max + 1):
-            gap = 1.0 / (1.0 + 2.0 * nu_n(n, gamma)) - 0.5
-            gap_next = 1.0 / (1.0 + 2.0 * nu_n(n + 1, gamma)) - 0.5
-            if n == 2:
-                a[n] = max(abs(q_cert(2, gamma)) / gap, 1.0)
-            elif n % 2 == 0:
-                a[n] = max(2.0 * abs(q_cert(n, gamma)) / gap, 1.0)
-            else:
-                a[n] = 1.0 / max(2.0 * abs(q_cert(n, gamma)) / gap_next, 1.0)
+        a[2:] = _alternating_weights("A", gamma, 2, n_max)
     elif gamma <= 2.0:
         # the textbook weights make n = 2 and n = 4 exact equalities; a small
         # perturbation trades the strict slack at n = 3, 5 for strictness there
-        def gap(n):
-            return 1.0 / (1.0 + 2.0 * nu_n(n, gamma)) - p_n(n, gamma)
-
         a[2] = abs(q_cert(2, gamma)) / gap(2) * (1.0 + _DELTA)
         if n_max >= 3:
             a[3] = gap(4) / (2.0 * abs(q_cert(3, gamma))) * (1.0 - _DELTA)
         if n_max >= 4:
             a[4] = 2.0 * abs(q_cert(4, gamma)) / gap(4) * (1.0 + _DELTA)
     else:
-        gap2 = 1.0 / (1.0 + 2.0 * nu_n(2, gamma)) - p_n(2, gamma)
-        a[2] = abs(q_cert(2, gamma)) / gap2 + _DELTA
+        a[2] = abs(q_cert(2, gamma)) / gap(2) + _DELTA
     return a
 
 
@@ -383,15 +395,7 @@ def certificate_betas(gamma: float, n_max: int) -> np.ndarray:
     b = np.ones(n_max + 1)
     b[0] = 0.0
     if gamma < 2.0 / 3.0:
-        for n in range(1, n_max + 1):
-            gap = 1.0 / (1.0 - nu_n(n, gamma)) - 0.5
-            gap_next = 1.0 / (1.0 - nu_n(n + 1, gamma)) - 0.5
-            if n == 1:
-                b[n] = max(abs(q_cert(1, gamma)) / gap, 1.0)
-            elif n % 2 == 1:
-                b[n] = max(2.0 * abs(q_cert(n, gamma)) / gap, 1.0)
-            else:
-                b[n] = 1.0 / max(2.0 * abs(q_cert(n, gamma)) / gap_next, 1.0)
+        b[1:] = _alternating_weights("B", gamma, 1, n_max)
     else:
         eps = 1.0 / (1.0 + 3.0 * gamma)  # midpoint of the admissible (0, 2/(1+3g))
         b[1] = abs(q_cert(1, gamma)) * 3.0 * (3.0 * gamma + 2.0) / (2.0 - eps)
@@ -407,17 +411,13 @@ def certificate_expressions(gamma: float, n_max: int = 200) -> tuple[np.ndarray,
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     a = certificate_alphas(gamma, n_max)
     b = certificate_betas(gamma, n_max)
-    ea = np.empty(n_max - 1)
-    for n in range(2, n_max + 1):
-        ea[n - 2] = (1.0 + 2.0 * nu_n(n, gamma)) * (
-            p_n(n, gamma) + abs(q_cert(n, gamma)) / a[n] + abs(q_cert(n - 1, gamma)) * a[n - 1]
-        )
-    eb = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        prev = abs(q_cert(n - 1, gamma)) * b[n - 1] if n > 1 else 0.0  # beta_0 = 0
-        eb[n - 1] = (1.0 - nu_n(n, gamma)) * (
-            p_n(n, gamma) + abs(q_cert(n, gamma)) / b[n] + prev
-        )
+    ns = np.arange(1, n_max + 1)
+    p = p_n(ns, gamma)
+    q = np.abs(q_cert(ns, gamma))
+    ea = _c("A", ns[1:], gamma) * (p[1:] + q[1:] / a[2:] + q[:-1] * a[1:-1])
+    # beta_0 = 0: the n = 1 row has no q_0 term (q_cert(0, 1/3) is 0/0)
+    prev = np.concatenate(([0.0], q[:-1] * b[1:-1]))
+    eb = _c("B", ns, gamma) * (p + q / b[1:] + prev)
     return ea, eb
 
 
@@ -426,17 +426,16 @@ def verify_certificates(gamma: float, n_max: int = 200) -> dict:
     expressions.  The finite-n expression behaves like 1/2 + O(1/sqrt(n)), so
     the limit is read off by a least-squares fit c0 + c1/sqrt(n) over the tail."""
     ea, eb = certificate_expressions(gamma, n_max)
-    ns_a = np.arange(2, n_max + 1)
-    ns_b = np.arange(1, n_max + 1)
+    ns = np.arange(1, n_max + 1)
     out = {
         "gamma": gamma,
         "sup_a": float(ea.max()),
         "sup_b": float(eb.max()),
         "ok": bool(ea.max() < 1.0 and eb.max() < 1.0),
     }
-    for name, expr, ns in (("a", ea, ns_a), ("b", eb, ns_b)):
-        tail = ns >= max(20, n_max // 4)
-        X = np.column_stack([np.ones(tail.sum()), 1.0 / np.sqrt(ns[tail])])
+    for name, expr, n in (("a", ea, ns[1:]), ("b", eb, ns)):
+        tail = n >= max(20, n_max // 4)
+        X = np.column_stack([np.ones(tail.sum()), 1.0 / np.sqrt(n[tail])])
         coef, *_ = np.linalg.lstsq(X, expr[tail], rcond=None)
         out[f"limit_{name}"] = float(coef[0])
         out[f"raw_tail_{name}"] = float(expr[-1])
@@ -476,20 +475,20 @@ def verify_prop_b(gamma: float, n_max: int = 200) -> list[dict]:
 
 def monotonicity_report(gammas, n_max: int = 50) -> list[dict]:
     """Check every coefficient monotonicity fact on the given gamma grid,
-    each within its stated regime, for the certificate coefficient sequences.
-    Returns one record per fact and gamma with the number of violations
-    (0 expected)."""
+    each within its stated regime, for the certificate coefficient sequences
+    at n = 1..n_max (n_max >= 3).  Returns one record per fact and gamma with
+    the number of violations (0 expected)."""
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
     gammas = sorted(gammas)
     records = []
 
     def add(fact, gamma, viol):
         records.append({"fact": fact, "gamma": gamma, "violations": int(viol)})
 
-    for g in gammas:
-        nu = np.array([abs(nu_n(n, g)) for n in range(1, n_max + 1)])
-        p = np.array([p_n(n, g) for n in range(1, n_max + 1)])
-        q = np.array([abs(q_cert(n, g)) for n in range(1, n_max + 1)])
-
+    ns = np.arange(1, n_max + 1)
+    seqs = [(g, np.abs(nu_n(ns, g)), p_n(ns, g), np.abs(q_cert(ns, g))) for g in gammas]
+    for g, nu, p, q in seqs:
         add("abs_nu_decreasing_in_n", g, np.sum(np.diff(nu) >= 1e-15))
         add("p_positive", g, np.sum(p <= 0))
         if g < 2.0 / 3.0:
@@ -504,37 +503,18 @@ def monotonicity_report(gammas, n_max: int = 50) -> list[dict]:
         elif g <= 7.0 / 3.0:
             add("abs_q_decreasing_from_3", g, np.sum(np.diff(q[2:]) >= 0))
         if g >= 0.2:
-            bound = 1.0 / (4.0 * np.sqrt(np.arange(1, n_max + 1) + g))
-            add("sqrt_estimate", g, np.sum(q > bound))
+            add("sqrt_estimate", g, np.sum(q > 1.0 / (4.0 * np.sqrt(ns + g))))
         # ratio fact: (1+2|nu_{n+1}|)(1-2|nu_n|) / ((1-2|nu_{n+1}|)(1+2|nu_n|))
-        # is minimized at n = 2
-        ratios = []
-        for n in range(2, n_max):
-            top = (1 + 2 * abs(nu_n(n + 1, g))) / (1 - 2 * abs(nu_n(n + 1, g)))
-            bot = (1 - 2 * abs(nu_n(n, g))) / (1 + 2 * abs(nu_n(n, g)))
-            ratios.append(top * bot)
-        ratios = np.array(ratios)
+        # is minimized at n = 2, over n = 2..n_max-1
+        top = (1 + 2 * nu[2:]) / (1 - 2 * nu[2:])
+        ratios = top * ((1 - 2 * nu[1:-1]) / (1 + 2 * nu[1:-1]))
         add("nu_ratio_min_at_2", g, np.sum(ratios < ratios[0] - 1e-14))
 
     # cross-gamma monotonicity on the sorted grid
-    for i in range(len(gammas) - 1):
-        g1, g2 = gammas[i], gammas[i + 1]
-        for n in range(1, n_max + 1):
-            if abs(nu_n(n, g2)) > abs(nu_n(n, g1)) + 1e-15:
-                add("abs_nu_decreasing_in_gamma", g2, 1)
-                break
-        else:
-            add("abs_nu_decreasing_in_gamma", g2, 0)
+    for (g1, nu1, p1, q1), (g2, nu2, p2, q2) in zip(seqs, seqs[1:]):
+        add("abs_nu_decreasing_in_gamma", g2, np.any(nu2 > nu1 + 1e-15))
         if g1 >= 1.0 / 3.0:
-            viol = sum(
-                1 for n in range(1, n_max + 1) if p_n(n, g2) < p_n(n, g1) - 1e-15
-            )
-            add("p_increasing_in_gamma", g2, viol)
-        viol = sum(
-            1 for n in range(3, n_max + 1)
-            if abs(q_cert(n, g2)) > abs(q_cert(n, g1)) + 1e-15
-        )
-        if g1 >= 0.1:
-            viol += 1 if abs(q_cert(2, g2)) > abs(q_cert(2, g1)) + 1e-15 else 0
-        add("abs_q_decreasing_in_gamma", g2, viol)
+            add("p_increasing_in_gamma", g2, np.sum(p2 < p1 - 1e-15))
+        lo = 1 if g1 >= 0.1 else 2  # from n = 2 for g1 >= 0.1, else from n = 3
+        add("abs_q_decreasing_in_gamma", g2, np.sum(q2[lo:] > q1[lo:] + 1e-15))
     return records

@@ -165,10 +165,11 @@ def _gap(kernel: ExchangeKernel, topology: str, energy: float, n_sites: int,
     return spectral_gap(law, kernel, degree, topology).value
 
 
-def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0), n_sites: int = 3,
-                  degree: int = 3) -> TheoremCheck:
+def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0),
+                  n_sites: int = 3) -> TheoremCheck:
     """gap(E, N) = E^m gap(1, N) on the energy grid, to relative error 1e-10."""
     rtol = 1e-10
+    degree = 3
     star = star_kernel(m, GammaShape(gamma))
     base = _gap(star, LONG_RANGE, 1.0, n_sites, degree)
     worst = 0.0
@@ -185,11 +186,11 @@ def check_scaling(m: float, gamma: float, energies=(0.5, 1.0, 2.0), n_sites: int
     )
 
 
-def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
-               degree: int = 3) -> list[TheoremCheck]:
+def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7)) -> list[TheoremCheck]:
     """Long-range m = 0 Galerkin gap equals the exact formula to 1e-8; the
     values decrease monotonically in N toward gamma/(2 gamma + 1)."""
     tol = 1e-8
+    degree = 3
     out = []
     for g in gamma_grid:
         worst = 0.0
@@ -212,8 +213,9 @@ def check_thm0(gamma_grid=(0.5, 1.0, 1.5, 2.0), n_range=range(2, 7),
     return out
 
 
-def check_convex(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> TheoremCheck:
+def check_convex(m: float, gamma: float, n_sites: int = 3) -> TheoremCheck:
     """Convex comparison at E = 1: lambda_LR^(m) >= (E^m kappa_m / 2) lambda_LR^(0)."""
+    degree = 4
     lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, 1.0, n_sites, degree)
     k_m = kappa(m, gamma, degree=6)
     rhs = k_m / 2.0 * exact_gap_lr_m0(gamma, n_sites)
@@ -227,9 +229,10 @@ def check_convex(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> T
     )
 
 
-def check_compm2m(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> TheoremCheck:
+def check_compm2m(m: float, gamma: float, n_sites: int = 3) -> TheoremCheck:
     """m-to-2m comparison: with kappa~_m >= 1/3,
     lambda_LR^(m) >= sqrt(((3 kappa~_m - 1)(1 - 2/N) + 1/N) lambda_LR^(2m))."""
+    degree = 4
     kt = kappa_tilde(m, gamma, degree=6)
     lhs = _gap(star_kernel(m, GammaShape(gamma)), LONG_RANGE, 1.0, n_sites, degree)
     pref = (3.0 * kt - 1.0) * (1.0 - 2.0 / n_sites) + 1.0 / n_sites
@@ -247,9 +250,10 @@ def check_compm2m(m: float, gamma: float, n_sites: int = 3, degree: int = 4) -> 
 
 
 def check_compare_and_main(kernel_name: str, m: float, gamma: float,
-                           n_range=range(2, 7), degree: int = 3) -> TheoremCheck:
+                           n_range=range(2, 7)) -> TheoremCheck:
     """Empirical constant of the nearest-neighbor lower bound: c(N) =
     lambda * N^2 / E^m must stay bounded below with no downward trend."""
+    degree = 3
     kern = make_kernel(kernel_name, m=m, gamma=gamma)
     m, gamma = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
     consts = []
@@ -272,9 +276,10 @@ def check_compare_and_main(kernel_name: str, m: float, gamma: float,
     )
 
 
-def check_prop21(kernel_name: str, n_sites: int = 3, degree: int = 6) -> TheoremCheck:
+def check_prop21(kernel_name: str, n_sites: int = 3) -> TheoremCheck:
     """Proposition-style mechanical lower bound: lambda >= (C~ / 2^m) lambda*^m
     for kernels with a mechanical form."""
+    degree = 6
     kern = make_kernel(kernel_name)
     mech = kern.mechanical
     m, gamma = mech.m, mech.gamma_rev.gamma
@@ -346,9 +351,10 @@ def stick_two_site_lower(m: float) -> float:
     return a ** (m - 1.0) * (1.0 - 4.0 * a)
 
 
-def check_stick_two_site(m_list=(1.0, 2.0, 3.0), degree: int = 30) -> list[TheoremCheck]:
+def check_stick_two_site(m_list=(1.0, 2.0, 3.0)) -> list[TheoremCheck]:
     """Two-site stick constants: exactly 1 at m = 1 and above the explicit
     piecewise-power lower bound for larger m."""
+    degree = 30
     out = []
     for m in m_list:
         bound = stick_two_site_lower(m)
@@ -371,9 +377,10 @@ def check_stick_two_site(m_list=(1.0, 2.0, 3.0), degree: int = 30) -> list[Theor
     return out
 
 
-def check_kappa_chain(gamma: float = 1.0, degree: int = 6) -> list[TheoremCheck]:
+def check_kappa_chain(gamma: float = 1.0) -> list[TheoremCheck]:
     """Corollary chain: kappa_1 >= 3 kappa~_1 - 1 and kappa_m >= kappa_1^m' / 2
     for m > 1 with 1/m + 1/m' = 1 (checked as consistency of plateaus)."""
+    degree = 6
     kt1 = kappa_tilde(1.0, gamma, degree)
     k1 = kappa(1.0, gamma, degree)
     out = [TheoremCheck(

@@ -9,6 +9,7 @@ in log space.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ __all__ = [
 ]
 
 ENERGY_RTOL = 1e-12  # relative drift of the total energy N*E a run may show
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,7 @@ class SimplexLaw:
     def __post_init__(self) -> None:
         if not 0 < self.mean_energy < np.inf:
             raise ValueError(f"mean_energy must be positive and finite, got {self.mean_energy}")
-        if self.sites < 1:
-            raise ValueError("need at least one site")
+        _check_count("sites", self.sites, 1)
 
     @property
     def total_energy(self) -> float:

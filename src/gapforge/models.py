@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaln, ellipe, ellipk
 
-from .measures import GammaShape, SimplexLaw
+from .measures import GammaShape, SimplexLaw, _check_count
 from .quad import beta_rule, graded_rule, legendre_rule, power_map
 
 __all__ = [
@@ -66,8 +66,7 @@ class Topology:
     def __post_init__(self) -> None:
         if self.kind not in (NEAREST, LONG_RANGE):
             raise ValueError(f"unknown topology {self.kind!r}")
-        if self.sites < 2:
-            raise ValueError("need at least two sites")
+        _check_count("sites", self.sites, 2)
 
     @property
     def prefactor(self) -> float:

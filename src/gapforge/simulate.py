@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .measures import SimplexLaw, sample_matrix
+from .measures import SimplexLaw, _check_count, sample_matrix
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law
 
 __all__ = [
@@ -135,13 +134,6 @@ class _DrawAhead:
     def __getattr__(self, name):
         self.settle()
         return getattr(self._rng, name)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def run(

@@ -226,3 +226,191 @@ def test_coefficient_ranges(n, g):
     assert q_n(n, g) < 0.0
     assert abs(q_n(n, g)) < 0.26
     assert abs(q_cert(n, g)) <= abs(q_n(n, g))
+
+
+# ---------------------------------------------------------------------------
+# the array route against the per-n loops it replaced
+
+ARRAY_GAMMAS = [0.2, 1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 7.0 / 3.0, 3.0, 5.0]
+ARRAY_N_MAX = [3, 12, 50, 200]
+
+
+def _scalar_or_nan(coefficient, n, gamma):
+    # p_n(0, 2/3), q_n(0, 1/3) and q_cert(0, 1/3) divide 0 by 0: a Python
+    # float division raises there, numpy's gives nan
+    try:
+        return coefficient(n, gamma)
+    except ZeroDivisionError:
+        return math.nan
+
+
+@pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
+@pytest.mark.parametrize("coefficient", [nu_n, p_n, q_n, q_cert])
+def test_coefficients_on_an_integer_array_equal_the_scalar_calls(coefficient, gamma):
+    ns = np.arange(2001)
+    want = np.array([_scalar_or_nan(coefficient, int(n), gamma) for n in ns])
+    with np.errstate(invalid="ignore"):
+        got = coefficient(ns, gamma)
+        narrow = coefficient(ns[:256].astype(np.uint8), gamma)
+    assert got.shape == ns.shape
+    finite = ~np.isnan(want)
+    assert np.all(got[finite] == want[finite])
+    assert np.all(np.isnan(got[~finite])) and (~finite).sum() <= 1
+    assert np.array_equal(narrow, got[:256], equal_nan=True)
+
+
+@pytest.mark.parametrize("coefficient", [nu_n, p_n, q_n, q_cert])
+@pytest.mark.parametrize("ns", [np.arange(3.0), np.array([True, False])], ids=["float", "bool"])
+def test_coefficients_refuse_an_array_that_is_not_integer(coefficient, ns):
+    with pytest.raises(TypeError, match="integer dtype"):
+        coefficient(ns, 1.0)
+
+
+def _ref_family_tridiagonal(family, gamma, n_max, exact):
+    qfun = q_n if exact else q_cert
+    ks = np.arange(2 if family == "A" else 1, n_max + 1)
+    c = np.array([1.0 + 2.0 * nu_n(int(k), gamma) if family == "A"
+                  else 1.0 - nu_n(int(k), gamma) for k in ks])
+    diag = c * np.array([p_n(int(k), gamma) for k in ks])
+    q = np.array([abs(qfun(int(k), gamma)) for k in ks[:-1]])
+    return diag, np.sqrt(c[:-1] * c[1:]) * q
+
+
+def _ref_alternating(c, gamma, n0, n_max):
+    out = np.ones(n_max + 1)
+    for n in range(n0, n_max + 1):
+        gap = 1.0 / c(n) - 0.5
+        gap_next = 1.0 / c(n + 1) - 0.5
+        if n == n0:
+            out[n] = max(abs(q_cert(n0, gamma)) / gap, 1.0)
+        elif n % 2 == n0 % 2:
+            out[n] = max(2.0 * abs(q_cert(n, gamma)) / gap, 1.0)
+        else:
+            out[n] = 1.0 / max(2.0 * abs(q_cert(n, gamma)) / gap_next, 1.0)
+    return out
+
+
+def _ref_certificate_expressions(gamma, n_max):
+    a = appendix.certificate_alphas(gamma, n_max)
+    b = appendix.certificate_betas(gamma, n_max)
+    ea = np.empty(n_max - 1)
+    for n in range(2, n_max + 1):
+        ea[n - 2] = (1.0 + 2.0 * nu_n(n, gamma)) * (
+            p_n(n, gamma) + abs(q_cert(n, gamma)) / a[n] + abs(q_cert(n - 1, gamma)) * a[n - 1]
+        )
+    eb = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        prev = abs(q_cert(n - 1, gamma)) * b[n - 1] if n > 1 else 0.0
+        eb[n - 1] = (1.0 - nu_n(n, gamma)) * (
+            p_n(n, gamma) + abs(q_cert(n, gamma)) / b[n] + prev
+        )
+    return ea, eb
+
+
+def _ref_n_zero(gamma, n_cap):
+    n0 = None
+    for n in range(2, n_cap + 1):
+        val = abs(q_cert(n, gamma)) / (1.0 / (1.0 + 2.0 * abs(nu_n(n, gamma))) - 0.5)
+        if val < 0.5:
+            if n0 is None:
+                n0 = n
+        else:
+            n0 = None
+    return n0
+
+
+def _ref_monotonicity_report(gammas, n_max):
+    gammas = sorted(gammas)
+    records = []
+
+    def add(fact, gamma, viol):
+        records.append({"fact": fact, "gamma": gamma, "violations": int(viol)})
+
+    for g in gammas:
+        nu = np.array([abs(nu_n(n, g)) for n in range(1, n_max + 1)])
+        p = np.array([p_n(n, g) for n in range(1, n_max + 1)])
+        q = np.array([abs(q_cert(n, g)) for n in range(1, n_max + 1)])
+        add("abs_nu_decreasing_in_n", g, np.sum(np.diff(nu) >= 1e-15))
+        add("p_positive", g, np.sum(p <= 0))
+        if g < 2.0 / 3.0:
+            add("p_increasing_below_half", g, np.sum(np.diff(p) <= 0) + np.sum(p >= 0.5))
+        elif g == 2.0 / 3.0:
+            add("p_equals_half", g, np.sum(np.abs(p - 0.5) > 1e-12))
+        else:
+            add("p_decreasing", g, np.sum(np.diff(p) >= 0))
+        if g <= 2.0:
+            add("abs_q_decreasing_from_2", g, np.sum(np.diff(q[1:]) >= 0))
+        elif g <= 7.0 / 3.0:
+            add("abs_q_decreasing_from_3", g, np.sum(np.diff(q[2:]) >= 0))
+        if g >= 0.2:
+            bound = 1.0 / (4.0 * np.sqrt(np.arange(1, n_max + 1) + g))
+            add("sqrt_estimate", g, np.sum(q > bound))
+        ratios = []
+        for n in range(2, n_max):
+            top = (1 + 2 * abs(nu_n(n + 1, g))) / (1 - 2 * abs(nu_n(n + 1, g)))
+            bot = (1 - 2 * abs(nu_n(n, g))) / (1 + 2 * abs(nu_n(n, g)))
+            ratios.append(top * bot)
+        ratios = np.array(ratios)
+        add("nu_ratio_min_at_2", g, np.sum(ratios < ratios[0] - 1e-14))
+
+    for i in range(len(gammas) - 1):
+        g1, g2 = gammas[i], gammas[i + 1]
+        for n in range(1, n_max + 1):
+            if abs(nu_n(n, g2)) > abs(nu_n(n, g1)) + 1e-15:
+                add("abs_nu_decreasing_in_gamma", g2, 1)
+                break
+        else:
+            add("abs_nu_decreasing_in_gamma", g2, 0)
+        if g1 >= 1.0 / 3.0:
+            viol = sum(1 for n in range(1, n_max + 1) if p_n(n, g2) < p_n(n, g1) - 1e-15)
+            add("p_increasing_in_gamma", g2, viol)
+        viol = sum(1 for n in range(3, n_max + 1)
+                   if abs(q_cert(n, g2)) > abs(q_cert(n, g1)) + 1e-15)
+        if g1 >= 0.1:
+            viol += 1 if abs(q_cert(2, g2)) > abs(q_cert(2, g1)) + 1e-15 else 0
+        add("abs_q_decreasing_in_gamma", g2, viol)
+    return records
+
+
+@pytest.mark.parametrize("n_max", ARRAY_N_MAX)
+@pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
+def test_sequence_consumers_equal_their_per_n_loops(gamma, n_max):
+    for family in ("A", "B"):
+        for exact in (False, True):
+            got = family_tridiagonal(family, gamma, n_max, exact=exact)
+            want = _ref_family_tridiagonal(family, gamma, n_max, exact)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (family, exact)
+    if gamma < 2.0 / 3.0:
+        alphas = appendix.certificate_alphas(gamma, n_max)
+        want = _ref_alternating(lambda n: 1.0 + 2.0 * nu_n(n, gamma), gamma, 2, n_max)
+        assert np.array_equal(alphas[2:], want[2:])
+        betas = appendix.certificate_betas(gamma, n_max)
+        want = _ref_alternating(lambda n: 1.0 - nu_n(n, gamma), gamma, 1, n_max)
+        assert np.array_equal(betas[1:], want[1:])
+    got = appendix.certificate_expressions(gamma, n_max)
+    want = _ref_certificate_expressions(gamma, n_max)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n_max", ARRAY_N_MAX)
+def test_monotonicity_report_equals_its_per_n_loops(n_max):
+    # 0.05 takes the cross-gamma |q| fact from n = 3, the rest from n = 2
+    gammas = [0.05, *ARRAY_GAMMAS]
+    assert monotonicity_report(gammas, n_max) == _ref_monotonicity_report(gammas, n_max)
+
+
+@pytest.mark.parametrize("n_cap", [1, 3, 12, 50, 200, 10_000])
+@pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
+def test_n_zero_equals_its_per_n_loop(gamma, n_cap):
+    want = _ref_n_zero(gamma, n_cap)
+    if want is None:
+        with pytest.raises(RuntimeError):
+            n_zero(gamma, n_cap)
+    else:
+        assert n_zero(gamma, n_cap) == want
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_monotonicity_report_needs_three_rows(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        monotonicity_report((1.0,), n_max)

@@ -24,6 +24,14 @@ def test_simplex_law_total_energy():
     assert law.total_energy == 2.0
 
 
+@pytest.mark.parametrize("sites", [2.5, 3.0, True])
+def test_simplex_law_refuses_a_sites_that_is_not_an_integer(sites):
+    # 2.5 sites used to construct and then recurse without end in the Galerkin basis
+    with pytest.raises(TypeError, match="sites"):
+        SimplexLaw(GammaShape(1.0), 1.0, sites)
+    assert SimplexLaw(GammaShape(1.0), 1.0, np.int64(3)).total_energy == 3.0
+
+
 def test_sample_matrix_constraint(rng):
     law = SimplexLaw(GammaShape(0.5), 2.0, 5)
     x = sample_matrix(law, 20, rng)

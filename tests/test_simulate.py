@@ -25,6 +25,7 @@ def test_topology_validation():
     assert Topology(LONG_RANGE, 4).prefactor == 0.25
     assert Topology(NEAREST, 4).prefactor == 1.0
     assert len(Topology(LONG_RANGE, 5).bonds()) == 10
+    assert Topology(NEAREST, np.int64(3)).bonds() == [(0, 1), (1, 2)]
     # the simulator re-exports the one definition
     assert (simulate.Topology, simulate.NEAREST, simulate.LONG_RANGE) == (Topology, NEAREST, LONG_RANGE)
 
@@ -51,6 +52,12 @@ def test_run_requires_budget(rng):
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
     with pytest.raises(ValueError):
         run(make_kernel("kmp"), Topology(NEAREST, 3), law, rng)
+
+
+@pytest.mark.parametrize("sites", [2.5, 3.0, True])
+def test_topology_refuses_a_sites_that_is_not_an_integer(sites):
+    with pytest.raises(TypeError, match="sites"):
+        Topology(NEAREST, sites)
 
 
 def test_run_requires_the_kernel_reversible_law(rng):
