@@ -73,6 +73,7 @@ __all__ = [
     "verify_certificates",
     "n_zero",
     "monotonicity_report",
+    "run_checks",
 ]
 
 
@@ -312,14 +313,19 @@ class KappaBracket:
     def width(self) -> float:
         return self.upper - self.lower
 
+    @property
+    def consistent(self) -> bool:
+        """lower <= upper up to a rounding slack; false when either side is NaN."""
+        return self.lower <= self.upper + 1e-8
+
 
 def kappa_tilde_1_bracket(gamma: float, n_max: int = 200, degree: int = 8,
                           strict: bool = True) -> KappaBracket:
     """Bracket on kappa~_1: lower = (1/3)(2 - certified sup over both
     certificate families); upper = polynomial Galerkin value at the given
-    degree.  Raises BracketInversionError when lower > upper + 1e-8 (which the
-    certificate coefficients do produce; see the module docstring), unless
-    ``strict`` is disabled for diagnostic use."""
+    degree.  Raises BracketInversionError when the bracket is not
+    ``consistent`` (which the certificate coefficients do produce; see the
+    module docstring), unless ``strict`` is disabled for diagnostic use."""
     sa = tridiagonal_sup("A", gamma, n_max)
     sb = tridiagonal_sup("B", gamma, n_max)
     s_upper = max(sa.certified_sup_upper, sb.certified_sup_upper)
@@ -327,7 +333,7 @@ def kappa_tilde_1_bracket(gamma: float, n_max: int = 200, degree: int = 8,
     upper = kappa_tilde(1.0, gamma, degree)
     bracket = KappaBracket(lower=lower, upper=upper, gamma=gamma, n_max=n_max,
                            degree=degree, family_a=sa, family_b=sb)
-    if strict and lower > upper + 1e-8:
+    if strict and not bracket.consistent:
         raise BracketInversionError(
             f"certificate lower bound {lower:.6f} exceeds Galerkin upper bound "
             f"{upper:.6f} at gamma={gamma}: the certificate q-sequence decays "
@@ -517,4 +523,32 @@ def monotonicity_report(gammas, n_max: int = 50) -> list[dict]:
             add("p_increasing_in_gamma", g2, np.sum(p2 < p1 - 1e-15))
         lo = 1 if g1 >= 0.1 else 2  # from n = 2 for g1 >= 0.1, else from n = 3
         add("abs_q_decreasing_in_gamma", g2, np.sum(q2[lo:] > q1[lo:] + 1e-15))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# the appendix claims, as the records of ``gapforge verify --suite appendix``
+
+def run_checks(n_max: int) -> list[dict]:
+    """Every appendix claim with its pass threshold, in report order: the
+    certificate sups (both below 1, tail limits within 1e-2 of 1/2), the
+    per-n propositions at gamma = 1, the monotonicity facts (at n <= 50,
+    whatever ``n_max``), and the kappa~_1 brackets (lower above 1/3,
+    ``consistent``, width below 5e-3)."""
+    records = []
+    for g in (1.0 / 3.0, 0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0):
+        cert = verify_certificates(g, n_max=n_max)
+        ok = (cert["ok"] and abs(cert["limit_a"] - 0.5) < 1e-2
+              and abs(cert["limit_b"] - 0.5) < 1e-2)
+        records.append({"claim": "certificate-sup", "pass": ok, **cert})
+    records += verify_prop_a(1.0, n_max=n_max)
+    records += verify_prop_b(1.0, n_max=n_max)
+    for rec in monotonicity_report((0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0), n_max=50):
+        records.append({"claim": rec["fact"], "pass": rec["violations"] == 0, **rec})
+    for g in (0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0):
+        bracket = kappa_tilde_1_bracket(g, n_max=n_max, strict=False)
+        ok = (bracket.lower > 1.0 / 3.0 and bracket.consistent
+              and bracket.width < 5e-3)
+        records.append({"claim": "kappa-tilde-bracket", "gamma": g,
+                        "lower": bracket.lower, "upper": bracket.upper, "pass": ok})
     return records

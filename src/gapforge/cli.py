@@ -1,5 +1,8 @@
 """Command-line driver: configuration, execution, and CSV/JSON emission.
 
+``verify`` runs the suites of ``SUITES``; their claims and pass thresholds
+live in ``appendix.run_checks`` and ``bounds.run_all_checks``.
+
 Exit codes: 0 success, 1 config error, 2 numerical-diagnostic failure
 (non-convergence / ill-conditioning), 3 verification failure (an inequality
 violated).
@@ -217,17 +220,14 @@ def cmd_kappa(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if kern.name not in ("star", "kmp"):
         raise ValueError(f"kappa is defined for the star family, not {kern.name!r}")
     m, g = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
-    k = kappa(m, g, cfg.degree)
-    kt = kappa_tilde(m, g, cfg.degree)
-    report = {"m": m, "gamma": g, "degree": cfg.degree,
-              "kappa": k, "kappa_tilde": kt}
-    if m == 1.0:
-        bracket = appendix.kappa_tilde_1_bracket(g, degree=cfg.degree,
-                                                 strict=False)
-        report["certificate_lower"] = bracket.lower
-        report["galerkin_upper"] = bracket.upper
-        report["bracket_consistent"] = bracket.lower <= bracket.upper + 1e-8
-        report["lower_exceeds_one_third"] = bracket.lower > 1.0 / 3.0
+    report = {"m": m, "gamma": g, "degree": cfg.degree, "kappa": kappa(m, g, cfg.degree)}
+    if m == 1.0:  # the bracket's upper side is kappa~ itself
+        bracket = appendix.kappa_tilde_1_bracket(g, degree=cfg.degree, strict=False)
+        report.update(kappa_tilde=bracket.upper, certificate_lower=bracket.lower,
+                      galerkin_upper=bracket.upper, bracket_consistent=bracket.consistent,
+                      lower_exceeds_one_third=bracket.lower > 1.0 / 3.0)
+    else:
+        report["kappa_tilde"] = kappa_tilde(m, g, cfg.degree)
     print(json.dumps(report, indent=2, sort_keys=True))
     if cfg.output:
         with open(cfg.output, "w") as fh:
@@ -243,56 +243,32 @@ def cmd_two_site(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+# each verify suite's runner, from the parsed flags to its records, in --suite all order
+SUITES = {
+    "appendix": lambda args: appendix.run_checks(200 if args.n_max is None else args.n_max),
+    "theorems": lambda args: [c.to_record() for c in bounds.run_all_checks(fast=args.fast)],
+}
+
+
 def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    suite = args.suite
-    report: dict = {"schema": SCHEMA_VERSION, "suite": suite, "checks": []}
-    failed = False
-    if suite in ("appendix", "all"):
-        gamma_grid = (1.0 / 3.0, 0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0)
-        for g in gamma_grid:
-            cert = appendix.verify_certificates(g, n_max=args.n_max)
-            ok = (cert["ok"] and abs(cert["limit_a"] - 0.5) < 1e-2
-                  and abs(cert["limit_b"] - 0.5) < 1e-2)
-            report["checks"].append({"claim": "certificate-sup", "pass": ok, **cert})
-            failed |= not ok
-        for rec in appendix.verify_prop_a(1.0, n_max=args.n_max):
-            report["checks"].append(rec)
-            failed |= not rec["pass"]
-        for rec in appendix.verify_prop_b(1.0, n_max=args.n_max):
-            report["checks"].append(rec)
-            failed |= not rec["pass"]
-        for rec in appendix.monotonicity_report(
-                (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0), n_max=50):
-            ok = rec["violations"] == 0
-            report["checks"].append({"claim": rec["fact"], "pass": ok, **rec})
-            failed |= not ok
-        for g in (0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0):
-            bracket = appendix.kappa_tilde_1_bracket(g, n_max=args.n_max,
-                                                     strict=False)
-            ok = (bracket.lower > 1.0 / 3.0
-                  and bracket.lower <= bracket.upper + 1e-8
-                  and bracket.upper - bracket.lower < 5e-3)
-            report["checks"].append({
-                "claim": "kappa-tilde-bracket", "gamma": g,
-                "lower": bracket.lower, "upper": bracket.upper, "pass": ok,
-            })
-            failed |= not ok
-    if suite in ("theorems", "all"):
-        for check in bounds.run_all_checks(fast=args.fast):
-            report["checks"].append(check.to_record())
-            failed |= not check.passed
-    report["pass"] = not failed
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    for flag, given, suite in (("--n-max", args.n_max is not None, "appendix"),
+                               ("--fast", args.fast, "theorems")):
+        if given and suite not in names:
+            raise ValueError(f"{flag} is read only by --suite {suite} or all")
+    checks = [rec for name in names for rec in SUITES[name](args)]
+    bad = sum(not c["pass"] for c in checks)
+    report = {"schema": SCHEMA_VERSION, "suite": args.suite, "checks": checks,
+              "pass": bad == 0}
     text = json.dumps(report, indent=2, sort_keys=True, default=float)
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(text + "\n")
         _write_summary_csv(os.path.splitext(cfg.output)[0] + ".csv", report)
-    n = len(report["checks"])
-    bad = sum(not c.get("pass", True) for c in report["checks"])
-    print(f"{n} checks, {bad} failures")
+    print(f"{len(checks)} checks, {bad} failures")
     if not cfg.output:
         print(text)
-    return VERIFICATION_FAILURE if failed else 0
+    return VERIFICATION_FAILURE if bad else 0
 
 
 def _write_summary_csv(path: str, report: dict) -> None:
@@ -364,53 +340,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *flags):
+    def command(name, run, help, *flags):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
     kernel = ("--config", "--model", "--m", "--gamma")
-    command("gap", "compute a single spectral gap", *_FLAGS)
+    command("gap", cmd_gap, "compute a single spectral gap", *_FLAGS)
 
-    p = command("sweep", "grid sweep over E, N, m, gamma", *_FLAGS)
+    p = command("sweep", cmd_sweep, "grid sweep over E, N, m, gamma", *_FLAGS)
     p.add_argument("--energies", help="comma-separated E grid")
     p.add_argument("--sites-grid", help="comma-separated N grid")
     p.add_argument("--m-grid", help="comma-separated m grid")
     p.add_argument("--gamma-grid", help="comma-separated gamma grid")
     p.add_argument("--jobs", type=int, default=1)
 
-    command("kappa", "three-site constants, both routes", *kernel, "--degree", "--out")
+    command("kappa", cmd_kappa, "three-site constants, both routes", *kernel, "--degree", "--out")
 
-    p = command("two-site", "two-site constant C~", *kernel)
+    p = command("two-site", cmd_two_site, "two-site constant C~", *kernel)
     p.add_argument("--two-site-degree", type=int, default=30)
 
-    p = command("verify", "lemma / theorem verification suites", "--out")
-    p.add_argument("--suite", choices=["appendix", "theorems", "all"],
-                   default="all")
-    p.add_argument("--n-max", type=int, default=200)
+    p = command("verify", cmd_verify, "lemma / theorem verification suites", "--out")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    p.add_argument("--n-max", type=int, help="appendix truncation (default 200)")
     p.add_argument("--fast", action="store_true",
                    help="reduced grids for smoke runs")
 
-    p = command("simulate", "dump a sampled trajectory to CSV", *kernel,
+    p = command("simulate", cmd_simulate, "dump a sampled trajectory to CSV", *kernel,
                 "--E", "--N", "--topology", "--budget", "--seed", "--out")
     p.add_argument("--sample-dt", type=float)
 
-    p = command("path", "moving-path construction for a site pair")
+    p = command("path", cmd_path, "moving-path construction for a site pair")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     return parser
-
-
-DISPATCH = {
-    "gap": cmd_gap,
-    "sweep": cmd_sweep,
-    "kappa": cmd_kappa,
-    "two-site": cmd_two_site,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "path": cmd_path,
-}
 
 
 def main(argv=None) -> int:
@@ -429,14 +394,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     try:
-        return DISPATCH[args.command](cfg, args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (np.linalg.LinAlgError, ArithmeticError,
+        return args.run(cfg, args)
+    except (np.linalg.LinAlgError, ArithmeticError,  # LinAlgError is a ValueError
             appendix.BracketInversionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -414,3 +414,50 @@ def test_n_zero_equals_its_per_n_loop(gamma, n_cap):
 def test_monotonicity_report_needs_three_rows(n_max):
     with pytest.raises(ValueError, match="n_max"):
         monotonicity_report((1.0,), n_max)
+
+
+def test_bracket_consistency_refuses_a_nan_side(monkeypatch):
+    bracket = kappa_tilde_1_bracket(1.0, n_max=12, strict=False)
+    assert bracket.consistent is (bracket.lower <= bracket.upper + 1e-8)
+    assert not appendix.KappaBracket(0.3, math.nan, 1.0, 12, 8, bracket.family_a,
+                                     bracket.family_b).consistent
+    monkeypatch.setattr(appendix, "kappa_tilde", lambda m, gamma, degree: math.nan)
+    with pytest.raises(BracketInversionError):
+        kappa_tilde_1_bracket(1.0, n_max=12, strict=True)
+
+
+def _ref_verify_appendix_records(n_max):
+    """The appendix block of ``cli.cmd_verify`` as it stood before
+    ``run_checks`` held it: the same grids, thresholds and record order."""
+    checks = []
+    gamma_grid = (1.0 / 3.0, 0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0)
+    for g in gamma_grid:
+        cert = appendix.verify_certificates(g, n_max=n_max)
+        ok = (cert["ok"] and abs(cert["limit_a"] - 0.5) < 1e-2
+              and abs(cert["limit_b"] - 0.5) < 1e-2)
+        checks.append({"claim": "certificate-sup", "pass": ok, **cert})
+    for rec in appendix.verify_prop_a(1.0, n_max=n_max):
+        checks.append(rec)
+    for rec in appendix.verify_prop_b(1.0, n_max=n_max):
+        checks.append(rec)
+    for rec in appendix.monotonicity_report(
+            (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.0), n_max=50):
+        ok = rec["violations"] == 0
+        checks.append({"claim": rec["fact"], "pass": ok, **rec})
+    for g in (0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0):
+        bracket = appendix.kappa_tilde_1_bracket(g, n_max=n_max, strict=False)
+        ok = (bracket.lower > 1.0 / 3.0
+              and bracket.lower <= bracket.upper + 1e-8
+              and bracket.upper - bracket.lower < 5e-3)
+        checks.append({
+            "claim": "kappa-tilde-bracket", "gamma": g,
+            "lower": bracket.lower, "upper": bracket.upper, "pass": ok,
+        })
+    return checks
+
+
+@pytest.mark.parametrize("n_max", [3, 12, 60])
+def test_run_checks_equals_the_cli_block_it_replaced(n_max):
+    got = appendix.run_checks(n_max)
+    assert got == _ref_verify_appendix_records(n_max)
+    assert all(type(rec["pass"]) is bool for rec in got)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gapforge import cli, models
+from gapforge import appendix, cli, models
 from gapforge.cli import (
     CONFIG_ERROR,
     NUMERICAL_ERROR,
@@ -160,6 +160,74 @@ def test_verify_appendix_reports_failures(tmp_path, capsys):
     rep = json.loads(out.read_text())
     bad = [c for c in rep["checks"] if not c.get("pass", True)]
     assert bad and all(c["claim"] == "kappa-tilde-bracket" for c in bad)
+
+
+def test_verify_appendix_records_are_run_checks(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "appendix", "--n-max", "12",
+                 "--out", str(out)]) == VERIFICATION_FAILURE
+    capsys.readouterr()
+    want = json.loads(json.dumps(appendix.run_checks(12), default=float))
+    assert json.loads(out.read_text())["checks"] == want
+
+
+def _stub_suites(monkeypatch, first="first", second="second"):
+    """Two stub verify suites; returns the list of the runs they saw."""
+    seen = []
+
+    def runner(name, records):
+        return lambda args: seen.append((name, args.n_max, args.fast)) or records
+
+    monkeypatch.setattr(cli, "SUITES", {
+        first: runner(first, [{"claim": "a", "pass": True}, {"claim": "b", "pass": False}]),
+        second: runner(second, [{"claim": "c", "pass": True}]),
+    })
+    return seen
+
+
+def test_verify_runs_the_suite_table_in_order(tmp_path, monkeypatch, capsys):
+    seen = _stub_suites(monkeypatch)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == VERIFICATION_FAILURE
+    assert capsys.readouterr().out == "3 checks, 1 failures\n"
+    rep = json.loads(out.read_text())
+    assert [c["claim"] for c in rep["checks"]] == ["a", "b", "c"]
+    assert rep["suite"] == "all" and rep["pass"] is False
+    assert main(["verify", "--suite", "second"]) == 0
+    head, text = capsys.readouterr().out.split("\n", 1)
+    assert head == "1 checks, 0 failures"
+    assert json.loads(text)["checks"] == [{"claim": "c", "pass": True}]
+    assert seen == [("first", None, False), ("second", None, False), ("second", None, False)]
+    assert main(["verify", "--suite", "appendix"]) == CONFIG_ERROR  # not in the table
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "theorems", "--n-max", "3", "--fast"], "--n-max"),
+    (["--suite", "theorems", "--n-max", "0"], "--n-max"),
+    (["--suite", "appendix", "--fast"], "--fast"),
+    (["--suite", "appendix", "--n-max", "3", "--fast"], "--fast"),
+])
+def test_verify_refuses_the_flag_of_a_suite_it_does_not_run(argv, flag, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", *argv, "--out", str(out)]) == CONFIG_ERROR
+    assert f"config error: {flag} is read only by" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_all_takes_both_suite_flags(monkeypatch, capsys):
+    seen = _stub_suites(monkeypatch, "appendix", "theorems")
+    assert main(["verify", "--n-max", "3", "--fast"]) == VERIFICATION_FAILURE
+    assert main(["verify", "--suite", "theorems", "--fast"]) == 0
+    capsys.readouterr()
+    assert seen == [("appendix", 3, True), ("theorems", 3, True), ("theorems", None, True)]
+
+
+def test_ill_conditioned_gram_is_numerical_failure(capsys):
+    # LinAlgError is a ValueError: main must catch it as numerical first
+    code = main(["gap", "--model", "stick", "--m", "2", "--N", "2", "--degree", "9"])
+    assert code == NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "ill-conditioned" in err
 
 
 def test_seed_env_default(monkeypatch):
