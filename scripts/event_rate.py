@@ -10,6 +10,11 @@ commits checks in one go that the loop got faster and that it hands out the
 same numbers:
 
     PYTHONPATH=src python3 scripts/event_rate.py --repeat 3
+
+With ``--estimates`` it does the same for the five autocorrelation estimates
+of mc-relax (200k events, the degree-3 Galerkin observable): seconds per
+estimate and a sha256 over value, stderr, window, R^2, sample count,
+diagnostics and the generator's next draw.
 """
 
 import argparse
@@ -33,6 +38,8 @@ SHAPES = [
     ("kmp", 0.0, 1.0, 16, LONG_RANGE, 100_000),
     ("gg2", 0.5, 1.0, 4, NEAREST, 10_000),
 ]
+ESTIMATE_EVENTS = 200_000
+OBSERVABLE_DEGREE = 3
 
 
 def fingerprint(traj, rng) -> str:
@@ -43,28 +50,45 @@ def fingerprint(traj, rng) -> str:
     return h.hexdigest()
 
 
+def estimate_fingerprint(est, rng) -> str:
+    fields = (est.value, est.stderr, est.window, est.r_squared, est.n_samples,
+              est.diagnostics, rng.random())
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--repeat", type=int, default=3, help="runs per shape; the fastest counts")
+    ap.add_argument("--estimates", action="store_true",
+                    help="time and fingerprint the five gap estimates instead of bare runs")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
-    print(f"{'shape':32s} {'events':>8s} {'events/s':>10s}  sha256")
-    for idx, (name, m, g, n, kind, events) in enumerate(SHAPES):
+    shapes = SHAPES[:5] if args.estimates else SHAPES
+    print(f"{'shape':32s} {'events':>8s} {'s' if args.estimates else 'events/s':>10s}  sha256")
+    for idx, (name, m, g, n, kind, events) in enumerate(shapes):
         kern = make_kernel(name, m=m, gamma=g)
         law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
         topo = Topology(kind, n)
+        if args.estimates:
+            events = ESTIMATE_EVENTS
+            obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, kind)
         best, digest = float("inf"), None
         for _ in range(args.repeat):
             rng = np.random.default_rng([args.seed, idx])
             start = time.perf_counter()
-            traj = simulate.run(kern, topo, law, rng, n_events=events)
+            if args.estimates:
+                est = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=events,
+                                                     observable=obs)
+            else:
+                traj = simulate.run(kern, topo, law, rng, n_events=events)
             best = min(best, time.perf_counter() - start)
-            digest = fingerprint(traj, rng)
+            digest = estimate_fingerprint(est, rng) if args.estimates else fingerprint(traj, rng)
         label = f"{name} m={m:g} gamma={g:g} N={n} {kind}"
-        print(f"{label:32s} {events:8d} {events / best:10.0f}  {digest}")
+        rate = best if args.estimates else events / best
+        print(f"{label:32s} {events:8d} {rate:10.{3 if args.estimates else 0}f}  {digest}")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ __all__ = [
     "LONG_RANGE",
     "Topology",
     "ExchangeKernel",
+    "BetaSampler",
     "star_kernel",
     "gg3_kernel",
     "gg2_kernel",
@@ -136,6 +137,17 @@ def _mechanical(name, m, gamma, lam_r, density, sampler, rule) -> ExchangeKernel
 # ---------------------------------------------------------------------------
 # star model: Lambda = (a+b)^m, alpha ~ Beta(gamma, gamma)
 
+@dataclass(frozen=True)
+class BetaSampler:
+    """The star family's sampler: alpha ~ Beta(g, g) whatever the pair.  Its
+    type declares that law, so the simulator may draw the alphas in blocks."""
+
+    g: float
+
+    def __call__(self, a, b, rng):
+        return float(rng.beta(self.g, self.g))
+
+
 def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
     if not math.isfinite(m):
         raise ValueError(f"star kernel requires a finite m, got {m}")
@@ -146,16 +158,13 @@ def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
         alpha = np.asarray(alpha, dtype=float)
         return np.exp((g - 1) * (np.log(alpha) + np.log1p(-alpha)) - lognorm)
 
-    def sampler(a, b, rng):
-        return float(rng.beta(g, g))
-
     def rule(beta):
         u, w = beta_rule(g, g, 48)
         shape = np.shape(beta) + u.shape
         return np.broadcast_to(u, shape), np.broadcast_to(w, shape)
 
     name = "kmp" if (m == 0 and g == 1) else "star"
-    return _mechanical(name, m, gamma, None, density, sampler, rule)
+    return _mechanical(name, m, gamma, None, density, BetaSampler(g), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,15 @@ def orthonormal_values(a: np.ndarray, b: np.ndarray, points: np.ndarray) -> np.n
     out = np.empty((n, points.size))
     out[0] = 1.0
     if n > 1:
-        out[1] = (points - a[0]) / b[1]
+        np.subtract(points, a[0], out=out[1])
+        out[1] /= b[1]
+    # in place, in the order of ((points - a_k) p_k - b_k p_{k-1}) / b_{k+1}
+    prev = np.empty(points.size)
     for k in range(1, n - 1):
-        out[k + 1] = ((points - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+        row = np.subtract(points, a[k], out=out[k + 1])
+        row *= out[k]
+        row -= np.multiply(b[k], out[k - 1], out=prev)
+        row /= b[k + 1]
     return out
 
 

@@ -6,16 +6,20 @@ the pair energy by a fraction alpha drawn from the kernel.  The simulator is
 exact in law (Gillespie): exponential waiting times with the current total
 rate and bond choice proportional to bond rates.  One event costs a bond
 scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
-2N - 3 on the complete graph) and a log append: 3-7 us on 3 or 4 sites, 25
-for gg2's rejection sampler.  Star m = 0 (kmp) rates are constant, as
-(a + b) ** 0.0 is 1.0 for every float: its runs take 8192 waiting times and
-bonds at once from array calls that repeat the loop's sequential sums, so an
-event is an alpha draw and a log append, 1-3 us on 3 to 16 sites; a rate
-other than the declared form is refused.  The log is sampled onto
-the grid every _LOG_EVENTS events into one sample buffer pair, grown in place
-by half and trimmed once at the end, and the total rate is summed afresh every
-_REFRESH_EVERY to control floating drift.  Samplers get a Generator stand-in
-whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
+2N - 3 on the complete graph) and a log append: 3-7 us on 3 or 4 sites, 30
+for gg2's rejection sampler.  ``models.BetaSampler`` declares the star
+family's law, Beta(g, g) whatever the pair, so a block of 8192 events takes
+its alphas from one rng.beta call.  Star m = 0 (kmp) rates are constant, as
+(a + b) ** 0.0 is 1.0 for every float: its blocks also take waiting times
+and bonds from array calls that repeat the loop's sequential sums, so an
+event is a pair update and a log append, 1-2 us on 3 to 16 sites; a rate
+other than the declared form is refused.  The log (or, for the estimator,
+its observable, one float per logged state) is sampled onto the grid every
+_LOG_EVENTS events into one sample buffer pair, grown in place by half and
+trimmed once at the end, and the total rate is summed afresh every
+_REFRESH_EVERY to control floating drift.  Other samplers get a Generator
+stand-in whose scalar random() and beta(a, b) come from arrays drawn ahead,
+bit-exact.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
@@ -37,7 +41,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .measures import SimplexLaw, _check_count, sample_matrix
-from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law
+from .models import (LONG_RANGE, NEAREST, BetaSampler, ExchangeKernel, Topology,
+                     check_reversible_law)
 
 __all__ = [
     "NEAREST",
@@ -100,12 +105,16 @@ class _DrawAhead:
         self._key = None  # (method, *args) of the values drawn ahead
 
     def _refill(self, key):
-        size = min(2 * self._size, _AHEAD) if key == self._key else 8
+        return next(self.draw(key, min(2 * self._size, _AHEAD) if key == self._key else 8))
+
+    def draw(self, key, size: int):
+        """An iterator over ``size`` values of (method, *args) drawn at once;
+        settling hands back to the generator the ones not taken."""
         self.settle()
         self._state = self._rng.bit_generator.state
         self._left = iter(getattr(self._rng, key[0])(*key[1:], size=size).tolist())
         self._size, self._key = size, key
-        return next(self._left)
+        return self._left
 
     def settle(self) -> None:
         if self._key is not None:
@@ -154,6 +163,12 @@ def run(
     _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen so that
     roughly 2^18 samples cover the run, using the initial total rate.
     """
+    return _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, lambda rows: rows)
+
+
+def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe) -> Trajectory:
+    """``run``, recording observe(rows) in place of the (k, N) state rows;
+    ``observe`` returns (k, c) and acts row by row."""
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     if n_events is None and t_max is None:
@@ -170,8 +185,12 @@ def run(
     updates = _bond_updates(topo)
     pref = topo.prefactor
     x = sample_matrix(law, 1, rng)[0].tolist()
+    first = observe(np.array([x]))
     rate = kernel.rate
     sampler = kernel.alpha_sampler
+    # Beta(g, g) whatever the pair: each block's alphas come from one array call
+    beta_g = sampler.g if type(sampler) is BetaSampler else None
+    alphas = None
 
     rates = [pref * rate(x[i], x[j]) for (i, j) in bonds]
     total = sum(rates)
@@ -182,8 +201,7 @@ def run(
         raise ValueError(f"{kernel.name} kernel with m = 0 has a rate other than 1")
     steady = steady and (total - pref) + pref == total
     if not total > 0:
-        return Trajectory(topo, kernel.name, np.zeros(1), np.array([x]),
-                          0, 0.0, flagged=True)
+        return Trajectory(topo, kernel.name, np.zeros(1), first, 0, 0.0, flagged=True)
 
     if sample_dt is None:
         horizon = t_max if t_max is not None else n_events / total
@@ -196,14 +214,14 @@ def run(
     times, flat = [], list(x)
     # the output: rows [0, n_samples) of one buffer pair, grown in place
     grid = np.zeros(min(4096, _MAX_SAMPLES))
-    samples = np.zeros((grid.size, len(x)))
-    samples[0], n_samples = x, 1
+    samples = np.zeros((grid.size, first.shape[1]))
+    samples[0], n_samples = first[0], 1
 
     def flush():
         # grid point g takes the state before the first logged event at or
         # after g; np.cumsum adds in sequence, so it continues the running sum
         nonlocal n_samples
-        rows = np.array(flat).reshape(-1, len(x))
+        rows = observe(np.array(flat).reshape(-1, len(x)))
         while times and n_samples < _MAX_SAMPLES and grid[n_samples - 1] + sample_dt <= times[-1]:
             last = grid[n_samples - 1]
             k = min(_MAX_SAMPLES - n_samples, int((times[-1] - last) / sample_dt) + 2)
@@ -213,7 +231,7 @@ def run(
             if end > grid.size:
                 size = min(max(end, grid.size + grid.size // 2), _MAX_SAMPLES)
                 grid.resize(size, refcheck=False)
-                samples.resize((size, len(x)), refcheck=False)
+                samples.resize((size, samples.shape[1]), refcheck=False)
             grid[n_samples:end] = g
             samples[n_samples:end] = rows[np.searchsorted(times, g, "left")]
             n_samples = end
@@ -222,7 +240,7 @@ def run(
     def trajectory(done, t, flagged=False):
         flush()
         grid.resize(n_samples, refcheck=False)
-        samples.resize((n_samples, len(x)), refcheck=False)
+        samples.resize((n_samples, samples.shape[1]), refcheck=False)
         return Trajectory(topo, kernel.name, grid, samples, done, t, flagged)
 
     ahead = _DrawAhead(rng)
@@ -241,9 +259,11 @@ def run(
             n = min(block, cap_events - done)
             stop = int(np.searchsorted(ts[:n], cap_time, "right"))
             picks = np.minimum(np.searchsorted(cum, u[:stop], "right"), len(rates) - 1)
+            if beta_g is not None:  # the stop alphas the sampler would draw next
+                alphas = iter(rng.beta(beta_g, beta_g, stop).tolist())
             for b in picks.tolist():
                 i, j = bonds[b]
-                alpha = sampler(x[i], x[j], ahead)
+                alpha = sampler(x[i], x[j], ahead) if alphas is None else next(alphas)
                 s = x[i] + x[j]
                 x[i] = alpha * s
                 x[j] = s - alpha * s
@@ -259,6 +279,8 @@ def run(
                 ahead.settle()
                 exp_block = rng.exponential(1.0, block).tolist()
                 uni_block = rng.random(block).tolist()
+                if beta_g is not None:  # one block ahead; settling returns the tail
+                    alphas = ahead.draw(("beta", beta_g, beta_g), block)
                 ptr = 0
             t += exp_block[ptr] / total
             if t > cap_time:
@@ -275,7 +297,7 @@ def run(
                     b = k
                     break
             i, j = bonds[b]
-            alpha = sampler(x[i], x[j], ahead)
+            alpha = sampler(x[i], x[j], ahead) if alphas is None else next(alphas)
             s = x[i] + x[j]
             x[i] = alpha * s
             x[j] = s - alpha * s
@@ -348,6 +370,8 @@ def _fft_length(k: int) -> int:
 
 
 def _autocorrelation(y: np.ndarray, max_lag: int) -> np.ndarray:
+    if y.ndim != 1:
+        raise ValueError(f"the series must be 1-D, got shape {y.shape}")
     n = y.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must lie in [0, {n}) for {n} samples, got {max_lag}")
@@ -408,11 +432,18 @@ def estimate_gap_autocorr(
     run, which the sample buffer may cut short; the pilot adds up to five
     runs of min(30000, n_events // 10) events each, so ``n_events`` must be
     at least 10.  A pilot or main run with fewer than two samples gives a
-    flagged NaN estimate.  Each pilot run is released before the next run;
-    the observable is evaluated on the main run's rows after burn-in only
-    (it acts row by row), and the trajectory is released once it has.
+    flagged NaN estimate.  ``observable`` maps (k, N) states to a (k,) array
+    and must act row by row (other shapes are a ValueError): it is evaluated
+    on every logged state, burn-in included, as the runs sample the grid.
     """
     _check_count("n_events", n_events, 10)
+
+    def observe(rows):
+        y = rows[:, 0] if observable is None else observable(rows)
+        if not (isinstance(y, np.ndarray) and y.shape == rows.shape[:1]):
+            raise ValueError(f"observable must return an array of shape {rows.shape[:1]} "
+                             f"for {rows.shape[0]} rows, got shape {np.shape(y)}")
+        return np.asarray(y, dtype=float)[:, None]
 
     def unfit(dt, n_samples):
         return GapEstimateMC(math.nan, math.nan, observable_name, (0, 0), 0.0,
@@ -422,11 +453,11 @@ def estimate_gap_autocorr(
     pilot_events = min(30_000, n_events // 10)
     pilot_dt = lam_hat = None
     for _ in range(5):
-        pilot = run(kernel, topo, law, rng, n_events=pilot_events, sample_dt=pilot_dt)
+        pilot = _simulate(kernel, topo, law, rng, pilot_events, None, pilot_dt, observe)
         if pilot.sample_times.size < 2:
             return unfit(math.nan, pilot.sample_times.size)
         dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
-        y0 = pilot.samples[:, 0] if observable is None else observable(pilot.samples)
+        y0 = pilot.samples[:, 0]
         del pilot
         idx = np.nonzero(_autocorrelation(y0, min(y0.size // 4, 4096)) < 1.0 / math.e)[0]
         del y0
@@ -440,16 +471,14 @@ def estimate_gap_autocorr(
         lam_hat = 1.0 / dt0
     sample_dt = 0.15 / lam_hat
 
-    traj = run(kernel, topo, law, rng, n_events=n_events,
-               t_max=sample_dt * (_MAX_SAMPLES - 2), sample_dt=sample_dt)
+    traj = _simulate(kernel, topo, law, rng, n_events, sample_dt * (_MAX_SAMPLES - 2),
+                     sample_dt, observe)
     if traj.sample_times.size < 2:
         return unfit(sample_dt, traj.sample_times.size)
     dt = float(traj.sample_times[1] - traj.sample_times[0])
     n_run, total_time = traj.n_events, traj.total_time
-    kept = traj.samples[int(_BURN_IN * traj.sample_times.size):]
-    del traj  # then the buffer goes with kept, once y is formed
-    y = np.ascontiguousarray(kept[:, 0] if observable is None else observable(kept), dtype=float)
-    del kept
+    y = traj.samples[int(_BURN_IN * traj.sample_times.size):, 0]
+    del traj  # the time grid; y keeps the sample column
 
     max_lag = min(y.size // 4, 1 << 14)
     rho = _autocorrelation(y, max_lag)

@@ -66,6 +66,33 @@ def test_stieltjes_orthonormality():
     assert np.max(np.abs(gram - np.eye(13))) < 1e-10
 
 
+def _orthonormal_values_by_expression(a, b, points):
+    # each row as one expression, allocating its temporaries
+    points = np.asarray(points, dtype=float)
+    out = np.empty((a.size, points.size))
+    out[0] = 1.0
+    if a.size > 1:
+        out[1] = (points - a[0]) / b[1]
+    for k in range(1, a.size - 1):
+        out[k + 1] = ((points - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+    return out
+
+
+@pytest.mark.parametrize("rule, degree", [
+    (lambda: beta_rule(1.0, 1.0, 48), 30), (lambda: beta_rule(0.4, 2.5, 40), 12),
+    (lambda: power_rule(0.0, 0.3, -0.5, 48, True), 7), (lambda: legendre_rule(-1.0, 2.0, 6), 5),
+    (lambda: legendre_rule(0.0, 1.0, 3), 1), (lambda: legendre_rule(0.0, 1.0, 3), 0),
+])
+def test_orthonormal_values_are_the_row_expressions(rule, degree):
+    u, w = rule()
+    a, b = stieltjes_recurrence(u, w, degree)
+    # the measure's nodes, points off them (past both ends too), a stick node grid
+    grids = [u, np.linspace(-0.5, 1.5, 1001), KernelIntegrals(make_kernel("stick")).alpha_nodes]
+    for points in grids:
+        assert np.array_equal(orthonormal_values(a, b, points),
+                              _orthonormal_values_by_expression(a, b, points))
+
+
 def test_graded_rule_log_singularity():
     # integral over [0,1] of -log(u) du = 1
     u, w = graded_rule(0.0, 1.0, "lo", n_per_cell=16, n_cells=20)

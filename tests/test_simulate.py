@@ -395,7 +395,20 @@ def test_stand_in_serves_the_generator_stream():
             ref.beta(np.array([1.0, 2.0]), 1.0).tolist(), ref.beta(2, 2), ref.beta(2, 2),
             ref.random(2).tolist(), ref.beta(3.0, 3.0, 2).tolist(), ref.random(),
             ref.standard_normal(), ref.integers(0, 10), ref.random()]
+    # a block drawn at once, of which the caller takes part: a scalar call
+    # after it and settling hand the rest back
+    block = ahead.draw(("beta", 2.0, 2.0), 16)
+    got += [next(block), next(block), next(block), ahead.random()]
+    want += [ref.beta(2.0, 2.0), ref.beta(2.0, 2.0), ref.beta(2.0, 2.0), ref.random()]
+    block = ahead.draw(("beta", 0.5, 0.5), 8)
+    got += [next(block), next(block)]
+    want += [ref.beta(0.5, 0.5), ref.beta(0.5, 0.5)]
     assert repr(got) == repr(want)
+    ahead.settle()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a block taken whole leaves nothing to hand back
+    for v in ahead.draw(("random",), 5):
+        assert v == ref.random()
     ahead.settle()
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -527,6 +540,157 @@ def test_estimate_from_a_one_sample_run_is_flagged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the estimator samples its observable from the event log, float for float
+# what the observable gives on the full state rows of ``run``
+
+def _reference_estimate(kernel, topo, law, rng, n_events, observable=None,
+                        observable_name="centered_x1"):
+    """The estimator on full state rows: ``run``, then the observable on the
+    pilot's rows and on the main run's rows after burn-in."""
+    def unfit(dt, n_samples):
+        return simulate.GapEstimateMC(math.nan, math.nan, observable_name, (0, 0), 0.0,
+                                      dt, n_samples, flagged=True)
+
+    def values(rows):
+        return rows[:, 0] if observable is None else observable(rows)
+
+    pilot_events = min(30_000, n_events // 10)
+    pilot_dt = lam_hat = None
+    for _ in range(5):
+        pilot = run(kernel, topo, law, rng, n_events=pilot_events, sample_dt=pilot_dt)
+        if pilot.sample_times.size < 2:
+            return unfit(math.nan, pilot.sample_times.size)
+        dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
+        y0 = values(pilot.samples)
+        idx = np.nonzero(simulate._autocorrelation(y0, min(y0.size // 4, 4096)) < 1 / math.e)[0]
+        if idx.size and idx[0] > 2:
+            lam_hat = 1.0 / (idx[0] * dt0)
+            break
+        pilot_dt = dt0 / 16.0 if idx.size else dt0 * 16.0
+    if lam_hat is None:
+        lam_hat = 1.0 / dt0
+    sample_dt = 0.15 / lam_hat
+
+    traj = run(kernel, topo, law, rng, n_events=n_events,
+               t_max=sample_dt * (simulate._MAX_SAMPLES - 2), sample_dt=sample_dt)
+    if traj.sample_times.size < 2:
+        return unfit(sample_dt, traj.sample_times.size)
+    dt = float(traj.sample_times[1] - traj.sample_times[0])
+    y = np.ascontiguousarray(values(traj.samples[int(simulate._BURN_IN * traj.sample_times.size):]),
+                             dtype=float)
+    max_lag = min(y.size // 4, 1 << 14)
+    fit = simulate._fit_decay(simulate._autocorrelation(y, max_lag), dt)
+    if fit is None:
+        return unfit(dt, y.size)
+    value, window, r2 = fit
+    batch_vals = []
+    size = y.size // simulate._N_BATCHES
+    for b in range(simulate._N_BATCHES):
+        seg = y[b * size:(b + 1) * size]
+        seg_fit = simulate._fit_decay(
+            simulate._autocorrelation(seg, min(seg.size // 4, max_lag)), dt)
+        if seg_fit is not None:
+            batch_vals.append(seg_fit[0])
+    stderr = (float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
+              if len(batch_vals) >= 3 else math.nan)
+    return simulate.GapEstimateMC(
+        value=value, stderr=stderr, observable=observable_name, window=window,
+        r_squared=r2, dt=dt, n_samples=int(y.size),
+        flagged=(r2 < simulate._R2_THRESHOLD) or not np.isfinite(stderr),
+        diagnostics={
+            "n_events": traj.n_events,
+            "total_time": traj.total_time,
+            "n_batches_used": len(batch_vals),
+            "estimator": "log-autocorrelation least squares, window rho in [0.05, 0.8]",
+        },
+    )
+
+
+# (model, m, gamma, N, topology) of the five mc-relax estimates
+ESTIMATE_SHAPES = [
+    ("kmp", 0.0, 1.0, 3, NEAREST),
+    ("kmp", 0.0, 1.0, 3, LONG_RANGE),
+    ("stick", 1.0, 1.0, 3, NEAREST),
+    ("gg3", 0.5, 1.5, 3, NEAREST),
+    ("star", 1.0, 1.0, 4, LONG_RANGE),
+]
+
+
+def _assert_same_estimate(kern, topo, law, seed, n_events, observable=None):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = estimate_gap_autocorr(kern, topo, law, rng_new, n_events, observable)
+    want = _reference_estimate(kern, topo, law, rng_ref, n_events, observable)
+    # every field, NaN equal to NaN and 0.0 told from -0.0
+    np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(want))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("settings", ["default", "short log", "small buffer"])
+@pytest.mark.parametrize("shape", ESTIMATE_SHAPES, ids=lambda s: f"{s[0]}-N{s[3]}-{s[4]}")
+def test_estimate_equals_the_observable_on_full_rows(shape, settings, monkeypatch):
+    if settings == "short log":  # many flushes, each evaluating the observable
+        monkeypatch.setattr(simulate, "_LOG_EVENTS", 300)
+    elif settings == "small buffer":  # pilot and main run stopped by the buffer
+        monkeypatch.setattr(simulate, "_MAX_SAMPLES", 700)
+    model, m, g, n, kind = shape
+    kern = make_kernel(model, m=m, gamma=g)
+    law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+    topo = Topology(kind, n)
+    obs = slowest_mode_observable(law, kern, 3, kind)
+    for observable in (obs, None):
+        est = _assert_same_estimate(kern, topo, law, [n, 28], 20_000, observable)
+        assert est.n_samples > 2
+        if settings == "small buffer":
+            assert est.n_samples <= 700 - int(simulate._BURN_IN * 700)
+
+
+def test_estimate_equals_the_observable_on_full_rows_where_runs_end_early(monkeypatch):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    topo = Topology(NEAREST, 3)
+    obs = slowest_mode_observable(law, make_kernel("stick"), 3, NEAREST)
+    # every rate 0: the first pilot is flagged at its first state
+    still = dataclasses.replace(make_kernel("stick"), rate=lambda a, b: 0.0)
+    est = _assert_same_estimate(still, topo, law, 1, 1000, obs)
+    assert est.flagged and est.n_samples == 1
+    # a one-sample pilot; three-sample pilots and a main run cut at one step
+    for cap in (1, 3):
+        monkeypatch.setattr(simulate, "_MAX_SAMPLES", cap)
+        est = _assert_same_estimate(make_kernel("kmp"), topo, law, cap, 1000, obs)
+        assert est.flagged
+
+
+@pytest.mark.parametrize("observable", [lambda s: 0.5, lambda s: s[:, :1], lambda s: s[:-1, 0],
+                                        lambda s: list(s[:, 0])],
+                         ids=["float", "column", "short", "list"])
+def test_estimate_refuses_an_observable_without_one_value_per_row(observable):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    with pytest.raises(ValueError, match=r"shape \(\d+,\)"):
+        estimate_gap_autocorr(make_kernel("kmp"), Topology(NEAREST, 3), law,
+                              np.random.default_rng(0), n_events=1000, observable=observable)
+
+
+@pytest.mark.parametrize("shape", [ORACLE_SHAPES[0], ORACLE_SHAPES[8]], ids=lambda s: s[0])
+def test_star_family_alphas_come_in_blocks_and_a_swapped_sampler_per_event(shape, monkeypatch):
+    kern, topo, law, events = _shape_run(shape)
+    # run never calls the declared Beta(g, g) sampler, which would ask the
+    # stand-in for each alpha: its blocks come from the generator
+    assert type(kern.alpha_sampler) is simulate.BetaSampler
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate._DrawAhead, "beta", None)
+        _assert_same_run(kern, topo, law, 5, n_events=events)
+    # the same law behind another callable keeps the per-event calls
+    calls = [0]
+
+    def sampler(a, b, rng):
+        calls[0] += 1
+        return float(rng.beta(1.0, 1.0))
+    swapped = dataclasses.replace(kern, alpha_sampler=sampler)
+    _assert_same_run(swapped, topo, law, 5, n_events=events)
+    assert calls[0] == 2 * events  # run, then the reference loop
+
+
+# ---------------------------------------------------------------------------
 # the autocorrelation: one FFT zero-padded to a 5-smooth length >= n + max_lag
 
 def test_fft_length_is_the_smallest_five_smooth_length():
@@ -592,6 +756,11 @@ def test_autocorrelation_refuses_a_lag_outside_the_series(max_lag):
     # lag 10 of 10 samples has no pair to average over
     with pytest.raises(ValueError, match="max_lag"):
         simulate._autocorrelation(np.arange(10.0), max_lag)
+
+
+def test_autocorrelation_refuses_a_series_that_is_not_one_dimensional():
+    with pytest.raises(ValueError, match=r"1-D, got shape \(10, 1\)"):
+        simulate._autocorrelation(np.arange(10.0)[:, None], 2)
 
 
 def test_autocorrelation_memory_is_bounded():
