@@ -11,6 +11,13 @@ same numbers:
 
     PYTHONPATH=src python3 scripts/event_rate.py --repeat 3
 
+The bare runs take ``run``'s default grid, so their digests changed once, when
+that grid went from about 2^18 samples whatever the budget to about one sample
+per event (at most 2^18): across that change the samples differ while the
+event stream, the total time and the generator's next draw do not, and runs
+given the earlier grid's ``sample_dt`` (the budget's time at the initial total
+rate over 2^18) are bit-identical.
+
 With ``--estimates`` it does the same for the five autocorrelation estimates
 of mc-relax (200k events, the degree-3 Galerkin observable): seconds per
 estimate and a sha256 over value, stderr, window, R^2, sample count,

@@ -8,13 +8,17 @@ section runs the seven shapes of the perfbench mc-relax workload in the order
 of ``MC_SHAPES``: five autocorrelation gap estimates on the Galerkin
 slow-mode observable, then two bare ``simulate.run`` calls, each from the
 generator ``default_rng([seed, index])``; each output is held until the next
-call returns, as the benchmark worker holds it.  After the imports and after
-each call the script prints the process's peak RSS (``ru_maxrss``) and the
-rise that call caused. The call with the largest rise is the one that sets
-the peak:
+call returns, as the benchmark worker holds it.  The ``estimate`` section
+runs one estimate that fills most of the 2^21-sample buffer: kmp N=3 nearest
+at 1.5M events on the degree-3 slow-mode observable, from
+``default_rng(seed)`` (1,887,435 samples at seed 1).  After the imports and
+after each call the script prints the process's peak RSS (``ru_maxrss``) and
+the rise that call caused. The call with the largest rise is the one that
+sets the peak:
 
     PYTHONPATH=src python3 scripts/peak_rss.py
     PYTHONPATH=src python3 scripts/peak_rss.py mc --seed 3001
+    PYTHONPATH=src python3 scripts/peak_rss.py estimate --seed 1
 """
 
 import argparse
@@ -41,6 +45,7 @@ MC_SHAPES = [
     ("gg2", 0.5, 1.0, 4, NEAREST, 3_000, False),
 ]
 OBSERVABLE_DEGREE = 3
+ESTIMATE_EVENTS = 1_500_000
 
 
 def peak_mb() -> float:
@@ -97,18 +102,33 @@ def mc_section(last: list, seed: int) -> None:
         report(f"{name} m={m:g} gamma={g:g} N={n} {kind} events={events}: {label}", last)
 
 
+def estimate_section(last: list, seed: int) -> None:
+    kern = make_kernel("kmp")
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, NEAREST)
+    report("kmp N=3 nearest observable", last)
+    est = simulate.estimate_gap_autocorr(kern, Topology(NEAREST, 3), law,
+                                         np.random.default_rng(seed), n_events=ESTIMATE_EVENTS,
+                                         observable=obs, observable_name="galerkin_mode")
+    report(f"estimate_gap_autocorr events={ESTIMATE_EVENTS}: n_samples={est.n_samples} "
+           f"value={est.value!r}", last)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("section", nargs="?", choices=("verify", "mc"), default="verify")
-    ap.add_argument("--seed", type=int, default=3001, help="generator seed of the mc section")
+    ap.add_argument("section", nargs="?", choices=("verify", "mc", "estimate"), default="verify")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="generator seed of the mc (default 3001) or estimate (default 1) section")
     args = ap.parse_args()
     last = [peak_mb()]
     print(f"{'peak MB':>9s} {'rise':>8s}  after")
     report("imports", last)
     if args.section == "verify":
         verify_section(last)
+    elif args.section == "mc":
+        mc_section(last, 3001 if args.seed is None else args.seed)
     else:
-        mc_section(last, args.seed)
+        estimate_section(last, 1 if args.seed is None else args.seed)
 
 
 if __name__ == "__main__":

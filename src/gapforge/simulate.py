@@ -15,23 +15,29 @@ and bonds from array calls that repeat the loop's sequential sums, so an
 event is a pair update and a log append, 1-2 us on 3 to 16 sites; a rate
 other than the declared form is refused.  The log (or, for the estimator,
 its observable, one float per logged state) is sampled onto the grid every
-_LOG_EVENTS events into one sample buffer pair, grown in place by half and
-trimmed once at the end, and the total rate is summed afresh every
-_REFRESH_EVERY to control floating drift.  Other samplers get a Generator
-stand-in whose scalar random() and beta(a, b) come from arrays drawn ahead,
-bit-exact.
+_LOG_EVENTS events into one sample buffer pair, grown in place by half up to
+the rows the budget is projected to fill (past them only as needed) and
+trimmed once at the end; the default grid keeps about one sample per event,
+at most _GRID_ROWS.  The total rate is summed afresh every _REFRESH_EVERY
+events to control floating drift.  Other samplers get a Generator stand-in
+whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
 only through the observable's overlap with the spectral edge), reported with
 batch-means error bars and fit diagnostics, never as a certified bound.  The
-autocorrelation comes from one real FFT zero-padded to the smallest
-2^a 3^b 5^c >= n + max_lag, which is exact up to max_lag (no wraparound).
+autocorrelation sums, block by block, the cross-correlation of
+max(4 max_lag, 2^14) samples with the same samples plus the max_lag after
+them, each from real FFTs zero-padded to the smallest 2^a 3^b 5^c >= block +
+max_lag: exact up to max_lag (no wraparound), in memory that grows with
+max_lag and not with n.  A series of at most one block plus max_lag samples
+is one block and takes its power spectrum from a single FFT.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -58,6 +64,7 @@ __all__ = [
 ]
 
 _MAX_SAMPLES = 1 << 21  # state snapshots kept per run
+_GRID_ROWS = 1 << 18  # most samples a default grid aims at
 _REFRESH_EVERY = 64  # events between full recomputations of the total rate
 _LOG_EVENTS = 8192  # events logged between samplings of the grid
 _AHEAD = 2048  # most scalar draws an alpha sampler's generator takes at once
@@ -160,15 +167,18 @@ def run(
     Stops after ``n_events`` events or at time ``t_max`` (whichever is given;
     at least one is required).  States are recorded on the uniform time grid
     k * sample_dt (the state is right-continuous piecewise constant), at most
-    _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen so that
-    roughly 2^18 samples cover the run, using the initial total rate.
+    _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen from the
+    initial total rate so that about one sample per event, at most
+    _GRID_ROWS = 2^18, cover the run (2^18 for a ``t_max``-only run).
     """
     return _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, lambda rows: rows)
 
 
-def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe) -> Trajectory:
+def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
+              grid_rows=None) -> Trajectory:
     """``run``, recording observe(rows) in place of the (k, N) state rows;
-    ``observe`` returns (k, c) and acts row by row."""
+    ``observe`` returns (k, c) and acts row by row.  ``grid_rows`` fixes the
+    samples a default grid aims at, whatever the event budget."""
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     if n_events is None and t_max is None:
@@ -203,9 +213,11 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe) -> Tr
     if not total > 0:
         return Trajectory(topo, kernel.name, np.zeros(1), first, 0, 0.0, flagged=True)
 
+    # the time the budget is projected to take at the initial total rate
+    horizon = min(t_max or math.inf, (n_events or math.inf) / total)
     if sample_dt is None:
-        horizon = t_max if t_max is not None else n_events / total
-        sample_dt = max(horizon / (1 << 18), 1e-12)
+        sample_dt = max(horizon / (grid_rows or min(n_events or _GRID_ROWS, _GRID_ROWS)), 1e-12)
+    projected = int(min(_MAX_SAMPLES, horizon / sample_dt + 2))  # the grid rows it fills
 
     cap_events = n_events if n_events is not None else (1 << 62)
     cap_time = t_max if t_max is not None else math.inf
@@ -228,8 +240,8 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe) -> Tr
             g = np.cumsum(np.r_[last, np.full(k, sample_dt)])[1:]
             g = g[:np.searchsorted(g, times[-1], "right")]
             end = n_samples + g.size
-            if end > grid.size:
-                size = min(max(end, grid.size + grid.size // 2), _MAX_SAMPLES)
+            if end > grid.size:  # by half up to the projection, past it as needed
+                size = max(end, min(grid.size + grid.size // 2, projected))
                 grid.resize(size, refcheck=False)
                 samples.resize((size, samples.shape[1]), refcheck=False)
             grid[n_samples:end] = g
@@ -375,12 +387,26 @@ def _autocorrelation(y: np.ndarray, max_lag: int) -> np.ndarray:
     n = y.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must lie in [0, {n}) for {n} samples, got {max_lag}")
-    # zero padding to n + max_lag keeps lags up to max_lag free of wraparound
-    m = _fft_length(n + max_lag)
-    f = np.fft.rfft(y - y.mean(), m)
-    f *= f.conj()
-    acf = np.fft.irfft(f, m)[: max_lag + 1]
-    del f
+    mean = y.mean()
+    # a series that one block and its max_lag tail would cover is one block,
+    # so no block is left with a few samples and a whole transform
+    block = max(4 * max_lag, 1 << 14)
+    block = n if n <= block + max_lag else block
+    # zero padding to block + max_lag keeps lags up to max_lag free of wraparound
+    m = _fft_length(block + max_lag)
+
+    def lag_sums(start):
+        # sum over the block's t of y_t y_{t+k}, k <= max_lag, from the block
+        # and the max_lag samples after it
+        span = y[start:start + block + max_lag] - mean
+        f = np.fft.rfft(span[:block], m)
+        if span.size > block:
+            f = f.conj() * np.fft.rfft(span, m)
+        else:  # nothing after the block: its power spectrum
+            f *= f.conj()
+        return np.fft.irfft(f, m)[: max_lag + 1]
+
+    acf = functools.reduce(operator.iadd, map(lag_sums, range(0, n, block)))
     acf /= np.arange(n, n - max_lag - 1, -1)
     if not acf[0] > 0:  # a constant series has no decay to measure
         return np.full(acf.size, math.nan)
@@ -453,7 +479,8 @@ def estimate_gap_autocorr(
     pilot_events = min(30_000, n_events // 10)
     pilot_dt = lam_hat = None
     for _ in range(5):
-        pilot = _simulate(kernel, topo, law, rng, pilot_events, None, pilot_dt, observe)
+        pilot = _simulate(kernel, topo, law, rng, pilot_events, None, pilot_dt, observe,
+                          grid_rows=_GRID_ROWS)
         if pilot.sample_times.size < 2:
             return unfit(math.nan, pilot.sample_times.size)
         dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
@@ -524,7 +551,8 @@ def equilibrium_check(
     _check_count("n_keep", n_keep, 1)
     from scipy.stats import beta as beta_dist, kstest  # slow to import; only this check uses it
 
-    traj = run(kernel, topo, law, rng, n_events=n_events)
+    traj = _simulate(kernel, topo, law, rng, n_events, None, None, lambda rows: rows,
+                     grid_rows=_GRID_ROWS)
     xs = traj.samples[::max(1, traj.samples.shape[0] // n_keep), 0]
     g = law.gamma.gamma
     n = law.sites

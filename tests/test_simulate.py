@@ -73,6 +73,17 @@ def test_equilibrium_marginal(rng):
     assert rep["pass"], rep
 
 
+def test_equilibrium_check_keeps_its_grid():
+    # the check thins a 2^18-sample grid, not run's one sample per event; this
+    # report is the one it gave before the default grid followed the budget
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    rep = equilibrium_check(make_kernel("stick"), Topology(NEAREST, 3), law,
+                            np.random.default_rng(11), n_events=50_000)
+    assert rep == {"kernel": "stick", "topology": "nearest", "sites": 3, "n_samples": 802,
+                   "ks_statistic": 0.0342428080988324, "p_value": 0.29707951172746316,
+                   "pass": True}
+
+
 def test_gap_estimate_two_site_kmp():
     # N = 2, m = 0: the gap is exactly 1 (chain topology)
     law = SimplexLaw(GammaShape(1.0), 1.0, 2)
@@ -141,9 +152,9 @@ def _reference_run(kernel, topo, law, rng, n_events=None, t_max=None, sample_dt=
         return simulate.Trajectory(topo, kernel.name, np.zeros(1), np.array([x]),
                                    0, 0.0, flagged=True)
 
-    if sample_dt is None:
-        horizon = t_max if t_max is not None else n_events / total
-        sample_dt = max(horizon / (1 << 18), 1e-12)
+    if sample_dt is None:  # about one sample per event, at most 2^18
+        horizon = min(t_max or math.inf, (n_events or math.inf) / total)
+        sample_dt = max(horizon / min(n_events or 1 << 18, 1 << 18), 1e-12)
 
     cap_events = n_events if n_events is not None else (1 << 62)
     cap_time = t_max if t_max is not None else float("inf")
@@ -448,21 +459,46 @@ def test_event_log_memory_is_bounded():
 
 
 def test_sample_buffer_memory_is_bounded():
-    # 100k kmp events on 16 sites keep about 2^18 samples (34 MB): per-flush
-    # chunks joined at the end held them twice (2.0x); one buffer pair grown
-    # in place by half its size and trimmed once peaks near 1.4x
+    # 100k kmp events on 16 sites at total rate 120 / 16 keep about 2^18
+    # samples (34 MB): per-flush chunks joined at the end held them twice
+    # (2.0x); one buffer pair grown in place by half its size peaked near
+    # 1.4x, and capping that growth at the projected rows near 1.2x
     law = SimplexLaw(GammaShape(1.0), 1.0, 16)
     rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
-        traj = run(make_kernel("kmp"), Topology(LONG_RANGE, 16), law, rng, n_events=100_000)
+        traj = run(make_kernel("kmp"), Topology(LONG_RANGE, 16), law, rng, n_events=100_000,
+                   sample_dt=100_000 / 7.5 / (1 << 18))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     kept = traj.samples.nbytes + traj.sample_times.nbytes
     assert traj.samples.shape == (traj.sample_times.size, 16)
     assert traj.samples.shape[0] > 200_000
-    assert peak <= 1.6 * kept, peak / kept
+    assert peak <= 1.25 * kept, peak / kept
+
+
+@pytest.mark.parametrize("seed", [[3001, 6], [3002, 6]], ids=lambda s: str(s[0]))
+def test_default_grid_keeps_about_one_sample_per_event(seed):
+    # the grid is sized from the initial total rate, so the rows kept per
+    # event follow its drift: 0.86-1.19 for this shape over seeds 0-39
+    # (2^18 rows whatever the budget kept 226k-287k at these seeds)
+    law = SimplexLaw(GammaShape(1.0), 1.0, 4)
+    traj = run(make_kernel("gg2"), Topology(NEAREST, 4), law, np.random.default_rng(seed),
+               n_events=3_000)
+    assert 0.8 * 3_000 <= traj.samples.shape[0] <= 1.25 * 3_000
+
+
+def test_default_grid_keeps_at_most_2_18_samples():
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    kern, topo = make_kernel("kmp"), Topology(NEAREST, 3)
+    # a time budget alone: steps of t_max / 2^18 up to the last event, about
+    # half a unit before t_max at total rate 2
+    timed = run(kern, topo, law, np.random.default_rng(4), t_max=20_000.0)
+    assert abs(timed.samples.shape[0] / (1 << 18) - 1) < 0.001
+    # more events than 2^18: about 2^18 samples
+    many = run(kern, topo, law, np.random.default_rng(4), n_events=400_000)
+    assert abs(many.samples.shape[0] / (1 << 18) - 1) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +593,9 @@ def _reference_estimate(kernel, topo, law, rng, n_events, observable=None,
     pilot_events = min(30_000, n_events // 10)
     pilot_dt = lam_hat = None
     for _ in range(5):
-        pilot = run(kernel, topo, law, rng, n_events=pilot_events, sample_dt=pilot_dt)
+        # the pilot's default grid aims at 2^18 samples, not one per event
+        pilot = simulate._simulate(kernel, topo, law, rng, pilot_events, None, pilot_dt,
+                                   lambda rows: rows, grid_rows=1 << 18)
         if pilot.sample_times.size < 2:
             return unfit(math.nan, pilot.sample_times.size)
         dt0 = float(pilot.sample_times[1] - pilot.sample_times[0])
@@ -714,13 +752,16 @@ def _lag_sums(y, lags):
     return np.array([np.dot(y[:n - k], y[k:]) for k in lags]) / np.dot(y, y)
 
 
-def _assert_matches_direct_sum(y, max_lag, lags=None):
+def _assert_matches_direct_sum(y, max_lag, rng):
     # FFT rounding is a fraction of the whole sum of squares, so each lag is
     # compared as its sum, rho_k (n - k) / n, not as its mean over n - k terms
     n = y.size
     rho = simulate._autocorrelation(y, max_lag)
     assert rho.shape == (max_lag + 1,)
-    lags = np.arange(max_lag + 1) if lags is None else lags
+    lags = np.arange(max_lag + 1)
+    if max_lag > 3000:  # the first and last 500 lags and 500 between
+        lags = np.r_[0:500, np.sort(rng.choice(np.arange(500, max_lag - 499), 500, replace=False)),
+                     max_lag - 499:max_lag + 1]
     np.testing.assert_allclose(rho[lags] * (n - lags) / n, _lag_sums(y, lags),
                                rtol=0, atol=1e-12)
 
@@ -728,27 +769,50 @@ def _assert_matches_direct_sum(y, max_lag, lags=None):
 @pytest.mark.parametrize("n, max_lag", [
     (2, 0), (2, 1), (5, 0), (5, 4), (97, 0), (97, 96), (97, 28), (4096, 0),
     (4096, 4095), (4096, 1024), (100_000, 0), (100_000, 99_999), (100_000, 8_000),
+    (100_000, 2_000), (300_000, 16_384), (32_769, 2_000), (81_920, 16_384), (81_921, 16_384),
 ])
 def test_autocorrelation_matches_the_direct_sum(n, max_lag):
     # (97, 28), (4096, 0), (100_000, 0) and (100_000, 8_000): n + max_lag is
-    # already 5-smooth, so the FFT has no spare point
+    # already 5-smooth, so the FFT has no spare point; (100_000, 2_000),
+    # (100_000, 8_000), (300_000, 16_384), (32_769, 2_000) and
+    # (81_921, 16_384) take 7, 4, 5, 3 (the last of one sample) and 2 blocks,
+    # and (81_920, 16_384), one block and its max_lag tail, is one block
     rng = np.random.default_rng([n, max_lag])
     y = np.cumsum(rng.standard_normal(n))
-    lags = None
-    if max_lag > 3000:  # the first and last 500 lags and 500 between
-        lags = np.r_[0:500, np.sort(rng.choice(np.arange(500, max_lag - 499), 500, replace=False)),
-                     max_lag - 499:max_lag + 1]
-    _assert_matches_direct_sum(y, max_lag, lags)
+    _assert_matches_direct_sum(y, max_lag, rng)
 
 
-@pytest.mark.parametrize("n, max_lag", [(100, 25), (100, 99), (4096, 1024)])
+@pytest.mark.parametrize("n, max_lag", [
+    (100, 25), (100, 99), (4096, 1024), (100_000, 2_000), (300_000, 16_384),
+])
 def test_autocorrelation_has_no_wraparound(n, max_lag):
-    # large values at both ends: a circular correlation over fewer than
-    # n + max_lag points would pair the last samples with the first
-    y = 1e-3 * np.random.default_rng(1).standard_normal(n)
+    # large values at both ends and on both sides of every block edge: a
+    # circular correlation over fewer than block + max_lag points would pair
+    # a block's last samples with its first, or drop the pairs across an edge
+    rng = np.random.default_rng(1)
+    y = 1e-3 * rng.standard_normal(n)
     y[:3] += [50.0, -40.0, 30.0]
     y[-3:] += [-30.0, 45.0, 60.0]
-    _assert_matches_direct_sum(y, max_lag)
+    block = max(4 * max_lag, 1 << 14)
+    for edge in range(block, n, block) if n > block + max_lag else ():
+        y[edge - 2:edge + 2] += [35.0, -55.0, 40.0, -25.0]
+    _assert_matches_direct_sum(y, max_lag, rng)
+
+
+@pytest.mark.parametrize("n, max_lag", [
+    (97, 28), (4096, 1024), (40_003, 10_000), (65_929, 16_384), (81_920, 16_384),
+])
+def test_autocorrelation_of_one_block_is_one_fft(n, max_lag):
+    # a series of at most one block and its max_lag tail, as the estimator's
+    # batch segments are, keeps the single power-spectrum FFT bit for bit
+    y = np.cumsum(np.random.default_rng(n).standard_normal(n))
+    m = simulate._fft_length(n + max_lag)
+    f = np.fft.rfft(y - y.mean(), m)
+    f *= f.conj()
+    acf = np.fft.irfft(f, m)[:max_lag + 1] / np.arange(n, n - max_lag - 1, -1)
+    got = simulate._autocorrelation(y, max_lag)
+    assert np.array_equal(got, acf / acf[0])
+    assert np.array_equal(np.signbit(got), np.signbit(acf / acf[0]))
 
 
 @pytest.mark.parametrize("max_lag", [-1, 10, 11, 1000])
@@ -764,15 +828,17 @@ def test_autocorrelation_refuses_a_series_that_is_not_one_dimensional():
 
 
 def test_autocorrelation_memory_is_bounded():
-    # an mc-relax size: an FFT over up to 4n points with a copy of its
-    # spectrum peaked at 12x the series; zero padding to n + max_lag and an
-    # in-place power spectrum keep it near 2x
-    y = np.random.default_rng(2).standard_normal(562_572)
-    tracemalloc.start()
-    try:
-        rho = simulate._autocorrelation(y, 16_384)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rho.shape == (16_385,) and rho[0] == 1.0
-    assert peak <= 3 * y.nbytes, peak / y.nbytes
+    # an mc-relax size and a full sample buffer: one FFT over the whole
+    # zero-padded series peaked near 2x the series (34 MB at 2^21); blocks
+    # of 4 max_lag samples plus a max_lag tail hold a few of their
+    # transforms, whatever n
+    for n in (562_572, 1 << 21):
+        y = np.random.default_rng(2).standard_normal(n)
+        tracemalloc.start()
+        try:
+            rho = simulate._autocorrelation(y, 16_384)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.shape == (16_385,) and rho[0] == 1.0
+        assert peak <= 8_000_000, (n, peak)
