@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Gillespie event rate and output fingerprint of ``simulate.run`` for the
+"""Gillespie event cost and output fingerprint of ``simulate.run`` for the
 seven simulator shapes of the perfbench mc-relax workload.
 
-For each shape the script runs ``simulate.run`` from a fixed seed and prints
-the events per second (best of ``--repeat`` runs) and a sha256 over the
-samples, the sample times, the total time and the generator's next draw.
-The digests depend only on the random stream, so running the script on two
-commits checks in one go that the loop got faster and that it hands out the
-same numbers:
+For each shape the script runs ``simulate.run`` ``--repeat`` times from a
+fixed seed and prints the microseconds per event (min and median over the
+runs) and a sha256 over the samples, the sample times, the total time and the
+generator's next draw.  The digests depend only on the random stream, so they
+check that a faster loop hands out the same numbers:
 
     PYTHONPATH=src python3 scripts/event_rate.py --repeat 3
+
+With ``--against OTHER_CHECKOUT`` the script copies OTHER's ``src/gapforge``
+to a temporary package, imports both copies into one process and alternates
+their runs shape by shape (which side goes first alternates too), so that a
+machine whose speed drifts slows both sides alike.  It prints the min and
+median for both sides and whether every digest of both sides is equal:
+
+    PYTHONPATH=src python3 scripts/event_rate.py --repeat 21 --against ../gapforge-parent
 
 The bare runs take ``run``'s default grid, so their digests changed once, when
 that grid went from about 2^18 samples whatever the budget to about one sample
@@ -25,14 +32,19 @@ diagnostics and the generator's next draw.
 """
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
 import time
 
 import numpy as np
 
-from gapforge import simulate
-from gapforge.measures import SimplexLaw
-from gapforge.models import LONG_RANGE, NEAREST, Topology, make_kernel
+from gapforge.models import LONG_RANGE, NEAREST
 
 # (model, m, gamma, N, topology, events): the five estimate kernels at the
 # script's event budget, then the two bare runs
@@ -47,6 +59,7 @@ SHAPES = [
 ]
 ESTIMATE_EVENTS = 200_000
 OBSERVABLE_DEGREE = 3
+OTHER = "gapforge_against"  # the package name the other checkout's copy takes
 
 
 def fingerprint(traj, rng) -> str:
@@ -63,39 +76,89 @@ def estimate_fingerprint(est, rng) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
-def main() -> None:
+@contextlib.contextmanager
+def other_package(checkout: pathlib.Path):
+    """The name under which ``checkout``'s src/gapforge, copied to a temporary
+    directory, imports beside this one; its modules are dropped on exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(checkout / "src" / "gapforge", pathlib.Path(tmp, OTHER),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sys.path.insert(0, tmp)
+        try:
+            yield OTHER
+        finally:
+            sys.path.remove(tmp)
+            for name in [n for n in sys.modules if n.split(".")[0] == OTHER]:
+                del sys.modules[name]
+
+
+def runner(package: str, idx: int, shape, seed: int, estimates: bool):
+    """One timed run of ``shape`` by ``package``'s simulate: a function of no
+    arguments returning (seconds, digest), always from the same seed."""
+    simulate = importlib.import_module(package + ".simulate")
+    models = importlib.import_module(package + ".models")
+    measures = importlib.import_module(package + ".measures")
+    name, m, g, n, kind, events = shape
+    kern = models.make_kernel(name, m=m, gamma=g)
+    law = measures.SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+    topo = models.Topology(kind, n)
+    if estimates:
+        obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, kind)
+
+    def timed():
+        rng = np.random.default_rng([seed, idx])
+        start = time.perf_counter()
+        if estimates:
+            est = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=events,
+                                                 observable=obs)
+            return time.perf_counter() - start, estimate_fingerprint(est, rng)
+        traj = simulate.run(kern, topo, law, rng, n_events=events)
+        return time.perf_counter() - start, fingerprint(traj, rng)
+
+    return timed
+
+
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--repeat", type=int, default=3, help="runs per shape; the fastest counts")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per shape and side")
     ap.add_argument("--estimates", action="store_true",
                     help="time and fingerprint the five gap estimates instead of bare runs")
-    args = ap.parse_args()
+    ap.add_argument("--against", type=pathlib.Path, metavar="OTHER_CHECKOUT",
+                    help="alternate each shape's runs with those of another checkout")
+    args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
+    if args.against and not (args.against / "src" / "gapforge" / "simulate.py").is_file():
+        ap.error(f"{args.against} holds no src/gapforge/simulate.py")
 
-    shapes = SHAPES[:5] if args.estimates else SHAPES
-    print(f"{'shape':32s} {'events':>8s} {'s' if args.estimates else 'events/s':>10s}  sha256")
-    for idx, (name, m, g, n, kind, events) in enumerate(shapes):
-        kern = make_kernel(name, m=m, gamma=g)
-        law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
-        topo = Topology(kind, n)
-        if args.estimates:
-            events = ESTIMATE_EVENTS
-            obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, kind)
-        best, digest = float("inf"), None
-        for _ in range(args.repeat):
-            rng = np.random.default_rng([args.seed, idx])
-            start = time.perf_counter()
-            if args.estimates:
-                est = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=events,
-                                                     observable=obs)
-            else:
-                traj = simulate.run(kern, topo, law, rng, n_events=events)
-            best = min(best, time.perf_counter() - start)
-            digest = estimate_fingerprint(est, rng) if args.estimates else fingerprint(traj, rng)
-        label = f"{name} m={m:g} gamma={g:g} N={n} {kind}"
-        rate = best if args.estimates else events / best
-        print(f"{label:32s} {events:8d} {rate:10.{3 if args.estimates else 0}f}  {digest}")
+    unit = "s" if args.estimates else "us/event"
+    shapes = [s[:5] + (ESTIMATE_EVENTS,) for s in SHAPES[:5]] if args.estimates else SHAPES
+    with contextlib.ExitStack() as stack:
+        packages = ["gapforge"]
+        head = f"{'shape (' + unit + ')':32s} {'events':>8s} {'min':>10s} {'median':>10s}"
+        if args.against:
+            packages.append(stack.enter_context(other_package(args.against.resolve())))
+            head += f" {'other min':>10s} {'median':>10s}"
+        print(head + "  sha256" + ("  other" if args.against else ""))
+        for idx, shape in enumerate(shapes):
+            sides = [runner(p, idx, shape, args.seed, args.estimates) for p in packages]
+            costs, digests = [[] for _ in sides], [set() for _ in sides]
+            for r in range(args.repeat):
+                for k in (range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))):
+                    seconds, digest = sides[k]()
+                    costs[k].append(seconds if args.estimates else seconds / shape[5] * 1e6)
+                    digests[k].add(digest)
+            name, m, g, n, kind, events = shape
+            line = f"{name} m={m:g} gamma={g:g} N={n} {kind}"
+            line = f"{line:32s} {events:8d}"
+            for c in costs:
+                line += f" {min(c):10.3f} {statistics.median(c):10.3f}"
+            line += "  " + " ".join(sorted(digests[0]))
+            if args.against:
+                line += "  " + ("equal" if digests[0] == digests[1] and len(digests[0]) == 1
+                                else "DIFFER " + " ".join(sorted(digests[1])))
+            print(line, flush=True)
 
 
 if __name__ == "__main__":

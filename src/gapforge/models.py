@@ -6,6 +6,8 @@ Lambda_s(a+b) * Lambda_r(a/(a+b)) with Lambda_s(s) = s^m, and the alpha law
 depends on the pair only through beta = a/(a+b).  The reversible marginal of
 beta is Beta(gamma, gamma) for the kernel's gamma.  Each factory writes its
 Lambda_r once, at one float, and returns its kernel through ``_mechanical``.
+Sampler types declare what the simulator may draw in bulk: ``BetaSampler``
+(star family) and ``UniformSampler``, uniforms only (stick, gg3, gg2).
 
 ``Topology``, the bonds the kernel acts on, is shared by the Galerkin and
 Monte Carlo routes: a nearest-neighbour chain or a complete graph with weight 1/N.
@@ -29,6 +31,7 @@ __all__ = [
     "Topology",
     "ExchangeKernel",
     "BetaSampler",
+    "UniformSampler",
     "star_kernel",
     "gg3_kernel",
     "gg2_kernel",
@@ -148,6 +151,18 @@ class BetaSampler:
         return float(rng.beta(self.g, self.g))
 
 
+@dataclass(frozen=True)
+class UniformSampler:
+    """A sampler whose ``draw(a, b, uniform)`` takes only uniforms, from
+    ``uniform()``: the simulator may serve them in batches drawn ahead, and
+    called as (a, b, rng) it takes them from ``rng.random``."""
+
+    draw: Callable[[float, float, Callable[[], float]], float]
+
+    def __call__(self, a, b, rng):
+        return self.draw(a, b, rng.random)
+
+
 def star_kernel(m: float, gamma: GammaShape) -> ExchangeKernel:
     if not math.isfinite(m):
         raise ValueError(f"star kernel requires a finite m, got {m}")
@@ -174,7 +189,7 @@ _GG3_PREF = math.sqrt(2.0 * math.pi) / 6.0
 
 
 def _gg3_lam_r(beta: float) -> float:
-    mx = max(beta, 1.0 - beta)
+    mx = 1.0 - beta if beta < 0.5 else beta
     return _GG3_PREF * (0.5 + mx) / math.sqrt(mx)
 
 
@@ -187,13 +202,15 @@ def _gg3_density(beta: float, alpha) -> np.ndarray:
 
 
 def gg3_kernel() -> ExchangeKernel:
-    def sampler(a, b, rng):
+    @UniformSampler
+    def sampler(a, b, uniform):
         beta = a / (a + b)
-        c = min(beta, 1.0 - beta)
-        # uniform proposal; accept with 1 ^ sqrt((alpha ^ (1-alpha)) / c)
+        c = 1.0 - beta if beta > 0.5 else beta
+        # uniform proposal; accept with 1 ^ sqrt((alpha ^ (1-alpha)) / c), 1 from c on
         for _ in range(_MAX_PROPOSALS):
-            alpha = rng.random()
-            if rng.random() <= min(1.0, math.sqrt(min(alpha, 1.0 - alpha) / c)):
+            alpha = uniform()
+            lo = 1.0 - alpha if alpha > 0.5 else alpha
+            if uniform() <= (math.sqrt(lo / c) if lo < c else 1.0):
                 return alpha
         raise RejectionLimitError("gg3", beta)
 
@@ -232,7 +249,7 @@ def _gg2_lam_r(beta: float) -> float:
     bstar = beta / nb if beta <= nb else nb / beta
     # beta = 1/2: (1 - t^2) K(t) -> 0
     out = 2.0 * ellipe(bstar) - ((1.0 - bstar) * ellipk(bstar) if bstar < 1.0 else 0.0)
-    return float(out * math.sqrt(8.0 * max(beta, nb) / math.pi ** 3))
+    return float(out * math.sqrt(8.0 * (nb if nb > beta else beta) / math.pi ** 3))
 
 
 def gg2_unnormalized(beta, alpha) -> np.ndarray:
@@ -255,9 +272,9 @@ def gg2_unnormalized(beta, alpha) -> np.ndarray:
 def _gg2_unnormalized_at(beta: float, alpha: float) -> float:
     """gg2_unnormalized at one float pair, in the same operations."""
     nb, na = 1.0 - beta, 1.0 - alpha
-    if alpha <= min(beta, nb):
+    if alpha <= (nb if nb < beta else beta):
         x, y = nb, alpha
-    elif alpha >= max(beta, nb):
+    elif alpha >= (nb if nb > beta else beta):
         x, y = beta, na
     else:
         x, y = (na, beta) if beta <= 0.5 else (alpha, nb)
@@ -270,7 +287,8 @@ def gg2_kernel() -> ExchangeKernel:
     def density(beta, alpha):
         return gg2_unnormalized(beta, alpha) / _gg2_lam_r(beta)
 
-    def sampler(a, b, rng):
+    @UniformSampler
+    def sampler(a, b, uniform):
         beta = a / (a + b)
         lam = _gg2_lam_r(beta)
         star = 1.0 - beta  # location of the log singularity
@@ -278,8 +296,8 @@ def gg2_kernel() -> ExchangeKernel:
         w_left, w_right = math.sqrt(star), math.sqrt(1.0 - star)
         p_left = w_left / (w_left + w_right)
         for _ in range(_MAX_PROPOSALS):
-            u = rng.random()
-            if rng.random() < p_left:
+            u = uniform()
+            if uniform() < p_left:
                 alpha = star - star * u * u
             else:
                 alpha = star + (1.0 - star) * u * u
@@ -287,7 +305,7 @@ def gg2_kernel() -> ExchangeKernel:
             if alpha == star or not math.isfinite(d):  # alpha on the singularity
                 continue
             env = (math.pi / 2.0) / (lam * math.sqrt(abs(alpha - star)))
-            if rng.random() <= d / env:
+            if uniform() <= d / env:
                 return alpha
         raise RejectionLimitError("gg2", beta)
 
@@ -318,26 +336,30 @@ def stick_kernel(m: float) -> ExchangeKernel:
     if not 0 < m < math.inf:
         raise ValueError(f"stick kernel requires a finite m > 0, got {m}")
     # Lambda_r at one float.  Its operations fix the simulator's random stream:
-    # numpy's 0-d ** for the first power (a square root at m = 1/2, a square at
-    # m = 2, np.power at other m) and Python's pow for the second.
-    power = {0.5: math.sqrt, 1.0: float, 2.0: lambda v: v * v}.get(
-        m, lambda v: float(np.power(v, m)))
+    # numpy's 0-d ** for the first power (beta itself at m = 1, a square root at
+    # m = 1/2, a square at m = 2, np.power at other m) and Python's pow for the second.
+    power = {0.5: math.sqrt, 2.0: lambda v: v * v}.get(m, lambda v: float(np.power(v, m)))
 
-    def lam_r(beta):
-        return power(beta) + (1.0 - beta) ** m
+    if m == 1.0:
+        def lam_r(beta):
+            return beta + (1.0 - beta) ** m
+    else:
+        def lam_r(beta):
+            return power(beta) + (1.0 - beta) ** m
 
     def density(beta, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return m * np.abs(beta - alpha) ** (m - 1.0) / lam_r(beta)
 
-    def sampler(a, b, rng):
+    @UniformSampler
+    def sampler(a, b, uniform):
         # piecewise power-law CDF inverts in closed form
         beta = a / (a + b)
-        lam = lam_r(beta)
-        u = rng.random() * lam
-        if u < beta ** m:
-            return beta - (beta ** m - u) ** (1.0 / m)
-        return beta + (u - beta ** m) ** (1.0 / m)
+        head = beta ** m
+        u = uniform() * lam_r(beta)
+        if u < head:
+            return beta - (head - u) ** (1.0 / m)
+        return beta + (u - head) ** (1.0 / m)
 
     def rule(beta):
         lu, lw = power_map(0.0, beta, m - 1.0, 48, False)

@@ -6,21 +6,25 @@ the pair energy by a fraction alpha drawn from the kernel.  The simulator is
 exact in law (Gillespie): exponential waiting times with the current total
 rate and bond choice proportional to bond rates.  One event costs a bond
 scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
-2N - 3 on the complete graph) and a log append: 3-7 us on 3 or 4 sites, 30
-for gg2's rejection sampler.  ``models.BetaSampler`` declares the star
-family's law, Beta(g, g) whatever the pair, so a block of 8192 events takes
-its alphas from one rng.beta call.  Star m = 0 (kmp) rates are constant, as
-(a + b) ** 0.0 is 1.0 for every float: its blocks also take waiting times
-and bonds from array calls that repeat the loop's sequential sums, so an
-event is a pair update and a log append, 1-2 us on 3 to 16 sites; a rate
-other than the declared form is refused.  The log (or, for the estimator,
-its observable, one float per logged state) is sampled onto the grid every
-_LOG_EVENTS events into one sample buffer pair, grown in place by half up to
-the rows the budget is projected to fill (past them only as needed) and
-trimmed once at the end; the default grid keeps about one sample per event,
-at most _GRID_ROWS.  The total rate is summed afresh every _REFRESH_EVERY
-events to control floating drift.  Other samplers get a Generator stand-in
-whose scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
+2N - 3 on the complete graph) and a log append: 2-3.5 us on 3 or 4 sites,
+10-16 for gg2's rejection sampler (2-CPU x86-64, scripts/event_rate.py).
+``models.BetaSampler`` declares the star family's law, Beta(g, g) whatever
+the pair, so a block of 8192 events takes its alphas from one rng.beta call.
+A ``models.UniformSampler`` (stick, gg3, gg2) draws only uniforms: each
+block hands it the ``__next__`` of a generator over batches drawn ahead,
+65-85 ns a uniform against 175-195 for the stand-in below.  Star m = 0 (kmp)
+rates are constant, as (a + b) ** 0.0 is 1.0 for every float: its blocks
+also take waiting times and bonds from array calls that repeat the loop's
+sequential sums, so an event is a pair update and a log append, 1-2 us on 3
+to 16 sites; a rate other than the declared form is refused.  The log (or,
+for the estimator, its observable, one float per logged state) is sampled
+onto the grid every _LOG_EVENTS events into one sample buffer pair, grown in
+place by half up to the rows the budget is projected to fill (past them only
+as needed) and trimmed once at the end; the default grid keeps about one
+sample per event, at most _GRID_ROWS.  Events run in chunks of
+_REFRESH_EVERY, after each of which the total rate is summed afresh to
+control floating drift.  Other samplers get a Generator stand-in whose
+scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
@@ -48,7 +52,7 @@ from scipy.linalg import solve_triangular
 
 from .measures import SimplexLaw, _check_count, sample_matrix
 from .models import (LONG_RANGE, NEAREST, BetaSampler, ExchangeKernel, Topology,
-                     check_reversible_law)
+                     UniformSampler, check_reversible_law)
 
 __all__ = [
     "NEAREST",
@@ -123,6 +127,13 @@ class _DrawAhead:
         self._size, self._key = size, key
         return self._left
 
+    def uniforms(self):
+        """Uniforms in batches doubling up to _AHEAD; valid until the next settle."""
+        size = 8
+        while True:
+            yield from self.draw(("random",), size)
+            size = min(2 * size, _AHEAD)
+
     def settle(self) -> None:
         if self._key is not None:
             used = self._size - operator.length_hint(self._left)
@@ -168,8 +179,8 @@ def run(
     at least one is required).  States are recorded on the uniform time grid
     k * sample_dt (the state is right-continuous piecewise constant), at most
     _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen from the
-    initial total rate so that about one sample per event, at most
-    _GRID_ROWS = 2^18, cover the run (2^18 for a ``t_max``-only run).
+    initial total rate so that about one sample per (expected) event, at most
+    _GRID_ROWS = 2^18, cover the run.
     """
     return _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, lambda rows: rows)
 
@@ -201,6 +212,8 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
     # Beta(g, g) whatever the pair: each block's alphas come from one array call
     beta_g = sampler.g if type(sampler) is BetaSampler else None
     alphas = None
+    uniform_only = type(sampler) is UniformSampler  # its uniforms come in batches too
+    sample = sampler.draw if uniform_only else sampler
 
     rates = [pref * rate(x[i], x[j]) for (i, j) in bonds]
     total = sum(rates)
@@ -216,7 +229,7 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
     # the time the budget is projected to take at the initial total rate
     horizon = min(t_max or math.inf, (n_events or math.inf) / total)
     if sample_dt is None:
-        sample_dt = max(horizon / (grid_rows or min(n_events or _GRID_ROWS, _GRID_ROWS)), 1e-12)
+        sample_dt = max(horizon / (grid_rows or min(n_events or t_max * total, _GRID_ROWS)), 1e-12)
     projected = int(min(_MAX_SAMPLES, horizon / sample_dt + 2))  # the grid rows it fills
 
     cap_events = n_events if n_events is not None else (1 << 62)
@@ -255,11 +268,10 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
         samples.resize((n_samples, samples.shape[1]), refcheck=False)
         return Trajectory(topo, kernel.name, grid, samples, done, t, flagged)
 
-    ahead = _DrawAhead(rng)
+    ahead = source = _DrawAhead(rng)
     t = 0.0
     done = 0
     block = 8192
-    ptr = block
     try:
         # constant rates: a block's times and bonds come from array calls that
         # repeat the loop's sequential sums (t += e / total, the bond scan)
@@ -287,45 +299,51 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
             t = times[-1]
             flush()
         while done < cap_events:
-            if ptr == block:
-                ahead.settle()
-                exp_block = rng.exponential(1.0, block).tolist()
-                uni_block = rng.random(block).tolist()
-                if beta_g is not None:  # one block ahead; settling returns the tail
-                    alphas = ahead.draw(("beta", beta_g, beta_g), block)
-                ptr = 0
-            t += exp_block[ptr] / total
-            if t > cap_time:
-                t = cap_time
-                break
-            # choose the firing bond proportionally to the current rates
-            u = uni_block[ptr] * total
-            ptr += 1
-            acc = 0.0
-            b = len(rates) - 1
-            for k, r in enumerate(rates):
-                acc += r
-                if u < acc:
-                    b = k
-                    break
-            i, j = bonds[b]
-            alpha = sampler(x[i], x[j], ahead) if alphas is None else next(alphas)
-            s = x[i] + x[j]
-            x[i] = alpha * s
-            x[j] = s - alpha * s
-            for k, bi, bj in updates[b]:
-                total -= rates[k]
-                rates[k] = r = pref * rate(x[bi], x[bj])
-                total += r
-            times.append(t)
-            flat.extend(x)
-            done += 1
-            if done % _REFRESH_EVERY == 0:
-                total = sum(rates)
-                if len(times) >= _LOG_EVENTS:
-                    flush()
-            if not total > 0:
-                return trajectory(done, t, flagged=True)
+            ahead.settle()
+            exp_block = rng.exponential(1.0, block).tolist()
+            uni_block = rng.random(block).tolist()
+            if beta_g is not None:  # one block ahead; settling returns the tail
+                alphas = ahead.draw(("beta", beta_g, beta_g), block)
+            elif uniform_only:
+                source = ahead.uniforms().__next__
+            n = min(block, cap_events - done)
+            # chunks of _REFRESH_EVERY events, which end where done is a multiple of it
+            for lo in range(0, n, _REFRESH_EVERY):
+                hi = min(lo + _REFRESH_EVERY, n)
+                logged = len(times)
+                for e, u in zip(exp_block[lo:hi], uni_block[lo:hi]):
+                    t += e / total
+                    if t > cap_time:
+                        return trajectory(done + len(times) - logged, cap_time)
+                    # choose the firing bond proportionally to the current rates
+                    u *= total
+                    acc = 0.0
+                    b = len(rates) - 1
+                    for k, r in enumerate(rates):
+                        acc += r
+                        if u < acc:
+                            b = k
+                            break
+                    i, j = bonds[b]
+                    alpha = sample(x[i], x[j], source) if alphas is None else next(alphas)
+                    s = x[i] + x[j]
+                    x[i] = alpha * s
+                    x[j] = s - alpha * s
+                    for k, bi, bj in updates[b]:
+                        total -= rates[k]
+                        rates[k] = r = pref * rate(x[bi], x[bj])
+                        total += r
+                    times.append(t)
+                    flat.extend(x)
+                    if not total > 0:  # at the chunk's last event, the sum decides
+                        break
+                done += len(times) - logged
+                if done % _REFRESH_EVERY == 0:
+                    total = sum(rates)
+                    if len(times) >= _LOG_EVENTS:
+                        flush()
+                if not total > 0:
+                    return trajectory(done, t, flagged=True)
         return trajectory(done, t)
     finally:
         ahead.settle()

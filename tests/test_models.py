@@ -207,6 +207,41 @@ def test_stick_sampler_draws_are_pinned(m):
         assert kern.alpha_sampler(a, b, rng_new) == reference(a, b, rng_ref), (a, b)
 
 
+def _gg3_builtin_sampler(a, b, rng):
+    """The gg3 sampler in min, max and an unconditional sqrt, as it was before
+    its conditional expressions: the reference for its random stream."""
+    beta = a / (a + b)
+    c = min(beta, 1.0 - beta)
+    for _ in range(models._MAX_PROPOSALS):
+        alpha = rng.random()
+        if rng.random() <= min(1.0, math.sqrt(min(alpha, 1.0 - alpha) / c)):
+            return alpha
+    raise RejectionLimitError("gg3", beta)
+
+
+def test_gg3_sampler_draws_are_pinned():
+    kern = make_kernel("gg3")
+    assert type(kern.alpha_sampler) is models.UniformSampler
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    pairs = [(a, b) for a, b in _energy_pairs(3_000) if 0.0 < a / (a + b) < 1.0]
+    want = [_gg3_builtin_sampler(a, b, rng_ref) for a, b in pairs]
+    assert repr([kern.alpha_sampler(a, b, rng_new) for a, b in pairs]) == repr(want)
+    assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, 0.0)], ids=["beta=0", "beta=1"])
+def test_gg3_sampler_at_beta_0_and_1_takes_its_first_proposal(a, b):
+    # c = 0: the density is uniform and the accept test passes at once, after
+    # its uniform is drawn; the builtin form divided by c
+    with pytest.raises(ZeroDivisionError):
+        _gg3_builtin_sampler(a, b, np.random.default_rng(8))
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    first = ref.random()
+    ref.random()
+    assert make_kernel("gg3").alpha_sampler(a, b, rng) == first
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _gg2_array_sampler(a, b, rng):
     """The gg2 sampler on the array density and rate, as it was before its
     scalar forms: the reference for their random stream."""

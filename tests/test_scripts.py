@@ -4,12 +4,15 @@
 run name other than ``__main__``, so ``main()`` itself does not run.
 """
 
+import importlib.util
 import pathlib
 import runpy
+import sys
 
 import pytest
 
-SCRIPTS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_found():
@@ -20,3 +23,15 @@ def test_scripts_found():
 def test_script_imports(path):
     namespace = runpy.run_path(str(path), run_name="scripts")
     assert callable(namespace.get("main"))
+
+
+def test_event_rate_against_this_checkout_gives_equal_digests(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("event_rate", ROOT / "scripts" / "event_rate.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "SHAPES", [shape[:5] + (2_000,) for shape in script.SHAPES])
+    script.main(["--against", str(ROOT), "--repeat", "2"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 7 and all(row.endswith("  equal") for row in rows), rows
+    # the other checkout's copy is gone from the process
+    assert not [name for name in sys.modules if name.startswith(script.OTHER)]

@@ -7,7 +7,8 @@ import pytest
 
 from gapforge import simulate
 from gapforge.measures import GammaShape, SimplexLaw
-from gapforge.models import LONG_RANGE, NEAREST, RejectionLimitError, Topology, make_kernel
+from gapforge.models import (LONG_RANGE, NEAREST, RejectionLimitError, Topology, UniformSampler,
+                             make_kernel)
 from gapforge.simulate import (
     equilibrium_check,
     estimate_gap_autocorr,
@@ -152,9 +153,9 @@ def _reference_run(kernel, topo, law, rng, n_events=None, t_max=None, sample_dt=
         return simulate.Trajectory(topo, kernel.name, np.zeros(1), np.array([x]),
                                    0, 0.0, flagged=True)
 
-    if sample_dt is None:  # about one sample per event, at most 2^18
+    if sample_dt is None:  # about one sample per (expected) event, at most 2^18
         horizon = min(t_max or math.inf, (n_events or math.inf) / total)
-        sample_dt = max(horizon / min(n_events or 1 << 18, 1 << 18), 1e-12)
+        sample_dt = max(horizon / min(n_events or t_max * total, 1 << 18), 1e-12)
 
     cap_events = n_events if n_events is not None else (1 << 62)
     cap_time = t_max if t_max is not None else float("inf")
@@ -255,14 +256,18 @@ def _assert_same_run(kern, topo, law, seed, make_rng=np.random.default_rng, **kw
         assert calls[0] == len(topo.bonds())
     elif got.n_events:
         assert calls[0] > len(topo.bonds())
+    _assert_same_trajectory(got, want, rng_new, rng_ref)
+    return got
+
+
+def _assert_same_trajectory(got, want, rng_got, rng_want):
     assert np.array_equal(got.samples, want.samples)
     assert np.array_equal(got.sample_times, want.sample_times)
     assert got.samples.dtype == want.samples.dtype == got.sample_times.dtype
     assert (got.n_events, got.total_time, got.flagged) == \
         (want.n_events, want.total_time, want.flagged)
     # the generator is left in the same state
-    assert rng_new.random() == rng_ref.random()
-    return got
+    assert rng_got.random() == rng_want.random()
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}-m{s[1]}-N{s[3]}-{s[4]}")
@@ -492,10 +497,13 @@ def test_default_grid_keeps_about_one_sample_per_event(seed):
 def test_default_grid_keeps_at_most_2_18_samples():
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
     kern, topo = make_kernel("kmp"), Topology(NEAREST, 3)
-    # a time budget alone: steps of t_max / 2^18 up to the last event, about
-    # half a unit before t_max at total rate 2
+    # a time budget alone: one step per event expected at the constant total
+    # rate 2 (t_max / 40,000), up to the last event about half a unit before t_max
     timed = run(kern, topo, law, np.random.default_rng(4), t_max=20_000.0)
-    assert abs(timed.samples.shape[0] / (1 << 18) - 1) < 0.001
+    assert abs(timed.samples.shape[0] / 40_000 - 1) < 0.001
+    # and at most 2^18 steps when more events are expected
+    long = run(kern, topo, law, np.random.default_rng(4), t_max=140_000.0)
+    assert abs(long.samples.shape[0] / (1 << 18) - 1) < 0.001
     # more events than 2^18: about 2^18 samples
     many = run(kern, topo, law, np.random.default_rng(4), n_events=400_000)
     assert abs(many.samples.shape[0] / (1 << 18) - 1) < 0.02
@@ -726,6 +734,61 @@ def test_star_family_alphas_come_in_blocks_and_a_swapped_sampler_per_event(shape
     swapped = dataclasses.replace(kern, alpha_sampler=sampler)
     _assert_same_run(swapped, topo, law, 5, n_events=events)
     assert calls[0] == 2 * events  # run, then the reference loop
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES[4:8], ids=lambda s: f"{s[0]}-m{s[1]}")
+def test_uniform_samplers_take_batched_uniforms_and_a_wrapped_sampler_per_event(shape,
+                                                                                 monkeypatch):
+    kern, topo, law, _ = _shape_run(shape)
+    events = 9_000  # across the 8192-event block, where the batches start afresh
+    # run never asks the stand-in for a uniform when the sampler declares that
+    # it draws only uniforms: they come from batches drawn ahead
+    assert type(kern.alpha_sampler) is UniformSampler
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate._DrawAhead, "random", None)
+        full = _assert_same_run(kern, topo, law, 5, n_events=events)
+        _assert_same_run(kern, topo, law, 5, t_max=0.5 * full.total_time)
+    # the same sampler behind a plain function asks the stand-in per event,
+    # and the runs are the same, whichever budget stops them
+    calls = [0]
+
+    def wrapped(a, b, rng):
+        calls[0] += 1
+        return kern.alpha_sampler(a, b, rng)
+    swapped = dataclasses.replace(kern, alpha_sampler=wrapped)
+    for budget in ({"n_events": events}, {"t_max": 0.5 * full.total_time}):
+        rng_declared, rng_wrapped = np.random.default_rng(5), np.random.default_rng(5)
+        declared = run(kern, topo, law, rng_declared, **budget)
+        calls[0] = 0
+        _assert_same_trajectory(run(swapped, topo, law, rng_wrapped, **budget), declared,
+                                rng_wrapped, rng_declared)
+        assert calls[0] == declared.n_events
+
+
+def test_generator_ends_where_the_reference_leaves_it_when_a_uniform_sampler_raises():
+    stick = make_kernel("stick")
+
+    def failing_after(limit):
+        calls = [0]
+
+        def draw(a, b, uniform):
+            calls[0] += 1
+            alpha = stick.alpha_sampler.draw(a, b, uniform)
+            if calls[0] == limit:
+                uniform()
+                raise RejectionLimitError("test", a / (a + b))
+            return alpha
+        return UniformSampler(draw)
+
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    for limit in (1, 777, 9000):  # the first draw, mid-block, the second block
+        rngs = []
+        for loop in (run, _reference_run):
+            kern = dataclasses.replace(stick, alpha_sampler=failing_after(limit))
+            rngs.append(np.random.default_rng(limit))
+            with pytest.raises(RejectionLimitError):
+                loop(kern, Topology(NEAREST, 3), law, rngs[-1], n_events=20_000)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # ---------------------------------------------------------------------------
