@@ -5,10 +5,10 @@ checkout.
 Five invocations (``--suite all``, ``--suite theorems --fast``, ``--suite
 appendix``, ``--suite appendix --n-max 3`` and ``--suite all --n-max 60``) run
 in this checkout and in OTHER_CHECKOUT, each from its own ``src`` and with one
-BLAS thread (the mechanical-kernel values depend on the thread count).  Their
-JSON report, CSV summary and stdout are compared byte for byte, and their exit
-codes.  On the first difference the script names the differing file and exits
-1; otherwise it prints each invocation's exit code and exits 0:
+BLAS thread.  Their JSON report, CSV summary and stdout are compared byte for
+byte, and their exit codes.  On the first difference the script names the
+differing file and exits 1; otherwise it prints each invocation's exit code
+and exits 0:
 
     python3 scripts/verify_equal.py ../gapforge-parent
 """

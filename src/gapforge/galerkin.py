@@ -10,10 +10,10 @@ one-dimensional (beta, alpha) kernel integral I(a, b, a', b').
 Assembly is array code over the basis exponent table: G is a log-gamma
 broadcast, and A sums over bonds the broadcast Beta and Dirichlet moments
 times a small kernel matrix over the distinct (a, b) exponent pairs (closed
-form for the star family, V V^T otherwise on the node grid, which one call of
-the kernel's alpha_rule on all beta nodes builds, one row of alpha nodes per
-beta node).  Both run over blocks of rows, so memory stays bounded at any N,
-and each entry takes the scalar formula's floating-point operations.
+form for the star family, V V^T otherwise on the node grid, built and read in
+slices of whole beta rows).  Both run over blocks of rows, so memory stays
+bounded at any N, and each entry takes the scalar formula's floating-point
+operations.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ __all__ = [
 
 _N_BETA = 48  # beta quadrature order of the kernel node grid
 _BLOCK_ENTRIES = 1 << 18  # log-gamma table entries assembly holds at once
+# most nodes of a grid slice: node-grid sums add per-slice dots in node order,
+# and dots this long gave the same bits at 1 and 2 BLAS threads where whole-grid
+# ones (about 100k nodes) did not (tests/test_cli.py checks verify output)
+_SLICE_NODES = 8192
 
 
 def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -88,20 +92,34 @@ class KernelIntegrals:
 
     Row-wise: ``beta_rows`` holds the distinct beta nodes, and the flat,
     C-contiguous ``alpha_nodes`` and ``node_weights`` hold one equal-length row
-    per beta node, so ``reshape(beta_rows.size, -1)`` views them by row and a
-    function of beta is evaluated once per row."""
+    per beta node.  It is built, and ``slices`` reads it, in slices of whole
+    rows; alpha_rule works row by row, so the nodes do not depend on them."""
 
     def __init__(self, kernel: ExchangeKernel):
         bu, bw = _beta_grid(kernel, _N_BETA)
-        au, aw = kernel.alpha_rule(bu)  # one row of alpha nodes per beta node
         self.beta_rows = bu
-        self.alpha_nodes = au.ravel()
-        self.node_weights = ((bw * kernel.rate_r(bu))[:, None] * aw).ravel()
+        lo, rows = 0, 1  # the first call, on one row, gives the row length
+        while lo < bu.size:
+            s = slice(lo, lo + rows)
+            au, aw = kernel.alpha_rule(bu[s])
+            if lo == 0:
+                alpha, weights = np.empty((bu.size, au.shape[-1])), np.empty((bu.size, au.shape[-1]))
+                rows = max(1, _SLICE_NODES // au.shape[-1])
+            alpha[s] = au
+            weights[s] = (bw[s] * kernel.rate_r(bu[s]))[:, None] * aw
+            lo = s.stop
+        self.alpha_nodes, self.node_weights = alpha.ravel(), weights.ravel()
 
-    def by_row(self, values: np.ndarray) -> np.ndarray:
-        """View of the C-contiguous ``values`` (..., nodes) with the nodes
-        split into beta rows, so that writes to it land in ``values``."""
-        return values.reshape(values.shape[:-1] + (self.beta_rows.size, -1))
+    def slices(self):
+        """(beta rows, alpha nodes, square roots of the node weights) of
+        consecutive slices of whole rows, at most _SLICE_NODES nodes each (one
+        row where a row is longer), in node order; the alpha nodes are a view
+        of ``alpha_nodes``."""
+        n = self.alpha_nodes.size // self.beta_rows.size
+        rows = max(1, _SLICE_NODES // n)
+        for lo in range(0, self.beta_rows.size, rows):
+            nodes = slice(lo * n, (lo + rows) * n)
+            yield self.beta_rows[lo:lo + rows], self.alpha_nodes[nodes], np.sqrt(self.node_weights[nodes])
 
 
 def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,7 +128,10 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
 
     The star family has the exact covariance form.  For the mechanical kernels
     it is V V^T over the weighted per-pair difference vectors on the node grid,
-    so it is PSD by construction.
+    so it is PSD by construction.  V is built for one grid slice at a time, and
+    I[u, v] sums the slices' dot products in node order: unlike a matrix
+    product, whose blocking depends on the number of pairs, each entry is then
+    the same at every degree.
     """
     # built for the star family too, though its closed form reads no grid:
     # perfbench's quadrature-cache hit ratios need rule calls on every workload,
@@ -120,27 +141,26 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
         g = kernel.mechanical.gamma_rev
         mom = pair_alpha_moment(g, a, b)
         return 2.0 * (pair_alpha_moment(g, a[:, None] + a, b[:, None] + b) - np.outer(mom, mom))
-    al, bu = grid.alpha_nodes, grid.beta_rows
     x, y = a.tolist(), b.tolist()
-    # V[u] = al^x (1-al)^y: each distinct power is taken once and multiplied
-    # into the rows that use it, one table row live at a time
-    V = np.empty((a.size, al.size))
-    om = 1.0 - al
-    for e in set(y):
-        V[b == e] = om ** e
-    for e in set(x):
-        p = al ** e
-        for u in np.flatnonzero(a == e):
-            V[u] *= p
-    del om, p
-    # minus g_u(beta), taken once per beta row, then weighted
-    grid.by_row(V)[...] -= np.array([bu ** xu * (1.0 - bu) ** yu for xu, yu in zip(x, y)])[:, :, None]
-    V *= np.sqrt(grid.node_weights)
-    # one dot product per entry: unlike a matrix product, whose blocking depends
-    # on the number of pairs, I[u, v] is then the same at every degree
-    I = np.empty((a.size, a.size))
-    for u, v in itertools.combinations_with_replacement(range(a.size), 2):
-        I[u, v] = I[v, u] = np.dot(V[u], V[v])
+    I = np.zeros((a.size, a.size))
+    for bu, al, sqw in grid.slices():
+        # V[u] = al^x (1-al)^y: each distinct power is taken once and multiplied
+        # into the rows that use it, one power row live at a time
+        V = np.empty((a.size, al.size))
+        om = 1.0 - al
+        for e in set(y):
+            V[b == e] = om ** e
+        for e in set(x):
+            p = al ** e
+            for u in np.flatnonzero(a == e):
+                V[u] *= p
+        # minus g_u(beta), taken once per beta row, then weighted
+        V.reshape(a.size, bu.size, -1)[...] -= np.array(
+            [bu ** xu * (1.0 - bu) ** yu for xu, yu in zip(x, y)])[:, :, None]
+        V *= sqw
+        for u, v in itertools.combinations_with_replacement(range(a.size), 2):
+            I[u, v] = I[v, u] = I[u, v] + np.dot(V[u], V[v])
+        del V  # before the next slice's V is allocated
     return I
 
 
@@ -289,23 +309,29 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
 
     Worked in the basis orthonormal w.r.t. mu (Gram = identity), so high
     degrees stay well conditioned.  The basis is evaluated on the alpha nodes
-    and on the distinct beta rows only, and the difference vectors are formed
-    in place in the alpha values, so one (degree + 1, nodes) table is live.
+    and on the distinct beta rows of one grid slice at a time, the difference
+    vectors are formed in place in the alpha values, and their products are
+    summed over the slices in node order, so one (degree + 1, slice nodes)
+    table is live.
     """
     if not 1 <= degree <= _N_BETA - 1:
         # the beta rules integrate products of two basis polynomials exactly
         # only up to this degree; past it the value is silently wrong
         raise ValueError(f"two-site degree must be between 1 and {_N_BETA - 1}, got {degree}")
-    I = KernelIntegrals(kernel)
+    grid = KernelIntegrals(kernel)
     g = kernel.mechanical.gamma_rev.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))
     ra, rb = stieltjes_recurrence(u, w, degree)
-    # phi(alpha) - phi(beta) in place in rows 1.. of the alpha values, phi(beta)
-    # taken once per beta row; the same C-contiguous operand as forming it anew
-    diff = orthonormal_values(ra, rb, I.alpha_nodes)[1:]
-    I.by_row(diff)[...] -= orthonormal_values(ra, rb, I.beta_rows)[1:, :, None]
-    diff *= np.sqrt(I.node_weights)
-    A = 0.5 * (diff @ diff.T)
+    S = np.zeros((degree, degree))
+    for bu, al, sqw in grid.slices():
+        # phi(alpha) - phi(beta) in place in rows 1.. of the alpha values,
+        # phi(beta) taken once per beta row
+        diff = orthonormal_values(ra, rb, al)[1:]
+        diff.reshape(degree, bu.size, -1)[...] -= orthonormal_values(ra, rb, bu)[1:, :, None]
+        diff *= sqw
+        S += diff @ diff.T
+        del diff  # before the next slice's values are allocated
+    A = 0.5 * S
     return float(eigvalsh(0.5 * (A + A.T))[0])
 
 

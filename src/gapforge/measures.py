@@ -70,8 +70,11 @@ def sample_matrix(law: SimplexLaw, n_samples: int, rng: np.random.Generator) -> 
     if law.sites == 1:
         return np.full((n_samples, 1), law.mean_energy)
     g = rng.gamma(law.gamma.gamma, 1.0, size=(n_samples, law.sites))
-    g = np.clip(g, np.finfo(float).tiny, None)
-    return law.total_energy * g / g.sum(axis=1, keepdims=True)
+    np.clip(g, np.finfo(float).tiny, None, out=g)  # in place: N*E * g / sum(g)
+    total = g.sum(axis=1, keepdims=True)
+    g *= law.total_energy
+    g /= total
+    return g
 
 
 def dirichlet_moment(gamma: GammaShape, N: int, k) -> float:

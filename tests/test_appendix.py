@@ -89,6 +89,16 @@ def test_certificate_sups_below_one():
         assert abs(rep["limit_b"] - 0.5) < 1e-2
 
 
+@pytest.mark.parametrize("n_max", [3, 12, 19, 20])
+def test_certificate_limits_need_three_tail_points(n_max):
+    # the tail n >= 20 holds at most one point here; a fit on no rows read 0.0
+    rep = verify_certificates(1.0, n_max=n_max)
+    assert rep["limit_a"] is None and rep["limit_b"] is None, rep
+    assert math.isfinite(rep["raw_tail_a"]) and math.isfinite(rep["raw_tail_b"])
+    fitted = verify_certificates(1.0, n_max=22)  # n = 20, 21, 22
+    assert type(fitted["limit_a"]) is float and type(fitted["limit_b"]) is float, fitted
+
+
 def test_prop_reports_all_pass():
     for g in (0.4, 1.0, 2.0):
         for rec in verify_prop_a(g, n_max=100) + verify_prop_b(g, n_max=100):
@@ -433,8 +443,9 @@ def _ref_verify_appendix_records(n_max):
     gamma_grid = (1.0 / 3.0, 0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0)
     for g in gamma_grid:
         cert = appendix.verify_certificates(g, n_max=n_max)
-        ok = (cert["ok"] and abs(cert["limit_a"] - 0.5) < 1e-2
-              and abs(cert["limit_b"] - 0.5) < 1e-2)
+        # a limit fitted to fewer than 3 tail points is None, and fails
+        ok = (cert["ok"] and cert["limit_a"] is not None and cert["limit_b"] is not None
+              and abs(cert["limit_a"] - 0.5) < 1e-2 and abs(cert["limit_b"] - 0.5) < 1e-2)
         checks.append({"claim": "certificate-sup", "pass": ok, **cert})
     for rec in appendix.verify_prop_a(1.0, n_max=n_max):
         checks.append(rec)
@@ -461,3 +472,7 @@ def test_run_checks_equals_the_cli_block_it_replaced(n_max):
     got = appendix.run_checks(n_max)
     assert got == _ref_verify_appendix_records(n_max)
     assert all(type(rec["pass"]) is bool for rec in got)
+    certs = [rec for rec in got if rec.get("claim") == "certificate-sup"]
+    # below n_max = 20 no tail limit is fitted, and the certificate records fail
+    assert len(certs) == 7
+    assert all((rec["limit_a"] is None and not rec["pass"]) is (n_max < 20) for rec in certs)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -407,3 +410,17 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, capsys):
     assert main(args + ["--sites-grid", "2"]) == 0  # one point: no pool
     capsys.readouterr()
     assert sizes == [2]
+
+
+def test_verify_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads it, so each count takes
+    # its own process; the node-grid sums used to move with the count
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"verify-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "gapforge.cli", "verify", "--suite", "theorems",
+                        "--fast", "--out", str(out)], env=env, check=True, capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

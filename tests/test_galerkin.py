@@ -107,15 +107,34 @@ def _repeated_betas(grid):
     return np.repeat(grid.beta_rows, grid.alpha_nodes.size // grid.beta_rows.size)
 
 
-def _reference_two_site(kernel, degree):
-    """``two_site_constant`` on the repeated-node grid, phi(beta) taken at every node."""
+def _node_slices(grid):
+    """The grid's slices as node ranges, in node order: whole beta rows, at
+    most ``_SLICE_NODES`` nodes each (one row where a row is longer)."""
+    n = grid.alpha_nodes.size // grid.beta_rows.size
+    step = n * max(1, galerkin._SLICE_NODES // n)
+    return [slice(lo, lo + step) for lo in range(0, grid.alpha_nodes.size, step)]
+
+
+def _two_site_differences(kernel, degree):
+    """The grid and the weighted phi(alpha) - phi(beta) on the repeated-node
+    grid, phi(beta) taken at every node."""
     grid = KernelIntegrals(kernel)
     g = kernel.mechanical.gamma_rev.gamma
     ra, rb = stieltjes_recurrence(*beta_rule(g, g, 4 * (degree + 2)), degree)
     phi_a = orthonormal_values(ra, rb, grid.alpha_nodes)
     phi_b = orthonormal_values(ra, rb, _repeated_betas(grid))
-    diff = (phi_a - phi_b)[1:] * np.sqrt(grid.node_weights)
-    A = 0.5 * (diff @ diff.T)
+    return grid, (phi_a - phi_b)[1:] * np.sqrt(grid.node_weights)
+
+
+def _reference_two_site(kernel, degree):
+    """``two_site_constant`` on the repeated-node grid, its products summed
+    slice by slice in node order."""
+    grid, diff = _two_site_differences(kernel, degree)
+    S = np.zeros((degree, degree))
+    for nodes in _node_slices(grid):
+        part = np.ascontiguousarray(diff[:, nodes])
+        S += part @ part.T
+    A = 0.5 * S
     return float(eigvalsh(0.5 * (A + A.T))[0])
 
 
@@ -129,46 +148,99 @@ def test_two_site_constant_matches_the_repeated_node_formula(name, m, degree):
     assert repr(two_site_constant(kernel, degree)) == repr(_reference_two_site(kernel, degree))
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _grid_bytes(grid):
+    return grid.alpha_nodes.nbytes + grid.node_weights.nbytes
+
+
 def test_two_site_constant_holds_one_value_table():
     kernel = make_kernel("stick", m=3.0)
     grid = KernelIntegrals(kernel)
     assert grid.beta_rows.size == 1488 and grid.alpha_nodes.size == 142_848
-    tracemalloc.start()
-    try:
-        two_site_constant(kernel, 30)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the (degree + 1, nodes) alpha values and a few node rows; no second table
-    assert peak <= 1.25 * 31 * grid.alpha_nodes.size * 8, peak
+    for degree in (30, 47):
+        peak = _traced_peak(lambda: two_site_constant(kernel, degree))
+        # the grid and the (degree + 1, slice) values of one slice; a second
+        # slice table, or a table over the whole grid, would not fit
+        assert peak <= _grid_bytes(grid) + 1.5 * (degree + 1) * galerkin._SLICE_NODES * 8, (degree, peak)
+
+
+def _bond_pairs(N, degree):
+    """The distinct (a, b) exponent pairs of the nearest-neighbour bonds, as
+    ``assemble`` passes them to the kernel matrix."""
+    basis = build_basis(N, degree)
+    K = np.zeros((len(basis), N), dtype=np.intp)
+    K[:, :-1] = basis
+    return np.unique(K[:, np.array(Topology(NEAREST, N).bonds())].reshape(-1, 2), axis=0)
 
 
 def test_kernel_matrix_holds_little_beside_its_vectors():
     kernel = make_kernel("stick", m=1.0)
-    basis = build_basis(3, 6)
-    K = np.zeros((len(basis), 3), dtype=np.intp)
-    K[:, :-1] = basis
-    pairs = np.unique(K[:, np.array(Topology(NEAREST, 3).bonds())].reshape(-1, 2), axis=0)
+    pairs = _bond_pairs(3, 6)
     assert len(pairs) == 28
-    v_bytes = len(pairs) * KernelIntegrals(kernel).alpha_nodes.size * 8
-    tracemalloc.start()
-    try:
-        galerkin._kernel_matrix(kernel, *pairs.T.astype(float))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # V and a few node rows: power tables as large as a quarter of V would not fit
-    assert peak <= 1.25 * v_bytes, peak
+    peak = _traced_peak(lambda: galerkin._kernel_matrix(kernel, *pairs.T.astype(float)))
+    # the grid and V over one slice: a second slice's V, or V over the whole grid,
+    # would not fit
+    grid = KernelIntegrals(kernel)
+    assert peak <= _grid_bytes(grid) + 1.5 * len(pairs) * galerkin._SLICE_NODES * 8, peak
+
+
+def test_gg2_grid_build_holds_little_beside_the_grid():
+    kernel = make_kernel("gg2")
+    grid = KernelIntegrals(kernel)
+    kept = _grid_bytes(grid) + grid.beta_rows.nbytes
+    # the rule's temporaries over all 96 rows took about 7 times the grid
+    assert _traced_peak(lambda: KernelIntegrals(kernel)) <= 2 * kept
 
 
 # values at the last degree the beta rules integrate exactly, and below it
 @pytest.mark.parametrize("name, m, degree, want", [
     ("star", 1.0, 30, "0.9999999999898566"), ("star", 1.0, 47, "0.9999999999877359"),
-    ("stick", 2.0, 30, "0.5095007124074946"), ("stick", 2.0, 47, "0.5041098323960764"),
-    ("gg3", None, 30, "0.5461743861335961"), ("gg3", None, 47, "0.5461743861267077"),
+    ("stick", 2.0, 30, "0.5095007124074943"), ("stick", 2.0, 47, "0.5041098323960769"),
+    ("gg3", None, 30, "0.5461743861335963"), ("gg3", None, 47, "0.5461743861267074"),
 ])
 def test_two_site_constant_up_to_the_degree_limit(name, m, degree, want):
     assert repr(two_site_constant(make_kernel(name, m=m), degree)) == want
+
+
+def _fsum_dot(x, y):
+    """sum_n x_n y_n with the products summed exactly and rounded once."""
+    return math.fsum((x * y).tolist())
+
+
+# an independent oracle for the slice sums: a dropped or doubled slice fails it
+@pytest.mark.parametrize("name, m", [("gg2", None), ("gg3", None), ("stick", 1.0), ("stick", 0.5)])
+def test_kernel_matrix_agrees_with_the_exactly_summed_node_products(name, m):
+    kernel = make_kernel(name, m=m)
+    pairs = _bond_pairs(3, 3)
+    I = galerkin._kernel_matrix(kernel, *pairs.T.astype(float))
+    ref = _ReferenceIntegrals(kernel)
+    vecs = [ref._vec(a, b) for a, b in pairs.tolist()]
+    for u, v in itertools.combinations_with_replacement(range(len(pairs)), 2):
+        exact = _fsum_dot(vecs[u], vecs[v])
+        assert abs(I[u, v] - exact) <= 1e-13 * math.sqrt(I[u, u] * I[v, v]), (u, v, I[u, v], exact)
+
+
+# the pinned cases of the star and gg3 grids (one and two slices); stick's
+# grid, 15 times gg3's, is covered by the kernel-matrix oracle above
+@pytest.mark.parametrize("name, m, degree", [
+    ("star", 1.0, 30), ("star", 1.0, 47), ("gg3", None, 30), ("gg3", None, 47),
+])
+def test_two_site_constant_agrees_with_an_exactly_summed_matrix(name, m, degree):
+    kernel = make_kernel(name, m=m)
+    _, diff = _two_site_differences(kernel, degree)
+    A = np.empty((degree, degree))
+    for i, j in itertools.combinations_with_replacement(range(degree), 2):
+        A[i, j] = A[j, i] = 0.5 * _fsum_dot(diff[i], diff[j])
+    want = float(eigvalsh(A)[0])
+    assert abs(two_site_constant(kernel, degree) - want) <= 1e-13 * want
 
 
 def test_two_site_degree_past_the_rules_is_refused():
@@ -198,6 +270,7 @@ class _ReferenceIntegrals:
         grid = KernelIntegrals(kernel)
         self.alpha_nodes, self.beta_nodes = grid.alpha_nodes, _repeated_betas(grid)
         self._sqw = np.sqrt(grid.node_weights)
+        self._slices = _node_slices(grid)
         self._vecs, self._cache = {}, {}
 
     def _vec(self, a, b):
@@ -221,7 +294,10 @@ class _ReferenceIntegrals:
                     - pair_alpha_moment(g, a, b) * pair_alpha_moment(g, ap, bp)
                 )
             else:
-                val = float(np.dot(self._vec(a, b), self._vec(ap, bp)))
+                v, vp = self._vec(a, b), self._vec(ap, bp)
+                val = 0.0  # one dot per slice, summed in node order
+                for nodes in self._slices:
+                    val += float(np.dot(v[nodes], vp[nodes]))
             self._cache[key] = val
         return val
 

@@ -40,6 +40,16 @@ def test_sample_matrix_constraint(rng):
     assert np.all(np.abs(x.sum(axis=1) - 10.0) < 1e-10)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sites", [3, 16])
+def test_sample_matrix_is_the_scaled_gamma_table_bit_for_bit(gamma, sites):
+    law = SimplexLaw(GammaShape(gamma), 0.7, sites)
+    x = sample_matrix(law, 2000, np.random.default_rng(11))
+    g = np.random.default_rng(11).gamma(gamma, 1.0, size=(2000, sites))
+    g = np.clip(g, np.finfo(float).tiny, None)
+    assert np.array_equal(x, law.total_energy * g / g.sum(axis=1, keepdims=True))
+
+
 def test_dirichlet_moment_against_sampling(rng):
     g, N = 1.5, 4
     law = SimplexLaw(GammaShape(g), 1.0, N)
