@@ -100,7 +100,7 @@ def runner(package: str, idx: int, shape, seed: int, estimates: bool):
     measures = importlib.import_module(package + ".measures")
     name, m, g, n, kind, events = shape
     kern = models.make_kernel(name, m=m, gamma=g)
-    law = measures.SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+    law = measures.SimplexLaw(measures.GammaShape(g), 1.0, n)  # read by either checkout
     topo = models.Topology(kind, n)
     if estimates:
         obs = simulate.slowest_mode_observable(law, kern, OBSERVABLE_DEGREE, kind)

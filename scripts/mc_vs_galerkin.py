@@ -30,7 +30,7 @@ def main() -> None:
           f"{'mc':>10s} {'stderr':>9s} {'z':>6s}")
     for idx, (name, m, g, n, topo_kind) in enumerate(CASES):
         kern = make_kernel(name, m=m, gamma=g)
-        law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+        law = SimplexLaw(kern.gamma, 1.0, n)
         topo = Topology(topo_kind, n)
         gal = spectral_gap(law, kern, 6, topo_kind).value
         obs = simulate.slowest_mode_observable(law, kern, 3, topo_kind)

@@ -29,7 +29,7 @@ def main() -> None:
     for name, m, g in CASES:
         kern = make_kernel(name, m=m, gamma=g)
         for n in range(2, args.n_max + 1):
-            law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+            law = SimplexLaw(kern.gamma, 1.0, n)
             gap = spectral_gap(law, kern, args.degree, NEAREST).value
             print(f"{name:8s} {m:4.1f} {g:6.2f} {n:3d} {gap:12.6f} {gap * n * n:10.5f}")
 

@@ -161,7 +161,7 @@ def exact_gap_lr_m0(gamma: float, n_sites: int) -> float:
 def _gap(kernel: ExchangeKernel, topology: str, energy: float, n_sites: int,
          degree: int) -> float:
     """Galerkin gap of the kernel under its own reversible law."""
-    law = SimplexLaw(kernel.mechanical.gamma_rev, energy, n_sites)
+    law = SimplexLaw(kernel.gamma, energy, n_sites)
     return spectral_gap(law, kernel, degree, topology).value
 
 
@@ -255,7 +255,7 @@ def check_compare_and_main(kernel_name: str, m: float, gamma: float,
     lambda * N^2 / E^m must stay bounded below with no downward trend."""
     degree = 3
     kern = make_kernel(kernel_name, m=m, gamma=gamma)
-    m, gamma = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
+    m, gamma = kern.m, kern.gamma.gamma
     consts = []
     for n in n_range:
         lam = _gap(kern, NEAREST, 1.0, n, degree)
@@ -281,11 +281,10 @@ def check_prop21(kernel_name: str, n_sites: int = 3) -> TheoremCheck:
     for kernels with a mechanical form."""
     degree = 6
     kern = make_kernel(kernel_name)
-    mech = kern.mechanical
-    m, gamma = mech.m, mech.gamma_rev.gamma
+    m, gamma = kern.m, kern.gamma.gamma
     ctilde = two_site_constant(kern, degree=20)
     lam = _gap(kern, NEAREST, 1.0, n_sites, degree)
-    star_gap = _gap(star_kernel(m, mech.gamma_rev), NEAREST, 1.0, n_sites, degree)
+    star_gap = _gap(star_kernel(m, kern.gamma), NEAREST, 1.0, n_sites, degree)
     rhs = ctilde / (2.0 ** m) * star_gap
     return TheoremCheck(
         claim="mechanical-lower-bound",

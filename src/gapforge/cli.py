@@ -119,7 +119,7 @@ def _topology(name: str, sites: int) -> Topology:
 def _kernel_and_law(cfg: ExperimentConfig):
     """The configured kernel and its reversible law; (m, gamma) belong to the kernel."""
     kern = make_kernel(cfg.model, m=cfg.m, gamma=cfg.gamma)
-    return kern, SimplexLaw(kern.mechanical.gamma_rev, cfg.energy, cfg.sites)
+    return kern, SimplexLaw(kern.gamma, cfg.energy, cfg.sites)
 
 
 def compute_gap_row(cfg: ExperimentConfig) -> dict:
@@ -138,8 +138,8 @@ def compute_gap_row(cfg: ExperimentConfig) -> dict:
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
     return {
-        "model": kern.name, "m": kern.mechanical.m,
-        "gamma": kern.mechanical.gamma_rev.gamma, "E": cfg.energy,
+        "model": kern.name, "m": kern.m,
+        "gamma": kern.gamma.gamma, "E": cfg.energy,
         "N": cfg.sites, "topology": cfg.topology, "method": cfg.method,
         "degree_or_budget": dob, "gap": gap, "err": err, "seed": master_seed(cfg),
     }
@@ -201,7 +201,8 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         sub = ExperimentConfig(**{**asdict(cfg), "energy": e, "sites": n,
                                   "m": m, "gamma": g, "seed": master_seed(cfg)})
         jobs.append(asdict(sub))
-    workers = min(args.jobs, len(jobs))  # the pool starts every worker at once
+    # the pool starts every worker at once, each importing scipy
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_job, jobs))
@@ -219,7 +220,7 @@ def cmd_kappa(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     kern = make_kernel(cfg.model, m=cfg.m, gamma=cfg.gamma)
     if kern.name not in ("star", "kmp"):
         raise ValueError(f"kappa is defined for the star family, not {kern.name!r}")
-    m, g = kern.mechanical.m, kern.mechanical.gamma_rev.gamma
+    m, g = kern.m, kern.gamma.gamma
     report = {"m": m, "gamma": g, "degree": cfg.degree, "kappa": kappa(m, g, cfg.degree)}
     if m == 1.0:  # the bracket's upper side is kappa~ itself
         bracket = appendix.kappa_tilde_1_bracket(g, degree=cfg.degree, strict=False)
@@ -355,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites-grid", help="comma-separated N grid")
     p.add_argument("--m-grid", help="comma-separated m grid")
     p.add_argument("--gamma-grid", help="comma-separated gamma grid")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the "
+                   "grid points and the CPUs (results do not depend on it)")
 
     command("kappa", cmd_kappa, "three-site constants, both routes", *kernel, "--degree", "--out")
 

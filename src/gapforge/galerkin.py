@@ -70,7 +70,7 @@ def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating F against the Beta(gamma, gamma) reversible
     marginal, adapted to the kernel's Lambda_r (kink at 1/2, endpoint
     singularities of fractional stick exponents)."""
-    g = kernel.mechanical.gamma_rev.gamma
+    g = kernel.gamma.gamma
     lognorm = gammaln(g) * 2 - gammaln(2 * g)
     if kernel.name == "stick":
         # cells must stay exact for products of two basis polynomials
@@ -138,7 +138,7 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
     # and its smoke mc-relax round assembles kmp alone (ROADMAP item 3)
     grid = KernelIntegrals(kernel)
     if kernel.name in ("star", "kmp"):
-        g = kernel.mechanical.gamma_rev
+        g = kernel.gamma
         mom = pair_alpha_moment(g, a, b)
         return 2.0 * (pair_alpha_moment(g, a[:, None] + a, b[:, None] + b) - np.outer(mom, mom))
     x, y = a.tolist(), b.tolist()
@@ -180,10 +180,16 @@ def assemble(
     v ~ Beta(2 gamma, (N-2) gamma) is the bond's share of the energy, rest the
     other N-2 exponents (at N = 2 both moments are 1), and I the kernel matrix
     over the bonds' distinct (a, b) = (K[., i], K[., j]) pairs, u its index.
+    I vanishes for c < 2, so A needs E[v^(m+c)] for c >= 2 only: at N > 2 a
+    kernel with m + 2 gamma <= -2 is refused, its moments being infinite, and
+    so is m + 2 gamma = 0 or -1, where a c < 2 moment meets a Gamma pole.
     """
     check_reversible_law(kernel, law)
     N, E = law.sites, law.mean_energy
-    g, m = law.gamma.gamma, kernel.mechanical.m
+    g, m = law.gamma.gamma, kernel.m
+    if N > 2 and (m + 2 * g <= -2 or m + 2 * g in (0, -1)):
+        raise ValueError(f"m = {m:g} with gamma = {g:g} at N = {N}: the Galerkin moments "
+                         f"need m + 2 gamma > -2 and not 0 or -1")
     basis = build_basis(N, degree)
     dim = len(basis)
     K = np.zeros((dim, N), dtype=np.intp)
@@ -319,7 +325,7 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
         # only up to this degree; past it the value is silently wrong
         raise ValueError(f"two-site degree must be between 1 and {_N_BETA - 1}, got {degree}")
     grid = KernelIntegrals(kernel)
-    g = kernel.mechanical.gamma_rev.gamma
+    g = kernel.gamma.gamma
     u, w = beta_rule(g, g, 4 * (degree + 2))
     ra, rb = stieltjes_recurrence(u, w, degree)
     S = np.zeros((degree, degree))

@@ -46,7 +46,7 @@ class GammaShape:
 
 @dataclass(frozen=True)
 class SimplexLaw:
-    """Conditioned product-Gamma law on the mean-energy-E simplex."""
+    """Conditioned product-Gamma law on the mean-energy-E simplex of at least two sites."""
 
     gamma: GammaShape
     mean_energy: float
@@ -55,7 +55,7 @@ class SimplexLaw:
     def __post_init__(self) -> None:
         if not 0 < self.mean_energy < np.inf:
             raise ValueError(f"mean_energy must be positive and finite, got {self.mean_energy}")
-        _check_count("sites", self.sites, 1)
+        _check_count("sites", self.sites, 2)
 
     @property
     def total_energy(self) -> float:
@@ -67,8 +67,6 @@ def sample_matrix(law: SimplexLaw, n_samples: int, rng: np.random.Generator) -> 
     an (n_samples, N) array: N independent Gamma(gamma, 1) variates scaled to
     sum N*E.  numpy's gamma sampler is exact for shape < 1 as well; a zero
     draw (a measure-zero event) is clipped to the smallest positive float."""
-    if law.sites == 1:
-        return np.full((n_samples, 1), law.mean_energy)
     g = rng.gamma(law.gamma.gamma, 1.0, size=(n_samples, law.sites))
     np.clip(g, np.finfo(float).tiny, None, out=g)  # in place: N*E * g / sum(g)
     total = g.sum(axis=1, keepdims=True)

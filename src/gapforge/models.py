@@ -1,11 +1,13 @@
 """Exchange kernels: jump rate Lambda(a,b) plus the redistribution law of the
 energy fraction alpha.
 
-All concrete kernels are of mechanical form: Lambda(a,b) factorizes as
-Lambda_s(a+b) * Lambda_r(a/(a+b)) with Lambda_s(s) = s^m, and the alpha law
-depends on the pair only through beta = a/(a+b).  The reversible marginal of
-beta is Beta(gamma, gamma) for the kernel's gamma.  Each factory writes its
-Lambda_r once, at one float, and returns its kernel through ``_mechanical``.
+Every kernel is of mechanical form: Lambda(a,b) = s^m Lambda_r(beta) with
+s = a+b and beta = a/s, and the alpha law depends on the pair only through
+beta.  The reversible marginal of beta is Beta(gamma, gamma).  So one flat
+record, ``ExchangeKernel``, holds every kernel: m, gamma, Lambda_r and the
+alpha law as a density in (beta, alpha), a sampler and a quadrature rule.
+Each factory writes its Lambda_r once, at one float, and returns its kernel
+through ``_mechanical``.
 Sampler types declare what the simulator may draw in bulk: ``BetaSampler``
 (star family) and ``UniformSampler``, uniforms only (stick, gg3, gg2).
 
@@ -84,41 +86,36 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class MechanicalForm:
-    m: float
-    gamma_rev: GammaShape
-
-
-@dataclass(frozen=True)
 class ExchangeKernel:
-    """Rate function plus redistribution kernel.
+    """A kernel of rate s^m Lambda_r(beta), s = a + b and beta = a / s,
+    reversible for the product law of Gamma shape ``gamma``.
 
-    alpha_rule(beta) returns quadrature (nodes, weights) with the density
+    ``rate(a, b)`` (one float pair, for the simulator) and ``rate_r(beta)``
+    (arrays, for the node grid) call one one-float Lambda_r, so the
+    factorization holds to the last bit.  ``density(beta, alpha)`` is the
+    alpha law at the pair's beta, and ``alpha_sampler(a, b, rng)`` draws from
+    it.  alpha_rule(beta) returns quadrature (nodes, weights) with the density
     folded into the weights, so that sum w_i f(u_i) = int P(beta, dalpha) f(alpha)
     over the last axis; it builds the node grid of the variational assembly.
     An array of betas gives one row per beta, of shape beta.shape + (n_alpha,)
     with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
     weights there (gg3's middle one at beta = 1/2).
-
-    The factories build ``rate`` (one float pair, for the simulator) and
-    ``rate_r`` (arrays, for the node grid) from one one-float Lambda_r, so
-    rate(a, b) = s^m Lambda_r(a / s), s = a + b, holds to the last bit.
     """
 
     name: str
+    m: float
+    gamma: GammaShape
     rate: Callable[[float, float], float]
-    alpha_density: Callable[[float, float, np.ndarray], np.ndarray]
-    alpha_sampler: Callable[[float, float, np.random.Generator], float]
-    mechanical: MechanicalForm
     rate_r: Callable[[np.ndarray], np.ndarray]
+    density: Callable[[float, np.ndarray], np.ndarray]
+    alpha_sampler: Callable[[float, float, np.random.Generator], float]
     alpha_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _mechanical(name, m, gamma, lam_r, density, sampler, rule) -> ExchangeKernel:
     """The kernel of rate s^m lam_r(a / s), s = a + b.  ``rate`` and ``rate_r``
     both call the one-float ``lam_r``; None stands for lam_r = 1, whose rate
-    stays (a + b) ** m without the call.  ``density(beta, alpha)`` becomes
-    ``alpha_density(a, b, alpha)``; samplers take (a, b, rng) as they are."""
+    stays (a + b) ** m without the call."""
     if lam_r is None:
         def rate(a, b):
             return (a + b) ** m
@@ -130,11 +127,8 @@ def _mechanical(name, m, gamma, lam_r, density, sampler, rule) -> ExchangeKernel
             s = a + b
             return s ** m * lam_r(a / s)
 
-    def alpha_density(a, b, alpha):
-        return density(a / (a + b), alpha)
-
-    return ExchangeKernel(name, rate, alpha_density, sampler, MechanicalForm(m, gamma),
-                          np.vectorize(lam_r, otypes=[float]), rule)
+    return ExchangeKernel(name, m, gamma, rate, np.vectorize(lam_r, otypes=[float]), density,
+                          sampler, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +386,7 @@ def make_kernel(name: str, m: float | None = None, gamma: float | None = None) -
         kern = stick_kernel(1.0 if m is None else m)
     else:
         raise ValueError(f"unknown kernel {name!r}")
-    mech = kern.mechanical
-    for key, given, own in (("m", m, mech.m), ("gamma", gamma, mech.gamma_rev.gamma)):
+    for key, given, own in (("m", m, kern.m), ("gamma", gamma, kern.gamma.gamma)):
         if given is not None and given != own:
             raise ValueError(f"kernel {name!r} has {key} = {own:g}, got {given:g}")
     return kern
@@ -401,15 +394,15 @@ def make_kernel(name: str, m: float | None = None, gamma: float | None = None) -
 
 def check_reversible_law(kernel: ExchangeKernel, law: SimplexLaw) -> None:
     """Raise ValueError unless ``law`` is the kernel's reversible law."""
-    if law.gamma != kernel.mechanical.gamma_rev:
+    if law.gamma != kernel.gamma:
         raise ValueError(f"law has gamma = {law.gamma.gamma:g}, kernel {kernel.name!r} "
-                         f"is reversible for gamma = {kernel.mechanical.gamma_rev.gamma:g}")
+                         f"is reversible for gamma = {kernel.gamma.gamma:g}")
 
 
 def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:
     """Max asymmetry of q(beta, alpha) = Lambda_r(beta) p(beta, alpha) w_gamma(beta)
     over an interior grid; zero iff the bond dynamics is reversible for Beta(gamma, gamma)."""
-    g = kernel.mechanical.gamma_rev.gamma
+    g = kernel.gamma.gamma
     # irrational offset keeps every pair (grid_i, grid_j) off the singular
     # line alpha = 1 - beta of the gg2 density
     grid = (np.arange(n_grid) + 0.5 / math.sqrt(2.0)) / n_grid
@@ -417,8 +410,7 @@ def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:
     wg = np.exp((g - 1) * (np.log(grid) + np.log1p(-grid)) - betaln(g, g))
     q = np.empty((n_grid, n_grid))
     for i, b in enumerate(grid):
-        dens = kernel.alpha_density(b, 1.0 - b, grid)
-        q[i, :] = lam[i] * dens * wg[i]
+        q[i, :] = lam[i] * kernel.density(b, grid) * wg[i]
     # the gg2 density has an integrable +inf ridge at alpha = 1 - beta, which is
     # itself a symmetric set; only compare where both entries are finite
     finite = np.isfinite(q)

@@ -12,7 +12,7 @@ scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
 the pair, so a block of 8192 events takes its alphas from one rng.beta call.
 A ``models.UniformSampler`` (stick, gg3, gg2) draws only uniforms: each
 block hands it the ``__next__`` of a generator over batches drawn ahead,
-65-85 ns a uniform against 175-195 for the stand-in below.  Star m = 0 (kmp)
+140 ns a uniform against 625 for a scalar rng.random() call.  Star m = 0 (kmp)
 rates are constant, as (a + b) ** 0.0 is 1.0 for every float: its blocks
 also take waiting times and bonds from array calls that repeat the loop's
 sequential sums, so an event is a pair update and a log append, 1-2 us on 3
@@ -23,8 +23,8 @@ place by half up to the rows the budget is projected to fill (past them only
 as needed) and trimmed once at the end; the default grid keeps about one
 sample per event, at most _GRID_ROWS.  Events run in chunks of
 _REFRESH_EVERY, after each of which the total rate is summed afresh to
-control floating drift.  Other samplers get a Generator stand-in whose
-scalar random() and beta(a, b) come from arrays drawn ahead, bit-exact.
+control floating drift.  Any other sampler is called per event with the
+generator itself.
 
 The spectral gap is estimated from the exponential decay rate of the
 autocorrelation of a slow observable; this is an estimate (it sees the gap
@@ -71,7 +71,7 @@ _MAX_SAMPLES = 1 << 21  # state snapshots kept per run
 _GRID_ROWS = 1 << 18  # most samples a default grid aims at
 _REFRESH_EVERY = 64  # events between full recomputations of the total rate
 _LOG_EVENTS = 8192  # events logged between samplings of the grid
-_AHEAD = 2048  # most scalar draws an alpha sampler's generator takes at once
+_AHEAD = 2048  # most uniforms one batch of a UniformSampler's draws takes
 _N_BATCHES = 8  # batch-means blocks of the gap estimate
 _BURN_IN = 0.1  # leading fraction of the series discarded
 _R2_THRESHOLD = 0.95  # fits with a lower R^2 are flagged
@@ -104,19 +104,14 @@ def _bond_updates(topo: Topology) -> list[tuple[tuple[int, int, int], ...]]:
 
 
 class _DrawAhead:
-    """The generator an alpha sampler sees.  Scalar ``random()`` and float
-    ``beta(a, b)`` come from batches drawn ahead by the same numpy routine,
-    doubling up to _AHEAD while one kind repeats; any other use settles the
-    stand-in and goes to the generator.  Settling restores the state saved
-    before the batch and redraws the count served, which leaves the
-    generator where the scalar calls would."""
+    """Batches of a declared sampler's draws, taken from the generator ahead
+    of the events that use them.  Settling restores the state saved before
+    the batch and redraws the count served, which leaves the generator where
+    the scalar calls would."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._key = None  # (method, *args) of the values drawn ahead
-
-    def _refill(self, key):
-        return next(self.draw(key, min(2 * self._size, _AHEAD) if key == self._key else 8))
 
     def draw(self, key, size: int):
         """An iterator over ``size`` values of (method, *args) drawn at once;
@@ -142,26 +137,6 @@ class _DrawAhead:
                 getattr(self._rng, self._key[0])(*self._key[1:], size=used)
             self._key = None
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        if size is not None or out is not None or dtype is not np.float64:
-            return self.__getattr__("random")(size, dtype, out)
-        if self._key == ("random",):
-            for v in self._left:
-                return v
-        return self._refill(("random",))
-
-    def beta(self, a, b, size=None):
-        if size is not None or type(a) is not float or type(b) is not float:
-            return self.__getattr__("beta")(a, b, size)
-        if self._key == ("beta", a, b):
-            for v in self._left:
-                return v
-        return self._refill(("beta", a, b))
-
-    def __getattr__(self, name):
-        self.settle()
-        return getattr(self._rng, name)
-
 
 def run(
     kernel: ExchangeKernel,
@@ -181,6 +156,11 @@ def run(
     _MAX_SAMPLES of them; when ``sample_dt`` is omitted it is chosen from the
     initial total rate so that about one sample per (expected) event, at most
     _GRID_ROWS = 2^18, cover the run.
+
+    The kernel's alpha sampler is called per event as sampler(a, b, rng),
+    unless its type declares draws taken in batches (``BetaSampler``,
+    ``UniformSampler``); either way ``rng`` gives the same stream and ends
+    in the same state.
     """
     return _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, lambda rows: rows)
 
@@ -219,7 +199,7 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
     total = sum(rates)
     # star m = 0: (a + b) ** 0.0 is 1.0 for every float, so no rate ever moves
     # and, when its update cancels exactly, neither does the total
-    steady = kernel.name in ("star", "kmp") and kernel.mechanical.m == 0
+    steady = kernel.name in ("star", "kmp") and kernel.m == 0
     if steady and any(r != pref for r in rates):
         raise ValueError(f"{kernel.name} kernel with m = 0 has a rate other than 1")
     steady = steady and (total - pref) + pref == total
@@ -268,7 +248,7 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
         samples.resize((n_samples, samples.shape[1]), refcheck=False)
         return Trajectory(topo, kernel.name, grid, samples, done, t, flagged)
 
-    ahead = source = _DrawAhead(rng)
+    ahead, source = _DrawAhead(rng), rng
     t = 0.0
     done = 0
     block = 8192
@@ -277,7 +257,6 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
         # repeat the loop's sequential sums (t += e / total, the bond scan)
         cum = np.cumsum(rates)
         while steady and done < cap_events:
-            ahead.settle()
             ts = np.cumsum(np.r_[t, rng.exponential(1.0, block) / total])[1:]
             u = rng.random(block) * total
             n = min(block, cap_events - done)
@@ -287,7 +266,7 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
                 alphas = iter(rng.beta(beta_g, beta_g, stop).tolist())
             for b in picks.tolist():
                 i, j = bonds[b]
-                alpha = sampler(x[i], x[j], ahead) if alphas is None else next(alphas)
+                alpha = sampler(x[i], x[j], rng) if alphas is None else next(alphas)
                 s = x[i] + x[j]
                 x[i] = alpha * s
                 x[j] = s - alpha * s

@@ -38,6 +38,13 @@ def test_two_site_command(capsys):
     assert abs(float(out) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("m", ["-4.5", "-2"])
+def test_gap_refuses_a_star_exponent_without_galerkin_moments(m, capsys):
+    # -4.5 printed a negative gap and exited 0; -2 died on a NaN in eigvalsh
+    assert main(["gap", "--model", "star", "--m", m, "--N", "3", "--degree", "2"]) == CONFIG_ERROR
+    assert f"m = {float(m):g} with gamma = 1" in capsys.readouterr().err
+
+
 def test_unknown_model_is_config_error():
     assert main(["gap", "--model", "star", "--method", "bogus"]) == CONFIG_ERROR
 
@@ -404,12 +411,21 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, capsys):
             return map(fn, jobs)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     args = ["sweep", "--model", "kmp", "--topology", "long-range", "--degree", "2",
             "--out", str(tmp_path / "s.csv"), "--jobs", "64"]
     assert main(args + ["--sites-grid", "2,3"]) == 0
     assert main(args + ["--sites-grid", "2"]) == 0  # one point: no pool
+    # nor larger than the CPUs: 6 points on 4 CPUs take 4 workers, and an
+    # unknown CPU count takes none
+    star = args[:2] + ["star"] + args[3:] + ["--sites-grid", "2,3", "--m-grid", "0,1,2"]
+    assert main(star) == 0
+    rows = (tmp_path / "s.csv").read_text()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(star) == 0
+    assert (tmp_path / "s.csv").read_text() == rows
     capsys.readouterr()
-    assert sizes == [2]
+    assert sizes == [2, 4]
 
 
 def test_verify_output_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -119,7 +119,7 @@ def _two_site_differences(kernel, degree):
     """The grid and the weighted phi(alpha) - phi(beta) on the repeated-node
     grid, phi(beta) taken at every node."""
     grid = KernelIntegrals(kernel)
-    g = kernel.mechanical.gamma_rev.gamma
+    g = kernel.gamma.gamma
     ra, rb = stieltjes_recurrence(*beta_rule(g, g, 4 * (degree + 2)), degree)
     phi_a = orthonormal_values(ra, rb, grid.alpha_nodes)
     phi_b = orthonormal_values(ra, rb, _repeated_betas(grid))
@@ -249,6 +249,32 @@ def test_two_site_degree_past_the_rules_is_refused():
         two_site_constant(make_kernel("star", m=1.0), degree=48)
 
 
+@pytest.mark.parametrize("m, gamma, N", [
+    (-4.5, 1.0, 3),  # gave -0.6638527728817469: gammaln drops Gamma's sign
+    (-3.2, 0.5, 3),
+    (-4.5, 1.0, 4),
+    (-4.0, 1.0, 3),  # m + 2 gamma = -2, the first infinite bond moment
+    (-2.0, 1.0, 3),  # m + 2 gamma = 0 and -1: Gamma poles times zero entries
+    (-3.0, 1.0, 3),
+    (-1.0, 0.5, 5),
+])
+def test_star_exponents_without_galerkin_moments_are_refused(m, gamma, N):
+    law = SimplexLaw(GammaShape(gamma), 1.0, N)
+    for topology in (NEAREST, LONG_RANGE):
+        with pytest.raises(ValueError, match=f"m = {m:g} with gamma = {gamma:g}"):
+            spectral_gap(law, star_kernel(m, GammaShape(gamma)), 2, topology)
+
+
+def test_star_exponents_with_galerkin_moments_keep_their_gap():
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    for m in (-3.999, -2.5, -2.001):  # finite moments, away from the poles
+        assert spectral_gap(law, star_kernel(m, GammaShape(1.0)), 2, LONG_RANGE).value > 0
+    # two sites have no bond moment: the gap stays 2^m E^m at any m
+    two = SimplexLaw(GammaShape(1.0), 1.0, 2)
+    assert spectral_gap(two, star_kernel(-4.5, GammaShape(1.0)), 2, NEAREST).value == \
+        pytest.approx(2.0 ** -4.5, rel=1e-12)
+
+
 @pytest.mark.parametrize("degree", [0, -1])
 def test_degree_below_one_is_refused(degree):
     law = SimplexLaw(GammaShape(1.0), 1.0, 3)
@@ -265,7 +291,7 @@ def test_degree_below_one_is_refused(degree):
 
 class _ReferenceIntegrals:
     def __init__(self, kernel):
-        self.gamma = kernel.mechanical.gamma_rev
+        self.gamma = kernel.gamma
         self._exact = kernel.name in ("star", "kmp")
         grid = KernelIntegrals(kernel)
         self.alpha_nodes, self.beta_nodes = grid.alpha_nodes, _repeated_betas(grid)
@@ -323,7 +349,7 @@ def _reference_basis(N, degree):
 def _reference_assemble(law, kernel, degree, topology=NEAREST):
     N, E = law.sites, law.mean_energy
     g = law.gamma.gamma
-    m = kernel.mechanical.m
+    m = kernel.m
     basis = _reference_basis(N, degree)
     dim = len(basis)
     full = np.zeros((dim, N), dtype=float)
@@ -391,7 +417,7 @@ def test_assemble_matches_the_reference_loop(name, m, gamma, monkeypatch):
         # switches to its unrolled pairwise summation
         cases += [(3, 5, NEAREST), (4, 4, LONG_RANGE), (5, 3, NEAREST), (9, 2, LONG_RANGE)]
     for N, degree, topology in cases:
-        law = SimplexLaw(kernel.mechanical.gamma_rev, 0.7, N)
+        law = SimplexLaw(kernel.gamma, 0.7, N)
         A, G, basis = assemble(law, kernel, degree, topology)
         A_ref, G_ref, basis_ref = _reference_assemble(law, kernel, degree, topology)
         assert basis == basis_ref
@@ -470,7 +496,7 @@ def _ref_gg3_rate_r(beta):
 
 def _ref_alpha_rule(kernel, beta):
     if kernel.name in ("star", "kmp"):
-        g = kernel.mechanical.gamma_rev.gamma
+        g = kernel.gamma.gamma
         return beta_rule(g, g, 48)
     c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
     if kernel.name == "gg3":
@@ -489,14 +515,14 @@ def _ref_alpha_rule(kernel, beta):
                  for lo, hi, sing in segs]
         return (np.concatenate([u for u, _ in rules]),
                 np.concatenate([w * models.gg2_unnormalized(beta, u) / lam for u, w in rules]))
-    m, lam = kernel.mechanical.m, float(kernel.rate_r(beta))
+    m, lam = kernel.m, float(kernel.rate_r(beta))
     (u1, w1), (u2, w2) = (_ref_power(0.0, beta, m - 1.0, 48, False),
                           _ref_power(beta, 1.0, m - 1.0, 48, True))
     return np.concatenate([u1, u2]), np.concatenate([w1 * m / lam, w2 * m / lam])
 
 
 def _ref_beta_grid(kernel, n=48):
-    g = kernel.mechanical.gamma_rev.gamma
+    g = kernel.gamma.gamma
     lognorm = gammaln(g) * 2 - gammaln(2 * g)
     if kernel.name == "stick":
         u, w = _ref_graded(0.0, 1.0, "both", n, 16)

@@ -32,6 +32,14 @@ def test_simplex_law_refuses_a_sites_that_is_not_an_integer(sites):
     assert SimplexLaw(GammaShape(1.0), 1.0, np.int64(3)).total_energy == 3.0
 
 
+@pytest.mark.parametrize("sites", [1, 0, -3])
+def test_simplex_law_refuses_fewer_than_two_sites(sites):
+    # as Topology and build_basis do: no exchange acts on one site
+    with pytest.raises(ValueError, match="sites must be at least 2"):
+        SimplexLaw(GammaShape(1.0), 1.0, sites)
+    assert SimplexLaw(GammaShape(1.0), 1.0, 2).total_energy == 2.0
+
+
 def test_sample_matrix_constraint(rng):
     law = SimplexLaw(GammaShape(0.5), 2.0, 5)
     x = sample_matrix(law, 20, rng)

@@ -178,7 +178,7 @@ def test_scalar_rate_is_the_mechanical_form_bit_for_bit(name, m):
     # the last bit; both call one one-float Lambda_r, so both are pinned to a reference
     # written apart from it
     kern = make_kernel(name, m=m, gamma=1.0 if name == "star" else None)
-    m, rate_r = kern.mechanical.m, _reference_rate_r(name, m)
+    m, rate_r = kern.m, _reference_rate_r(name, m)
     pairs = _energy_pairs(10_000)
     for a, b in pairs:
         s = a + b
@@ -336,7 +336,7 @@ def test_gg2_density_matches_pointwise_branches():
 
 
 def test_mechanical_metadata():
-    assert make_kernel("gg3").mechanical.gamma_rev.gamma == 1.5
-    assert make_kernel("gg3").mechanical.m == 0.5
-    assert make_kernel("gg2").mechanical.gamma_rev.gamma == 1.0
-    assert make_kernel("gg2").mechanical.m == 0.5
+    assert make_kernel("gg3").gamma.gamma == 1.5
+    assert make_kernel("gg3").m == 0.5
+    assert make_kernel("gg2").gamma.gamma == 1.0
+    assert make_kernel("gg2").m == 0.5

@@ -252,7 +252,7 @@ def _assert_same_run(kern, topo, law, seed, make_rng=np.random.default_rng, **kw
     got = run(counted, topo, law, rng_new, **kwargs)
     want = _reference_run(kern, topo, law, rng_ref, **kwargs)
     # a star m = 0 run asks for each bond's rate once, before the first event
-    if kern.name in ("star", "kmp") and kern.mechanical.m == 0:
+    if kern.name in ("star", "kmp") and kern.m == 0:
         assert calls[0] == len(topo.bonds())
     elif got.n_events:
         assert calls[0] > len(topo.bonds())
@@ -274,7 +274,7 @@ def _assert_same_trajectory(got, want, rng_got, rng_want):
 def test_run_is_bit_identical_to_the_reference_loop(shape, monkeypatch):
     model, m, g, n, kind, events = shape
     kern = make_kernel(model, m=m, gamma=g)
-    law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+    law = SimplexLaw(kern.gamma, 1.0, n)
     topo = Topology(kind, n)
     seed = [n, events]
     traj = _assert_same_run(kern, topo, law, seed, n_events=events)
@@ -298,7 +298,7 @@ def test_run_is_bit_identical_to_the_reference_loop(shape, monkeypatch):
 def _shape_run(shape):
     model, m, g, n, kind, events = shape
     kern = make_kernel(model, m=m, gamma=g)
-    return kern, Topology(kind, n), SimplexLaw(kern.mechanical.gamma_rev, 1.0, n), events
+    return kern, Topology(kind, n), SimplexLaw(kern.gamma, 1.0, n), events
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
@@ -313,8 +313,8 @@ def test_run_is_bit_identical_for_every_bit_generator(shape, bit_generator):
 
 
 def _mixed_sampler(a, b, rng):
-    # each switch between random(), beta() with two parameter pairs and a
-    # method the stand-in does not serve settles the values drawn ahead
+    # random(), beta() with two parameter pairs and standard_normal(), each
+    # from the generator itself, between the run's block draws
     u = rng.random()
     if u < 0.25:
         return float(rng.beta(2.0, 2.0))
@@ -400,25 +400,20 @@ def test_constant_rate_kernel_with_another_rate_is_refused():
             run(wrong, Topology(kind, 4), law, np.random.default_rng(0), n_events=100)
 
 
-def test_stand_in_serves_the_generator_stream():
+def test_draws_ahead_serve_the_generator_stream():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     ahead = simulate._DrawAhead(rng)
-    got = [ahead.random(), ahead.random(), ahead.beta(1.0, 1.0), ahead.beta(1.0, 2.0),
-           ahead.beta(np.array([1.0, 2.0]), 1.0).tolist(), ahead.beta(2, 2), ahead.beta(2, 2),
-           ahead.random(2).tolist(), ahead.beta(3.0, 3.0, 2).tolist(), ahead.random(),
-           ahead.standard_normal(), ahead.integers(0, 10), ahead.random()]
-    want = [ref.random(), ref.random(), ref.beta(1.0, 1.0), ref.beta(1.0, 2.0),
-            ref.beta(np.array([1.0, 2.0]), 1.0).tolist(), ref.beta(2, 2), ref.beta(2, 2),
-            ref.random(2).tolist(), ref.beta(3.0, 3.0, 2).tolist(), ref.random(),
-            ref.standard_normal(), ref.integers(0, 10), ref.random()]
-    # a block drawn at once, of which the caller takes part: a scalar call
-    # after it and settling hand the rest back
+    # a block drawn at once, of which the caller takes part: the next block
+    # and settling hand the rest back
     block = ahead.draw(("beta", 2.0, 2.0), 16)
-    got += [next(block), next(block), next(block), ahead.random()]
-    want += [ref.beta(2.0, 2.0), ref.beta(2.0, 2.0), ref.beta(2.0, 2.0), ref.random()]
+    got = [next(block), next(block), next(block)]
+    want = [ref.beta(2.0, 2.0), ref.beta(2.0, 2.0), ref.beta(2.0, 2.0)]
     block = ahead.draw(("beta", 0.5, 0.5), 8)
     got += [next(block), next(block)]
     want += [ref.beta(0.5, 0.5), ref.beta(0.5, 0.5)]
+    uniforms = ahead.uniforms()
+    got += [next(uniforms) for _ in range(30)]  # across batches of 8 and 16
+    want += [ref.random() for _ in range(30)]
     assert repr(got) == repr(want)
     ahead.settle()
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -681,7 +676,7 @@ def test_estimate_equals_the_observable_on_full_rows(shape, settings, monkeypatc
         monkeypatch.setattr(simulate, "_MAX_SAMPLES", 700)
     model, m, g, n, kind = shape
     kern = make_kernel(model, m=m, gamma=g)
-    law = SimplexLaw(kern.mechanical.gamma_rev, 1.0, n)
+    law = SimplexLaw(kern.gamma, 1.0, n)
     topo = Topology(kind, n)
     obs = slowest_mode_observable(law, kern, 3, kind)
     for observable in (obs, None):
@@ -716,15 +711,38 @@ def test_estimate_refuses_an_observable_without_one_value_per_row(observable):
                               np.random.default_rng(0), n_events=1000, observable=observable)
 
 
+class _NoScalarDraws(np.random.Generator):
+    """A generator whose scalar random() and beta() raise while ``strict``."""
+
+    strict = True
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert not (self.strict and size is None and out is None), "a scalar random() call"
+        return super().random(size, dtype, out)
+
+    def beta(self, a, b, size=None):
+        assert not (self.strict and size is None), "a scalar beta() call"
+        return super().beta(a, b, size)
+
+
+def _assert_no_scalar_draws(kern, topo, law, seed, **budget):
+    """run, given a generator that refuses scalar draws, equals the reference
+    loop, which makes one scalar draw per alpha (or uniform)."""
+    rng_new, rng_ref = _NoScalarDraws(np.random.PCG64(seed)), np.random.default_rng(seed)
+    got = run(kern, topo, law, rng_new, **budget)
+    rng_new.strict = False
+    _assert_same_trajectory(got, _reference_run(kern, topo, law, rng_ref, **budget),
+                            rng_new, rng_ref)
+    return got
+
+
 @pytest.mark.parametrize("shape", [ORACLE_SHAPES[0], ORACLE_SHAPES[8]], ids=lambda s: s[0])
-def test_star_family_alphas_come_in_blocks_and_a_swapped_sampler_per_event(shape, monkeypatch):
+def test_star_family_alphas_come_in_blocks_and_a_swapped_sampler_per_event(shape):
     kern, topo, law, events = _shape_run(shape)
-    # run never calls the declared Beta(g, g) sampler, which would ask the
-    # stand-in for each alpha: its blocks come from the generator
+    # run never calls the declared Beta(g, g) sampler, which would make a
+    # scalar generator call for each alpha: its blocks come from array calls
     assert type(kern.alpha_sampler) is simulate.BetaSampler
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate._DrawAhead, "beta", None)
-        _assert_same_run(kern, topo, law, 5, n_events=events)
+    _assert_no_scalar_draws(kern, topo, law, 5, n_events=events)
     # the same law behind another callable keeps the per-event calls
     calls = [0]
 
@@ -737,18 +755,15 @@ def test_star_family_alphas_come_in_blocks_and_a_swapped_sampler_per_event(shape
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES[4:8], ids=lambda s: f"{s[0]}-m{s[1]}")
-def test_uniform_samplers_take_batched_uniforms_and_a_wrapped_sampler_per_event(shape,
-                                                                                 monkeypatch):
+def test_uniform_samplers_take_batched_uniforms_and_a_wrapped_sampler_per_event(shape):
     kern, topo, law, _ = _shape_run(shape)
     events = 9_000  # across the 8192-event block, where the batches start afresh
-    # run never asks the stand-in for a uniform when the sampler declares that
-    # it draws only uniforms: they come from batches drawn ahead
+    # run makes no scalar random() call when the sampler declares that it
+    # draws only uniforms: they come from batches drawn ahead
     assert type(kern.alpha_sampler) is UniformSampler
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate._DrawAhead, "random", None)
-        full = _assert_same_run(kern, topo, law, 5, n_events=events)
-        _assert_same_run(kern, topo, law, 5, t_max=0.5 * full.total_time)
-    # the same sampler behind a plain function asks the stand-in per event,
+    full = _assert_no_scalar_draws(kern, topo, law, 5, n_events=events)
+    _assert_no_scalar_draws(kern, topo, law, 5, t_max=0.5 * full.total_time)
+    # the same sampler behind a plain function asks the generator per event,
     # and the runs are the same, whichever budget stops them
     calls = [0]
 
