@@ -236,20 +236,13 @@ def _tail_bound(family: str, gamma: float, t: int) -> float:
 
 @dataclass(frozen=True)
 class SupBracket:
-    """truncated_max_eig <= S <= certified_sup_upper for the family form."""
+    """lower <= S <= upper for the family form: lower is the head block's
+    lambda_max, upper the certified sup bound."""
 
-    truncated_max_eig: float
+    lower: float
     tail_bound: float
-    certified_sup_upper: float
+    upper: float
     n_max: int
-
-    @property
-    def lower(self) -> float:
-        return self.truncated_max_eig
-
-    @property
-    def upper(self) -> float:
-        return self.certified_sup_upper
 
     @property
     def width(self) -> float:
@@ -290,8 +283,7 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
     # first index where head reaches tail; bisection has cached k - 1 and k
     k = bisect.bisect_left(range(taus.size), True, key=lambda i: head(i) >= tails[i])
     best = min(max(head(i), tails[i]) for i in (k - 1, k) if 0 <= i < taus.size)
-    return SupBracket(truncated_max_eig=lower, tail_bound=tail0,
-                      certified_sup_upper=float(best), n_max=n_max)
+    return SupBracket(lower=lower, tail_bound=tail0, upper=float(best), n_max=n_max)
 
 
 class BracketInversionError(RuntimeError):
@@ -328,7 +320,7 @@ def kappa_tilde_1_bracket(gamma: float, n_max: int = 200, degree: int = 8,
     module docstring), unless ``strict`` is disabled for diagnostic use."""
     sa = tridiagonal_sup("A", gamma, n_max)
     sb = tridiagonal_sup("B", gamma, n_max)
-    s_upper = max(sa.certified_sup_upper, sb.certified_sup_upper)
+    s_upper = max(sa.upper, sb.upper)
     lower = (2.0 - s_upper) / 3.0
     upper = kappa_tilde(1.0, gamma, degree)
     bracket = KappaBracket(lower=lower, upper=upper, gamma=gamma, n_max=n_max,

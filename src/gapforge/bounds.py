@@ -11,6 +11,7 @@ formulas and Monte Carlo estimates carry their own provenance tags.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,57 +95,31 @@ def build_moving_path(i: int, j: int) -> MovingPath:
         raise ValueError(f"sites are numbered from 0, got i = {i}")
     if not i < j:
         raise ValueError("need i < j")
-    K = j - i
-    if K == 1:
-        return MovingPath(i, j, (i, j))
-    n = {}
-    for k in range(0, K + 1):
-        n[k] = i + k
-    for l in range(0, K - 1):
-        n[K + 2 * l + 1] = j - 2 - l
-    for l in range(1, K):
-        n[K + 2 * l] = j - l
-    for k in range(3 * K - 1, 4 * K - 2):
-        n[k] = i + k - 3 * K + 3
-    sites = tuple(n[k] for k in range(4 * K - 2))
-    path = MovingPath(i, j, sites)
+    descent = (s for l in range(j - i - 1) for s in (j - 2 - l, j - 1 - l))
+    path = MovingPath(i, j, (*range(i, j + 1), *descent, *range(i + 2, j + 1)))
     _assert_path_invariants(path)
     return path
 
 
 def _assert_path_invariants(path: MovingPath) -> None:
     i, j, sites = path.i, path.j, path.sites
-    K = j - i
-    assert sites[0] == i
-    assert len(sites) == (2 if K == 1 else 4 * K - 2)
-    # permutation composed left to right equals the transposition (i, j)
-    n_sites = j + 1
-    perm = list(range(n_sites))
-    carrier = i  # position currently holding the original x_i
+    # the swaps join consecutive sites, so from n_0 = i the tracked energy
+    # x_i sits at n_k before step k + 1
+    assert sites[0] == i, "path must start at i"
+    assert len(sites) == 4 * (j - i) - 2, "path must have 4 (j - i) - 2 sites"
+    perm = list(range(j + 1))  # perm[s]: the original site of the energy at s
+    used = Counter()
     for a, b in path.swaps:
         assert abs(a - b) in (1, 2), "step size must be 1 or 2"
-        assert i <= a <= j and i <= b <= j
+        assert i <= a <= j and i <= b <= j, "sites must lie in [i, j]"
         perm[a], perm[b] = perm[b], perm[a]
-        carrier = b if carrier == a else (a if carrier == b else carrier)
-    expected = list(range(n_sites))
-    expected[i], expected[j] = expected[j], expected[i]
+        used[min(a, b), abs(a - b)] += 1
+    expected = list(range(j + 1))
+    expected[i], expected[j] = j, i
     assert perm == expected, "composition must equal the (i, j) swap"
-    # the moving energy sits at n_{k} before step k+1
-    carrier = i
-    for k, (a, b) in enumerate(path.swaps):
-        assert carrier == sites[k], "tracked energy must sit at n_k"
-        carrier = b if carrier == a else (a if carrier == b else carrier)
-    assert carrier == sites[-1]
-    # usage counts
-    from collections import Counter
-
-    used = Counter(frozenset(s) for s in path.swaps)
-    for pair, count in used.items():
-        a, b = sorted(pair)
-        if b - a == 1:
-            assert count <= 3, f"adjacent pair {pair} used {count} > 3 times"
-        else:
-            assert count <= 1, f"next-nearest pair {pair} used {count} > 1 time"
+    for (a, step), count in used.items():
+        cap = 3 if step == 1 else 1
+        assert count <= cap, f"pair ({a}, {a + step}) used {count} > {cap} times"
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +319,6 @@ def stick_two_site_lower(m: float) -> float:
     a = (m-1)/(4m) for m > 1; +inf for m < 1, so no bound there)."""
     if not m >= 1.0:
         raise ValueError(f"the stick two-site bound needs m >= 1, got {m}")
-    if m == 1.0:
-        return 1.0
     a = (m - 1.0) / (4.0 * m)
     return a ** (m - 1.0) * (1.0 - 4.0 * a)
 

@@ -53,18 +53,25 @@ class ExperimentConfig:
     method: str = "galerkin"
     degree: int = 6
     budget: int = 1_000_000
-    seed: int | None = None
+    seed: int = 0
     output: str | None = None
+    # sweep's comma-separated grids; unset, the single value above
+    energies: str | None = None
+    sites_grid: str | None = None
+    m_grid: str | None = None
+    gamma_grid: str | None = None
 
     @classmethod
     def from_file(cls, path: str, command: str, keys: set[str]) -> "ExperimentConfig":
         """The config a JSON file sets for ``command``.  ``keys`` are the
         settings the command takes a flag for; any other key is refused rather
-        than ignored, and so is a file written for another command."""
+        than ignored, and so is a file written for another command.  A null
+        value leaves its setting unset."""
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config {path}: top level must be a JSON object")
+        raw = {key: val for key, val in raw.items() if val is not None}
         if raw.pop("schema", None) != SCHEMA_VERSION:
             raise ValueError(f"config {path}: missing or unsupported schema version")
         hints = typing.get_type_hints(cls)
@@ -97,20 +104,13 @@ class ExperimentConfig:
         return meta
 
 
-def master_seed(cfg: ExperimentConfig) -> int:
-    if cfg.seed is not None:
-        return cfg.seed
-    env = os.environ.get("GAPFORGE_SEED")
-    return int(env) if env else 0
+_TOPOLOGIES = {"nearest": NEAREST, "long-range": LONG_RANGE}
 
 
 def _topology(name: str, sites: int) -> Topology:
-    key = name.replace("-", "").replace("_", "").lower()
-    if key in ("longrange", "lr", "complete"):
-        return Topology(LONG_RANGE, sites)
-    if key in ("nearest", "nn", "chain", "nearestneighbor"):
-        return Topology(NEAREST, sites)
-    raise ValueError(f"unknown topology {name!r}")
+    if name not in _TOPOLOGIES:
+        raise ValueError(f"unknown topology {name!r}, not one of {list(_TOPOLOGIES)}")
+    return Topology(_TOPOLOGIES[name], sites)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def compute_gap_row(cfg: ExperimentConfig) -> dict:
         res = spectral_gap(law, kern, cfg.degree, topo.kind)
         gap, err, dob = res.value, 0.0, cfg.degree
     elif cfg.method == "mc":
-        rng = np.random.default_rng(master_seed(cfg))
+        rng = np.random.default_rng(cfg.seed)
         est = simulate.estimate_gap_autocorr(kern, topo, law, rng, n_events=cfg.budget)
         if est.flagged:
             raise ArithmeticError(
@@ -141,7 +141,7 @@ def compute_gap_row(cfg: ExperimentConfig) -> dict:
         "model": kern.name, "m": kern.m,
         "gamma": kern.gamma.gamma, "E": cfg.energy,
         "N": cfg.sites, "topology": cfg.topology, "method": cfg.method,
-        "degree_or_budget": dob, "gap": gap, "err": err, "seed": master_seed(cfg),
+        "degree_or_budget": dob, "gap": gap, "err": err, "seed": cfg.seed,
     }
 
 
@@ -192,15 +192,12 @@ def _sweep_job(payload: dict) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    e_grid = _parse_grid("--energies", args.energies, [cfg.energy])
-    n_grid = _parse_grid("--sites-grid", args.sites_grid, [cfg.sites], int)
-    m_grid = _parse_grid("--m-grid", args.m_grid, [cfg.m])
-    g_grid = _parse_grid("--gamma-grid", args.gamma_grid, [cfg.gamma])
-    jobs = []
-    for e, n, m, g in itertools.product(e_grid, n_grid, m_grid, g_grid):
-        sub = ExperimentConfig(**{**asdict(cfg), "energy": e, "sites": n,
-                                  "m": m, "gamma": g, "seed": master_seed(cfg)})
-        jobs.append(asdict(sub))
+    e_grid = _parse_grid("--energies", cfg.energies, [cfg.energy])
+    n_grid = _parse_grid("--sites-grid", cfg.sites_grid, [cfg.sites], int)
+    m_grid = _parse_grid("--m-grid", cfg.m_grid, [cfg.m])
+    g_grid = _parse_grid("--gamma-grid", cfg.gamma_grid, [cfg.gamma])
+    jobs = [{**asdict(cfg), "energy": e, "sites": n, "m": m, "gamma": g}
+            for e, n, m, g in itertools.product(e_grid, n_grid, m_grid, g_grid)]
     # the pool starts every worker at once, each importing scipy
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -292,7 +289,7 @@ def _write_summary_csv(path: str, report: dict) -> None:
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     kern, law = _kernel_and_law(cfg)
-    rng = np.random.default_rng(master_seed(cfg))
+    rng = np.random.default_rng(cfg.seed)
     traj = simulate.run(kern, _topology(cfg.topology, cfg.sites), law, rng,
                         n_events=cfg.budget, sample_dt=args.sample_dt)
     if traj.flagged:
@@ -325,7 +322,7 @@ _FLAGS = {
     "--gamma": dict(type=float),
     "--E": dict(dest="energy", type=float),
     "--N": dict(dest="sites", type=int),
-    "--topology": dict(choices=["nearest", "long-range"]),
+    "--topology": dict(choices=list(_TOPOLOGIES)),
     "--method": dict(choices=["galerkin", "mc"]),
     "--degree": dict(type=int),
     "--budget": dict(type=int, help="MC event budget"),

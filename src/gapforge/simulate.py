@@ -40,7 +40,6 @@ is one block and takes its power spectrum from a single FFT.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
@@ -568,9 +567,7 @@ def equilibrium_check(
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write the strided snapshots as CSV with columns time, x_1..x_N."""
-    n = traj.samples.shape[1]
+    header = ",".join(["time"] + [f"x_{i + 1}" for i in range(traj.samples.shape[1])])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"x_{i + 1}" for i in range(n)])
-        for t, row in zip(traj.sample_times, traj.samples):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        np.savetxt(fh, np.column_stack([traj.sample_times, traj.samples]), fmt="%.17g",
+                   delimiter=",", newline="\r\n", header=header, comments="")

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapforge.bounds import (
+    MovingPath,
+    _assert_path_invariants,
     build_moving_path,
     check_compm2m,
     check_convex,
@@ -33,7 +35,7 @@ def test_moving_path_length():
 @given(i=st.integers(1, 20), j=st.integers(2, 21))
 @settings(max_examples=60, deadline=None)
 def test_moving_path_invariants_hold(i, j):
-    # the constructor asserts composition, carrier tracking, step sizes and
+    # the constructor asserts the start, composition, step sizes, range and
     # usage counts; it must succeed for every admissible pair
     if i < j:
         build_moving_path(i, j)
@@ -46,6 +48,26 @@ def test_moving_path_refuses_a_negative_site():
     with pytest.raises(ValueError, match="got i = -2"):
         build_moving_path(-2, 1)
     assert build_moving_path(0, 2).sites == (0, 1, 2, 0, 1, 2)
+
+
+# paths that break one invariant each and keep every other, so each check is
+# the only one that refuses its path: (i, j, sites, the check's message)
+BROKEN_PATHS = {
+    "start": (1, 3, (3, 2, 1, 3, 2, 1), "start at i"),  # the path read backwards
+    "length": (1, 3, (1, 3), "4 \\(j - i\\) - 2 sites"),  # the long-range swap itself
+    "step-3": (0, 3, (0, 1, 0, 1, 2, 0, 3, 1, 2, 3), "step size"),
+    "step-0": (1, 3, (1, 1, 2, 1, 3, 3), "step size"),
+    "range": (1, 3, (1, 0, 1, 2, 1, 3), "lie in \\[i, j\\]"),  # a detour through site 0
+    "composition": (1, 3, (1, 2, 1, 2, 3, 1), "composition"),
+    "adjacent-cap": (1, 3, (1, 2, 1, 2, 1, 3), r"pair \(1, 2\) used 4 > 3"),
+    "next-nearest-cap": (1, 3, (1, 2, 1, 3, 1, 3), r"pair \(1, 3\) used 3 > 1"),
+}
+
+
+@pytest.mark.parametrize("i, j, sites, message", BROKEN_PATHS.values(), ids=BROKEN_PATHS)
+def test_path_checker_refuses_a_path_that_breaks_one_invariant(i, j, sites, message):
+    with pytest.raises(AssertionError, match=message):
+        _assert_path_invariants(MovingPath(i, j, sites))
 
 
 def test_exact_gap_formula_values():

@@ -12,7 +12,6 @@ from gapforge.cli import (
     CONFIG_ERROR,
     NUMERICAL_ERROR,
     VERIFICATION_FAILURE,
-    ExperimentConfig,
     main,
 )
 
@@ -96,8 +95,8 @@ def test_sweep_reruns_from_its_metadata(tmp_path, capsys):
     first = out.read_text()
     meta = tmp_path / "s.meta.json"
     assert json.loads(meta.read_text())["command"] == "sweep"
-    assert main(["sweep", "--config", str(meta), "--sites-grid", "2,3"]) == 0
-    assert out.read_text() == first
+    assert main(["sweep", "--config", str(meta)]) == 0  # the grid is in the meta file
+    assert out.read_text() == first and len(first.splitlines()) == 3
     assert main(["gap", "--config", str(meta)]) == CONFIG_ERROR
 
 
@@ -240,12 +239,66 @@ def test_ill_conditioned_gram_is_numerical_failure(capsys):
     assert "numerical failure" in err and "ill-conditioned" in err
 
 
-def test_seed_env_default(monkeypatch):
-    monkeypatch.setenv("GAPFORGE_SEED", "42")
-    from gapforge.cli import master_seed
+RERUNS = {
+    "gap-galerkin": ["gap", "--model", "gg3", "--N", "3", "--topology", "nearest",
+                     "--degree", "3"],
+    "gap-mc": ["gap", "--method", "mc", "--model", "kmp", "--N", "2", "--topology", "nearest",
+               "--budget", "20000"],
+    "sweep-two-axes": ["sweep", "--model", "kmp", "--topology", "long-range", "--degree", "2",
+                       "--energies", "0.5,1", "--sites-grid", "2,3"],
+}
 
-    assert master_seed(ExperimentConfig()) == 42
-    assert master_seed(ExperimentConfig(seed=7)) == 7
+
+@pytest.mark.parametrize("argv", RERUNS.values(), ids=RERUNS)
+def test_a_run_reruns_from_its_metadata(argv, tmp_path, monkeypatch, capsys):
+    # no environment variable moves the seed: an unset one is 0, and the meta
+    # file records it with the sweep's grid
+    monkeypatch.setenv("GAPFORGE_SEED", "42")
+    first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--out", str(first)]) == 0
+    meta = tmp_path / "a.meta.json"
+    assert json.loads(meta.read_text())["seed"] == 0
+    monkeypatch.delenv("GAPFORGE_SEED")
+    assert main([argv[0], "--config", str(meta), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert len(first.read_text().splitlines()) == (5 if argv[0] == "sweep" else 2)
+    # a null seed, as older meta files hold, is seed 0
+    meta.write_text(meta.read_text().replace('"seed": 0', '"seed": null'))
+    assert main([argv[0], "--config", str(meta), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["lr", "longrange", "Long-Range", "nn", "chain"])
+def test_config_topology_other_than_the_flag_choices_is_config_error(name, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema": 1, "topology": name, "sites": 2, "degree": 2}))
+    assert main(["gap", "--config", str(cfg)]) == CONFIG_ERROR
+    assert f"unknown topology {name!r}" in capsys.readouterr().err
+
+
+def test_gap_mc_prints_the_estimate_and_its_stderr(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    argv = ["gap", "--method", "mc", "--model", "kmp", "--N", "2", "--topology", "nearest",
+            "--budget", "20000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    gap, err = capsys.readouterr().out.splitlines()
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[6:8] == ["mc", "20000"] and row[10] == "1"
+    assert gap == row[8] and err == f"stderr {row[9]}" and float(row[9]) > 0
+
+
+def test_gap_mc_with_a_flagged_fit_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    flagged = cli.simulate.GapEstimateMC(0.5, 0.1, "centered_x1", (1, 5), 0.25, 0.1, 100,
+                                         flagged=True)
+    monkeypatch.setattr(cli.simulate, "estimate_gap_autocorr", lambda *a, **k: flagged)
+    out = tmp_path / "mc.csv"
+    assert main(["gap", "--method", "mc", "--model", "kmp", "--N", "2",
+                 "--budget", "100", "--out", str(out)]) == NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "autocorrelation fit did not converge (R^2 = 0.250)" in captured.err
+    assert not out.exists()
 
 
 def test_unset_parameters_take_the_kernel_values(tmp_path, capsys):

@@ -400,6 +400,37 @@ def test_constant_rate_kernel_with_another_rate_is_refused():
             run(wrong, Topology(kind, 4), law, np.random.default_rng(0), n_events=100)
 
 
+def _freezing_after(kern, events):
+    """The kernel with a plain uniform sampler and a rate that is exactly 0 from
+    the rate call after the given number of events on a one-bond chain (one
+    call at the start, then one per event)."""
+    calls = [0]
+
+    def rate(a, b):
+        calls[0] += 1
+        return kern.rate(a, b) if calls[0] <= events else 0.0
+    return dataclasses.replace(kern, rate=rate, alpha_sampler=lambda a, b, rng: rng.random())
+
+
+@pytest.mark.parametrize("events", [1, 100, 128, 8_200])
+def test_a_run_whose_rates_fall_to_zero_stops_flagged_where_the_reference_does(events):
+    # mid-chunk, at a chunk's last event and past the first 8192-event block
+    kern = make_kernel("star", m=1.0, gamma=1.0)
+    law, topo = SimplexLaw(GammaShape(1.0), 1.0, 2), Topology(NEAREST, 2)
+    rng_new, rng_ref = np.random.default_rng(events), np.random.default_rng(events)
+    got = run(_freezing_after(kern, events), topo, law, rng_new, n_events=20_000)
+    want = _reference_run(_freezing_after(kern, events), topo, law, rng_ref, n_events=20_000)
+    assert got.flagged and got.n_events == events
+    assert got.total_time > 0 and got.total_time >= got.sample_times[-1]
+    _assert_same_trajectory(got, want, rng_new, rng_ref)
+
+
+def test_run_refuses_a_law_and_topology_of_different_sizes():
+    law = SimplexLaw(GammaShape(1.0), 1.0, 4)
+    with pytest.raises(ValueError, match="disagree on the number of sites"):
+        run(make_kernel("kmp"), Topology(NEAREST, 3), law, np.random.default_rng(0), n_events=10)
+
+
 def test_draws_ahead_serve_the_generator_stream():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     ahead = simulate._DrawAhead(rng)
