@@ -25,22 +25,25 @@ import sys
 import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parents[1]
-VERIFY_OUT = ("report.json", "report.csv")
+VERIFY = {
+    "all": ["--suite", "all"],
+    "theorems-fast": ["--suite", "theorems", "--fast"],
+    "appendix": ["--suite", "appendix"],
+    "appendix-n3": ["--suite", "appendix", "--n-max", "3"],
+    "all-n60": ["--suite", "all", "--n-max", "60"],
+}
+SIMULATE = {
+    "simulate-kmp": ["--model", "kmp", "--N", "16", "--topology", "long-range",
+                     "--budget", "100000", "--seed", "1"],
+    "simulate-gg2": ["--model", "gg2", "--N", "4", "--topology", "nearest",
+                     "--budget", "20000", "--seed", "3"],
+}
 # name -> (the command lines one process runs in turn, the files they write)
 INVOCATIONS = {
-    **{name: ([["verify", *flags, "--out", VERIFY_OUT[0]]], VERIFY_OUT) for name, flags in {
-        "all": ["--suite", "all"],
-        "theorems-fast": ["--suite", "theorems", "--fast"],
-        "appendix": ["--suite", "appendix"],
-        "appendix-n3": ["--suite", "appendix", "--n-max", "3"],
-        "all-n60": ["--suite", "all", "--n-max", "60"],
-    }.items()},
-    **{name: ([["simulate", *flags, "--out", "traj.csv"]], ("traj.csv",)) for name, flags in {
-        "simulate-kmp": ["--model", "kmp", "--N", "16", "--topology", "long-range",
-                         "--budget", "100000", "--seed", "1"],
-        "simulate-gg2": ["--model", "gg2", "--N", "4", "--topology", "nearest",
-                         "--budget", "20000", "--seed", "3"],
-    }.items()},
+    **{name: ([["verify", *flags, "--out", "report.json"]], ("report.json", "report.csv"))
+       for name, flags in VERIFY.items()},
+    **{name: ([["simulate", *flags, "--out", "traj.csv"]], ("traj.csv",))
+       for name, flags in SIMULATE.items()},
     "path-grid": ([["path", "--i", str(i), "--j", str(j)] for j in range(1, 21) for i in range(j)],
                   ()),
 }

@@ -54,10 +54,10 @@ def test_moving_path_refuses_a_negative_site():
 # the only one that refuses its path: (i, j, sites, the check's message)
 BROKEN_PATHS = {
     "start": (1, 3, (3, 2, 1, 3, 2, 1), "start at i"),  # the path read backwards
-    "length": (1, 3, (1, 3), "4 \\(j - i\\) - 2 sites"),  # the long-range swap itself
+    "length": (1, 3, (1, 3), r"4 \(j - i\) - 2 sites"),  # the long-range swap itself
     "step-3": (0, 3, (0, 1, 0, 1, 2, 0, 3, 1, 2, 3), "step size"),
     "step-0": (1, 3, (1, 1, 2, 1, 3, 3), "step size"),
-    "range": (1, 3, (1, 0, 1, 2, 1, 3), "lie in \\[i, j\\]"),  # a detour through site 0
+    "range": (1, 3, (1, 0, 1, 2, 1, 3), r"lie in \[i, j\]"),  # a detour through site 0
     "composition": (1, 3, (1, 2, 1, 2, 3, 1), "composition"),
     "adjacent-cap": (1, 3, (1, 2, 1, 2, 1, 3), r"pair \(1, 2\) used 4 > 3"),
     "next-nearest-cap": (1, 3, (1, 2, 1, 3, 1, 3), r"pair \(1, 3\) used 3 > 1"),
