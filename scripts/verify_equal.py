@@ -9,9 +9,12 @@ events, seed 1; gg2 N = 4 nearest, 20k events, seed 3) and ``path`` for every
 invocation in its own process from its checkout's ``src`` and with one BLAS
 thread (the path grid is one invocation, a process that runs its 210
 commands in turn).  The files each writes, its stdout and its exit codes are
-compared byte for byte.  On the first difference the script names the
-differing file and exits 1; otherwise it prints each invocation's distinct exit
-codes and exits 0:
+compared byte for byte.  Each invocation prints its distinct exit codes and
+the files that are equal or names each differing one.  For a differing JSON
+report it prints every moved field with its old value (OTHER_CHECKOUT's), its
+new value (this checkout's) and its relative move, and whether a ``pass``
+flag changed.  The last line names every changed exit code.  It exits 1 if
+any file differs, else 0:
 
     python3 scripts/verify_equal.py ../gapforge-parent
 """
@@ -66,6 +69,39 @@ def run(checkout: pathlib.Path, argvs: list[list[str]], outdir: pathlib.Path) ->
     return codes.read_text() if codes.is_file() else f"driver exit {proc.returncode}"
 
 
+def leaves(doc, path: str = ""):
+    """(path, value) of every leaf of a JSON document, in document order; a
+    list entry with a ``claim`` carries it in its path."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            claim = f" {value['claim']}" if isinstance(value, dict) and "claim" in value else ""
+            yield from leaves(value, f"{path}[{i}{claim}]")
+    else:
+        yield path, doc
+
+
+def moved_fields(old, new) -> list[str]:
+    """One line per leaf that differs between two JSON documents: old value,
+    new value and, for numbers, the relative move, then whether a ``pass``
+    flag changed."""
+    a, b = dict(leaves(old)), dict(leaves(new))
+    lines, flags = [], []
+    for path in [*a, *(p for p in b if p not in a)]:
+        x, y = a.get(path, "(absent)"), b.get(path, "(absent)")
+        if repr(x) == repr(y):
+            continue
+        move = ""
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            move = f" (relative move {abs(y - x) / abs(x):.2g})" if x else f" (absolute move {abs(y):.2g})"
+        lines.append(f"{path}: {x!r} -> {y!r}{move}")
+        if path.rsplit(".", 1)[-1] == "pass":
+            flags.append(path)
+    return lines + [f"pass flags changed: {', '.join(flags) if flags else 'none'}"]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", type=pathlib.Path, help="the checkout to compare with")
@@ -73,22 +109,28 @@ def main() -> int:
     other = args.other.resolve()
     if not (other / "src" / "gapforge" / "cli.py").is_file():
         ap.error(f"{other} holds no src/gapforge/cli.py")
+    differs, code_changes = False, []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argvs, files) in INVOCATIONS.items():
             here_dir, other_dir = pathlib.Path(tmp, "here", name), pathlib.Path(tmp, "other", name)
             codes = run(HERE, argvs, here_dir), run(other, argvs, other_dir)
             if codes[0] != codes[1]:
-                print(f"{name}: exit codes {codes[0]} here, {codes[1]} in {other}")
-                return 1
-            outputs = (*files, *COMMON_OUT)
+                code_changes.append(f"{name} {codes[1]} -> {codes[0]}")
+            outputs, equal = (*files, *COMMON_OUT), []
             for out in outputs:
-                a, b = here_dir / out, other_dir / out
-                if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
-                    print(f"{name}: {out} differs")
-                    return 1
+                new, old = here_dir / out, other_dir / out
+                if new.is_file() and old.is_file() and new.read_bytes() == old.read_bytes():
+                    equal.append(out)
+                    continue
+                differs = True
+                print(f"{name}: {out} differs")
+                if out.endswith(".json") and new.is_file() and old.is_file():
+                    for line in moved_fields(json.loads(old.read_text()), json.loads(new.read_text())):
+                        print(f"  {line}")
             exits = " ".join(sorted(set(codes[0].split())))
-            print(f"{name}: {len(argvs)} command(s), exit {exits}, {', '.join(outputs)} equal")
-    return 0
+            print(f"{name}: {len(argvs)} command(s), exit {exits}, {', '.join(equal) or 'nothing'} equal")
+    print(f"exit codes changed: {', '.join(code_changes) or 'none'}")
+    return int(differs)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,12 @@ one-dimensional (beta, alpha) kernel integral I(a, b, a', b').
 Assembly is array code over the basis exponent table: G is a log-gamma
 broadcast, and A sums over bonds the broadcast Beta and Dirichlet moments
 times a small kernel matrix over the distinct (a, b) exponent pairs (closed
-form for the star family, V V^T otherwise on the node grid, built and read in
-slices of whole beta rows).  Both run over blocks of rows, so memory stays
-bounded at any N, and each entry takes the scalar formula's floating-point
-operations.
+form for the star family, V V^T otherwise on the node grid, read in slices of
+whole beta rows).  Both run over blocks of rows, so memory stays bounded at
+any N, and each entry takes the scalar formula's floating-point operations.
+stick's and gg3's node grid is an exact tensor Gauss rule for their joint
+weight of (alpha, beta), a few thousand nodes; gg2's is its alpha rule on a
+beta grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.special import gammaln
 
 from .measures import GammaShape, SimplexLaw, pair_alpha_moment
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
-from .quad import beta_rule, graded_rule, orthonormal_values, power_rule, stieltjes_recurrence
+from .quad import beta_rule, legendre_rule, orthonormal_values, power_rule, stieltjes_recurrence
 
 __all__ = [
     "build_basis",
@@ -68,16 +70,10 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating F against the Beta(gamma, gamma) reversible
-    marginal, adapted to the kernel's Lambda_r (kink at 1/2, endpoint
-    singularities of fractional stick exponents)."""
+    marginal, split at the Lambda_r kink at 1/2 (star, kmp and gg2)."""
     g = kernel.gamma.gamma
     lognorm = gammaln(g) * 2 - gammaln(2 * g)
-    if kernel.name == "stick":
-        # cells must stay exact for products of two basis polynomials
-        u, w = graded_rule(0.0, 1.0, "both", n_per_cell=max(n, 48), n_cells=16)
-        w = w * np.exp((g - 1) * (np.log(u) + np.log1p(-u)) - lognorm)
-        return u, w
-    # split at the Lambda_r kink; Beta endpoint weight handled exactly
+    # Beta endpoint weight handled exactly
     u1, w1 = power_rule(0.0, 0.5, g - 1.0, n, True)
     w1 = w1 * (1.0 - u1) ** (g - 1.0) / math.exp(lognorm)
     u2, w2 = power_rule(0.5, 1.0, g - 1.0, n, False)
@@ -85,29 +81,60 @@ def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([u1, u2]), np.concatenate([w1, w2])
 
 
+def _pair_rule(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta rows, alpha rows, weight rows) of a tensor Gauss rule for the
+    symmetric joint weight q(alpha, beta) = w_gamma(beta) Lambda_r(beta) p(beta, alpha)
+    of stick or gg3, exact for alpha^i beta^j with i + j <= 2n - 2.  The rows
+    for alpha < beta (stick) or beta <= 1/2 (gg3) come first, then their images
+    under (alpha, beta) -> (1 - alpha, 1 - beta)."""
+    if kernel.name == "stick":
+        # q = m |alpha - beta|^(m-1); alpha = beta y gives m beta^m (1 - y)^(m-1)
+        m = kernel.m
+        bu, bw = power_rule(0.0, 1.0, m, n, True)
+        y, yw = power_rule(0.0, 1.0, m - 1.0, n, False)
+        alpha, weights = bu[:, None] * y, (m * bw)[:, None] * yw
+    else:
+        # q = 2 sqrt(2/pi) sqrt(min(alpha, 1 - alpha, beta, 1 - beta)): sqrt(beta) on
+        # [beta, 1 - beta], below it alpha = beta y gives sqrt(beta) beta sqrt(y),
+        # and the mirror image above
+        bu, bw = power_rule(0.0, 0.5, 0.5, n, True)
+        y, yw = power_rule(0.0, 1.0, 0.5, n, True)
+        mu, mw = legendre_rule(bu, 1.0 - bu, n)
+        lo, side = bu[:, None] * y, bu[:, None] * yw
+        alpha = np.concatenate([lo, mu, 1.0 - lo], axis=1)
+        weights = (2.0 * math.sqrt(2.0 / math.pi) * bw)[:, None] * np.concatenate([side, mw, side], axis=1)
+    return (np.concatenate([bu, 1.0 - bu]), np.concatenate([alpha, 1.0 - alpha]),
+            np.concatenate([weights, weights]))
+
+
 class KernelIntegrals:
     """The (beta, alpha) node grid of a kernel: positive weights w_n with
     sum_n w_n F(alpha_n, beta_n) = E_beta[Lambda_r(beta) int P(beta, dalpha) F(alpha, beta)]
     for beta ~ Beta(gamma, gamma).
 
-    Row-wise: ``beta_rows`` holds the distinct beta nodes, and the flat,
+    Row-wise: ``beta_rows`` holds the beta node of each row, and the flat,
     C-contiguous ``alpha_nodes`` and ``node_weights`` hold one equal-length row
-    per beta node.  It is built, and ``slices`` reads it, in slices of whole
+    per beta node.  stick and gg3 take ``_pair_rule`` at _N_BETA + 1 nodes per
+    axis, whatever the degree, so every degree reads the same nodes.  The other
+    kernels take ``_beta_grid`` times ``alpha_rule``, built in slices of whole
     rows; alpha_rule works row by row, so the nodes do not depend on them."""
 
     def __init__(self, kernel: ExchangeKernel):
-        bu, bw = _beta_grid(kernel, _N_BETA)
-        self.beta_rows = bu
-        lo, rows = 0, 1  # the first call, on one row, gives the row length
-        while lo < bu.size:
-            s = slice(lo, lo + rows)
-            au, aw = kernel.alpha_rule(bu[s])
-            if lo == 0:
-                alpha, weights = np.empty((bu.size, au.shape[-1])), np.empty((bu.size, au.shape[-1]))
-                rows = max(1, _SLICE_NODES // au.shape[-1])
-            alpha[s] = au
-            weights[s] = (bw[s] * kernel.rate_r(bu[s]))[:, None] * aw
-            lo = s.stop
+        if kernel.name in ("stick", "gg3"):
+            self.beta_rows, alpha, weights = _pair_rule(kernel, _N_BETA + 1)
+        else:
+            bu, bw = _beta_grid(kernel, _N_BETA)
+            self.beta_rows = bu
+            lo, rows = 0, 1  # the first call, on one row, gives the row length
+            while lo < bu.size:
+                s = slice(lo, lo + rows)
+                au, aw = kernel.alpha_rule(bu[s])
+                if lo == 0:
+                    alpha, weights = np.empty((bu.size, au.shape[-1])), np.empty((bu.size, au.shape[-1]))
+                    rows = max(1, _SLICE_NODES // au.shape[-1])
+                alpha[s] = au
+                weights[s] = (bw[s] * kernel.rate_r(bu[s]))[:, None] * aw
+                lo = s.stop
         self.alpha_nodes, self.node_weights = alpha.ravel(), weights.ravel()
 
     def slices(self):

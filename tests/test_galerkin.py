@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -86,6 +87,7 @@ def test_gram_condition_reported():
 @pytest.mark.parametrize("law, kernel, topology, top", [
     (SimplexLaw(GammaShape(1.5), 1.0, 3), make_kernel("gg3"), NEAREST, 4),
     (SimplexLaw(GammaShape(1.0), 1.0, 3), star_kernel(1.0, GammaShape(1.0)), LONG_RANGE, 5),
+    (SimplexLaw(GammaShape(1.0), 1.0, 3), make_kernel("stick", m=2.0), NEAREST, 4),
 ])
 def test_history_is_the_leading_block_gap(law, kernel, topology, top):
     # one assembly at the top degree; its leading blocks are the lower-degree pencils
@@ -162,9 +164,9 @@ def _grid_bytes(grid):
 
 
 def test_two_site_constant_holds_one_value_table():
-    kernel = make_kernel("stick", m=3.0)
+    kernel = make_kernel("gg2")
     grid = KernelIntegrals(kernel)
-    assert grid.beta_rows.size == 1488 and grid.alpha_nodes.size == 142_848
+    assert grid.beta_rows.size == 96 and grid.alpha_nodes.size == 102_912
     for degree in (30, 47):
         peak = _traced_peak(lambda: two_site_constant(kernel, degree))
         # the grid and the (degree + 1, slice) values of one slice; a second
@@ -182,7 +184,7 @@ def _bond_pairs(N, degree):
 
 
 def test_kernel_matrix_holds_little_beside_its_vectors():
-    kernel = make_kernel("stick", m=1.0)
+    kernel = make_kernel("gg2")
     pairs = _bond_pairs(3, 6)
     assert len(pairs) == 28
     peak = _traced_peak(lambda: galerkin._kernel_matrix(kernel, *pairs.T.astype(float)))
@@ -200,14 +202,116 @@ def test_gg2_grid_build_holds_little_beside_the_grid():
     assert _traced_peak(lambda: KernelIntegrals(kernel)) <= 2 * kept
 
 
-# values at the last degree the beta rules integrate exactly, and below it
+# values at the last degree the beta rules integrate exactly, and below it;
+# the stick and gg3 ones agree with the closed-form pencil below
 @pytest.mark.parametrize("name, m, degree, want", [
     ("star", 1.0, 30, "0.9999999999898566"), ("star", 1.0, 47, "0.9999999999877359"),
-    ("stick", 2.0, 30, "0.5095007124074943"), ("stick", 2.0, 47, "0.5041098323960769"),
-    ("gg3", None, 30, "0.5461743861335963"), ("gg3", None, 47, "0.5461743861267074"),
+    ("stick", 2.0, 30, "0.5095007124074932"), ("stick", 2.0, 47, "0.5041098323960747"),
+    ("gg3", None, 30, "0.546174386133598"), ("gg3", None, 47, "0.5461743861334087"),
 ])
 def test_two_site_constant_up_to_the_degree_limit(name, m, degree, want):
     assert repr(two_site_constant(make_kernel(name, m=m), degree)) == want
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the joint weight q(alpha, beta) = w_gamma(beta) Lambda_r(beta)
+# p(beta, alpha) of stick and gg3, in mpmath (imported by the tests that use it)
+
+
+def _stick_moments(mpmath, m):
+    """(i, j) -> int int q alpha^i beta^j = m [B(i+1, m) + B(j+1, m)] / (i + j + m + 1)
+    for q = m |alpha - beta|^(m-1): alpha < beta and alpha > beta give one term each."""
+    m = mpmath.mpf(m)
+    b = functools.lru_cache(None)(lambda i: mpmath.beta(i + 1, m))
+    return lambda i, j: m * (b(i) + b(j)) / (i + j + m + 1)
+
+
+def _gg3_moments(mpmath):
+    """(i, j) -> int int q alpha^i beta^j for q = 2 sqrt(2/pi) sqrt(min(alpha, 1-alpha, beta, 1-beta)),
+    as Beta integrals on [0, 1/2]: on beta <= 1/2, split at alpha = beta and
+    1 - beta, with alpha^i beta^j and with its image (1 - alpha)^i (1 - beta)^j."""
+    h = mpmath.mpf(1) / 2
+
+    @functools.lru_cache(None)
+    def I(p, q):
+        # int_0^(1/2) x^p (1 - x)^q dx, by parts in q: positive terms only
+        head = h ** (p + q + 1) / (p + 1)
+        return head if q == 0 else head + q / (p + 1) * I(p + 1, q - 1)
+
+    def moment(i, j):
+        near = ((I(j + h, i + 1) - I(i + j + 1 + h, 0)) / (i + 1)  # beta <= alpha <= 1 - beta
+                + h ** (i + j + 2 + h) / ((i + 1 + h) * (i + j + 2 + h))  # alpha < beta
+                + (h ** (j + 1) * I(h, i) - I(j + 1 + h, i)) / (j + 1))  # alpha > 1 - beta
+        image = ((I(h, i + j + 1) - I(i + 1 + h, j)) / (i + 1)
+                 + (I(h, i + j + 1) - h ** (j + 1) * I(h, i)) / (j + 1)
+                 + I(i + 1 + h, j) / (i + 1 + h))
+        return 2 * mpmath.sqrt(2 / mpmath.pi) * (near + image)
+
+    return moment
+
+
+def _rule_moments(kernel, top):
+    """sum_n w_n alpha_n^i beta_n^j over the kernel's node grid, i, j <= top."""
+    grid = KernelIntegrals(kernel)
+    k = np.arange(top + 1)[:, None]
+    return (grid.alpha_nodes ** k * grid.node_weights) @ (_repeated_betas(grid) ** k).T
+
+
+# stick m = 1/2 reaches 2.4e-13: scipy's 49-node Gauss-Jacobi weights for
+# (1 - y)^(-1/2) differ from mpmath's by up to 3.5e-12 relative
+@pytest.mark.parametrize("name, m, mass, tol", [
+    ("stick", 0.5, 4.0 / 3.0, 3e-13), ("stick", 1.0, 1.0, 1e-13), ("stick", 2.0, 2.0 / 3.0, 1e-13),
+    ("stick", 3.0, 0.5, 1e-13), ("gg3", None, 0.601802222450940, 1e-13),
+])
+def test_pair_rule_moments_are_the_closed_forms(name, m, mass, tol):
+    import mpmath
+    kernel = make_kernel(name, m=m)
+    assert KernelIntegrals(kernel).alpha_nodes.size == (4_802 if name == "stick" else 14_406)
+    got = _rule_moments(kernel, 47)
+    with mpmath.workdps(30):
+        moment = _stick_moments(mpmath, m) if name == "stick" else _gg3_moments(mpmath)
+        want = np.array([[float(moment(i, j)) for j in range(48)] for i in range(48)])
+    assert got[0, 0] == pytest.approx(mass, rel=1e-14) and want[0, 0] == pytest.approx(mass, rel=1e-14)
+    assert np.max(np.abs(got / want - 1.0)) <= tol
+    # q is symmetric: swapping alpha and beta leaves each weighted sum unchanged,
+    # up to the two sums' errors
+    assert np.max(np.abs(got / got.T - 1.0)) <= 2 * tol
+
+
+def _two_site_oracle(mpmath, moment, gamma, degrees):
+    """The two-site constant at each degree from closed-form moments: the lowest
+    eigenvalue of the pencil (A, G) on x, ..., x^d, with
+    A[k, l] = (1/2) int int q (alpha^k - beta^k)(alpha^l - beta^l) and G the
+    Beta(gamma, gamma) covariance.  The basis is nested, so each degree's
+    pencil is a leading block of the largest."""
+    d, g = max(degrees), mpmath.mpf(gamma)
+    moment = functools.lru_cache(None)(moment)
+    mom = [mpmath.beta(g + n, g) / mpmath.beta(g, g) for n in range(2 * d + 1)]
+    A, G = mpmath.matrix(d, d), mpmath.matrix(d, d)
+    for k, l in itertools.product(range(1, d + 1), repeat=2):
+        A[k - 1, l - 1] = (moment(k + l, 0) + moment(0, k + l) - moment(k, l) - moment(l, k)) / 2
+        G[k - 1, l - 1] = mom[k + l] - mom[k] * mom[l]
+    L = mpmath.cholesky(G)
+    out = []
+    for n in degrees:
+        Li = mpmath.inverse(L[:n, :n])
+        S = Li * A[:n, :n] * Li.T
+        out.append(float(min(mpmath.eigsy((S + S.T) / 2, eigvals_only=True))))
+    return out
+
+
+# the pins above against the closed-form pencil, solved at 100 digits: the
+# monomial Gram matrix at degree 47 has condition near 1e70, and 100 and 130
+# digits give the same 25 digits
+@pytest.mark.parametrize("name, m", [("stick", 2.0), ("gg3", None)])
+def test_two_site_constant_agrees_with_the_closed_form_pencil(name, m):
+    import mpmath
+    kernel = make_kernel(name, m=m)
+    with mpmath.workdps(100):
+        moment = _stick_moments(mpmath, m) if name == "stick" else _gg3_moments(mpmath)
+        want = _two_site_oracle(mpmath, moment, kernel.gamma.gamma, (30, 47))
+    for degree, exact in zip((30, 47), want):
+        assert abs(two_site_constant(kernel, degree) - exact) <= 1e-13 * exact, (degree, exact)
 
 
 def _fsum_dot(x, y):
@@ -228,10 +332,10 @@ def test_kernel_matrix_agrees_with_the_exactly_summed_node_products(name, m):
         assert abs(I[u, v] - exact) <= 1e-13 * math.sqrt(I[u, u] * I[v, v]), (u, v, I[u, v], exact)
 
 
-# the pinned cases of the star and gg3 grids (one and two slices); stick's
-# grid, 15 times gg3's, is covered by the kernel-matrix oracle above
+# the pinned cases of the star, stick and gg3 grids (one, one and two slices)
 @pytest.mark.parametrize("name, m, degree", [
-    ("star", 1.0, 30), ("star", 1.0, 47), ("gg3", None, 30), ("gg3", None, 47),
+    ("star", 1.0, 30), ("star", 1.0, 47), ("stick", 2.0, 30), ("stick", 2.0, 47),
+    ("gg3", None, 30), ("gg3", None, 47),
 ])
 def test_two_site_constant_agrees_with_an_exactly_summed_matrix(name, m, degree):
     kernel = make_kernel(name, m=m)
@@ -450,8 +554,9 @@ def test_assemble_memory_is_bounded_by_blocks():
 
 
 # ---------------------------------------------------------------------------
-# the beta-by-beta node grid build, the reference for the array grid: one
-# scalar alpha rule per beta node, from freshly solved Gauss rules
+# the beta-by-beta node grid build of the star family and gg2, the reference
+# for the array grid: one scalar alpha rule per beta node, from freshly solved
+# Gauss rules
 
 
 def _ref_power(lo, hi, expo, n, at_lo):
@@ -466,13 +571,8 @@ def _ref_legendre(lo, hi, n):
 
 
 def _ref_graded(lo, hi, singular_at, n_per_cell, n_cells, ratio=0.35):
-    pts, h = [lo, hi], hi - lo
-    if singular_at in ("lo", "both"):
-        d = h if singular_at == "lo" else h / 2.0
-        pts += [lo + d * ratio ** k for k in range(1, n_cells)]
-    if singular_at in ("hi", "both"):
-        d = h if singular_at == "hi" else h / 2.0
-        pts += [hi - d * ratio ** k for k in range(1, n_cells)]
+    steps = [(hi - lo) * ratio ** k for k in range(1, n_cells)]
+    pts = [lo, hi] + ([lo + d for d in steps] if singular_at == "lo" else [hi - d for d in steps])
     pts = np.unique(np.asarray(pts))
     rules = [_ref_legendre(a, b, n_per_cell) for a, b in zip(pts[:-1], pts[1:])]
     return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
@@ -488,45 +588,25 @@ def _ref_gg2_rate_r(beta):
     return out * np.sqrt(8.0 * mx / math.pi ** 3)
 
 
-def _ref_gg3_rate_r(beta):
-    beta = np.asarray(beta, dtype=float)
-    mx = np.maximum(beta, 1.0 - beta)
-    return math.sqrt(2.0 * math.pi) / 6.0 * (0.5 + mx) / np.sqrt(mx)
-
-
 def _ref_alpha_rule(kernel, beta):
     if kernel.name in ("star", "kmp"):
         g = kernel.gamma.gamma
         return beta_rule(g, g, 48)
     c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
-    if kernel.name == "gg3":
-        const = 1.5 / (0.5 + mx)
-        (u1, w1), (u2, w2), (u3, w3) = (_ref_power(0.0, c, 0.5, 32, True), _ref_legendre(c, mx, 32),
-                                        _ref_power(mx, 1.0, 0.5, 32, False))
-        return (np.concatenate([u1, u2, u3]),
-                np.concatenate([w1 * const / math.sqrt(c), w2 * const, w3 * const / math.sqrt(c)]))
-    if kernel.name == "gg2":
-        star, lam = 1.0 - beta, float(_ref_gg2_rate_r(beta)[0])
-        if beta < 0.5:
-            segs = [(0.0, c, None), (c, star, "hi"), (star, 1.0, "lo")]
-        else:
-            segs = [(0.0, star, "hi"), (star, mx, "lo"), (mx, 1.0, None)]
-        rules = [_ref_legendre(lo, hi, 48) if sing is None else _ref_graded(lo, hi, sing, 32, 16)
-                 for lo, hi, sing in segs]
-        return (np.concatenate([u for u, _ in rules]),
-                np.concatenate([w * models.gg2_unnormalized(beta, u) / lam for u, w in rules]))
-    m, lam = kernel.m, float(kernel.rate_r(beta))
-    (u1, w1), (u2, w2) = (_ref_power(0.0, beta, m - 1.0, 48, False),
-                          _ref_power(beta, 1.0, m - 1.0, 48, True))
-    return np.concatenate([u1, u2]), np.concatenate([w1 * m / lam, w2 * m / lam])
+    star, lam = 1.0 - beta, float(_ref_gg2_rate_r(beta)[0])
+    if beta < 0.5:
+        segs = [(0.0, c, None), (c, star, "hi"), (star, 1.0, "lo")]
+    else:
+        segs = [(0.0, star, "hi"), (star, mx, "lo"), (mx, 1.0, None)]
+    rules = [_ref_legendre(lo, hi, 48) if sing is None else _ref_graded(lo, hi, sing, 32, 16)
+             for lo, hi, sing in segs]
+    return (np.concatenate([u for u, _ in rules]),
+            np.concatenate([w * models.gg2_unnormalized(beta, u) / lam for u, w in rules]))
 
 
 def _ref_beta_grid(kernel, n=48):
     g = kernel.gamma.gamma
     lognorm = gammaln(g) * 2 - gammaln(2 * g)
-    if kernel.name == "stick":
-        u, w = _ref_graded(0.0, 1.0, "both", n, 16)
-        return u, w * np.exp((g - 1) * (np.log(u) + np.log1p(-u)) - lognorm)
     u1, w1 = _ref_power(0.0, 0.5, g - 1.0, n, True)
     u2, w2 = _ref_power(0.5, 1.0, g - 1.0, n, False)
     w1 = w1 * (1.0 - u1) ** (g - 1.0) / math.exp(lognorm)
@@ -536,18 +616,17 @@ def _ref_beta_grid(kernel, n=48):
 
 def _reference_grid(kernel):
     bu, bw = _ref_beta_grid(kernel)
-    lam = {"gg2": _ref_gg2_rate_r, "gg3": _ref_gg3_rate_r, "star": np.ones_like,
-           "kmp": np.ones_like}.get(kernel.name, kernel.rate_r)(bu)
+    lam = _ref_gg2_rate_r(bu) if kernel.name == "gg2" else np.ones_like(bu)
     rules = [_ref_alpha_rule(kernel, b) for b in bu]
     return (np.concatenate([au for au, _ in rules]),
             np.repeat(bu, [au.size for au, _ in rules]),
             np.concatenate([w * r * aw for w, r, (_, aw) in zip(bw, lam, rules)]))
 
 
+# stick and gg3 read no alpha rule: their grid is the pair rule, pinned to
+# closed forms above
 @pytest.mark.parametrize("name, m, gamma", [
-    ("gg2", None, None), ("gg3", None, None), ("star", 1.0, 1.5), ("star", 0.5, 0.5),
-    ("kmp", None, None),
-    ("stick", 0.5, None), ("stick", 1.0, None), ("stick", 2.0, None), ("stick", 3.0, None),
+    ("gg2", None, None), ("star", 1.0, 1.5), ("star", 0.5, 0.5), ("kmp", None, None),
 ])
 def test_kernel_grid_matches_the_per_beta_reference(name, m, gamma):
     grid = KernelIntegrals(make_kernel(name, m=m, gamma=gamma))

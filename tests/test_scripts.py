@@ -4,6 +4,7 @@
 run name other than ``__main__``, so ``main()`` itself does not run.
 """
 
+import copy
 import importlib.util
 import pathlib
 import runpy
@@ -35,3 +36,22 @@ def test_event_rate_against_this_checkout_gives_equal_digests(monkeypatch, capsy
     assert len(rows) == 7 and all(row.endswith("  equal") for row in rows), rows
     # the other checkout's copy is gone from the process
     assert not [name for name in sys.modules if name.startswith(script.OTHER)]
+
+
+def test_verify_equal_names_each_moved_field():
+    spec = importlib.util.spec_from_file_location("verify_equal", ROOT / "scripts" / "verify_equal.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    check = {"claim": "mechanical-lower-bound", "lhs": 1.1554659000492014, "pass": True,
+             "params": {"m": [1.0, 2.0]}}
+    old = {"checks": [dict(check, claim="scaling", lhs=0.5), check], "pass": True, "schema": 1}
+    new = copy.deepcopy(old)
+    assert script.moved_fields(old, new) == ["pass flags changed: none"]
+    new["checks"][1]["lhs"] = 1.155465900045008
+    assert script.moved_fields(old, new) == [
+        "checks[1 mechanical-lower-bound].lhs: 1.1554659000492014 -> 1.155465900045008"
+        " (relative move 3.6e-12)",
+        "pass flags changed: none",
+    ]
+    new["checks"][0]["pass"] = False
+    assert script.moved_fields(old, new)[-1] == "pass flags changed: checks[0 scaling].pass"
