@@ -13,9 +13,8 @@ times a small kernel matrix over the distinct (a, b) exponent pairs (closed
 form for the star family, V V^T otherwise on the node grid, read in slices of
 whole beta rows).  Both run over blocks of rows, so memory stays bounded at
 any N, and each entry takes the scalar formula's floating-point operations.
-stick's and gg3's node grid is an exact tensor Gauss rule for their joint
-weight of (alpha, beta), a few thousand nodes; gg2's is its alpha rule on a
-beta grid.
+The node grid of stick, gg3 and gg2 is an exact tensor Gauss rule for their
+joint weight of (alpha, beta), a few thousand nodes.
 """
 
 from __future__ import annotations
@@ -23,14 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh, solve_triangular
-from scipy.special import gammaln
+from scipy.special import ellipkm1, gammaln
 
 from .measures import GammaShape, SimplexLaw, pair_alpha_moment
-from .models import LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
-from .quad import beta_rule, legendre_rule, orthonormal_values, power_rule, stieltjes_recurrence
+from .models import _GG2_PREF, LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
+from .quad import (_read_only, beta_rule, gauss_rule, graded_rule, legendre_rule, orthonormal_values,
+                   power_rule, stieltjes_recurrence)
 
 __all__ = [
     "build_basis",
@@ -50,6 +51,9 @@ _BLOCK_ENTRIES = 1 << 18  # log-gamma table entries assembly holds at once
 # and dots this long gave the same bits at 1 and 2 BLAS threads where whole-grid
 # ones (about 100k nodes) did not (tests/test_cli.py checks verify output)
 _SLICE_NODES = 8192
+# graded cells of the discretized gg2 tau weight: with 24 its rule's moments were
+# 3e-13 off mpmath's, with 28 4e-14, and from 32 on nodes round onto 1/2
+_GG2_TAU_CELLS = 28
 
 
 def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -70,7 +74,7 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating F against the Beta(gamma, gamma) reversible
-    marginal, split at the Lambda_r kink at 1/2 (star, kmp and gg2)."""
+    marginal, split at 1/2 (star and kmp)."""
     g = kernel.gamma.gamma
     lognorm = gammaln(g) * 2 - gammaln(2 * g)
     # Beta endpoint weight handled exactly
@@ -81,19 +85,29 @@ def _beta_grid(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([u1, u2]), np.concatenate([w1, w2])
 
 
+@lru_cache(maxsize=1)
+def _gg2_tau_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule on [0, 1/2] for w(tau) = K(tau / (1 - tau)) / sqrt(1 - tau),
+    log-singular at 1/2, from the weight on a graded Gauss-Legendre grid."""
+    u, w = graded_rule(0.0, 0.5, "hi", n_per_cell=32, n_cells=_GG2_TAU_CELLS)
+    # K(m) as ellipkm1(1 - m): m itself rounds to 1 at the nodes nearest 1/2
+    return _read_only(*gauss_rule(u, w * ellipkm1((1.0 - 2.0 * u) / (1.0 - u)) / np.sqrt(1.0 - u), n))
+
+
 def _pair_rule(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(beta rows, alpha rows, weight rows) of a tensor Gauss rule for the
     symmetric joint weight q(alpha, beta) = w_gamma(beta) Lambda_r(beta) p(beta, alpha)
-    of stick or gg3, exact for alpha^i beta^j with i + j <= 2n - 2.  The rows
-    for alpha < beta (stick) or beta <= 1/2 (gg3) come first, then their images
-    under (alpha, beta) -> (1 - alpha, 1 - beta)."""
+    of stick, gg3 or gg2, exact for alpha^i beta^j with i + j <= 2n - 2.  The
+    rows for alpha < beta (stick), beta <= 1/2 (gg3) or alpha + beta <= 1 (gg2)
+    come first, then their images under (alpha, beta) -> (1 - alpha, 1 - beta).
+    gg2's rows are one node long."""
     if kernel.name == "stick":
         # q = m |alpha - beta|^(m-1); alpha = beta y gives m beta^m (1 - y)^(m-1)
         m = kernel.m
         bu, bw = power_rule(0.0, 1.0, m, n, True)
         y, yw = power_rule(0.0, 1.0, m - 1.0, n, False)
         alpha, weights = bu[:, None] * y, (m * bw)[:, None] * yw
-    else:
+    elif kernel.name == "gg3":
         # q = 2 sqrt(2/pi) sqrt(min(alpha, 1 - alpha, beta, 1 - beta)): sqrt(beta) on
         # [beta, 1 - beta], below it alpha = beta y gives sqrt(beta) beta sqrt(y),
         # and the mirror image above
@@ -103,6 +117,16 @@ def _pair_rule(kernel: ExchangeKernel, n: int) -> tuple[np.ndarray, np.ndarray, 
         lo, side = bu[:, None] * y, bu[:, None] * yw
         alpha = np.concatenate([lo, mu, 1.0 - lo], axis=1)
         weights = (2.0 * math.sqrt(2.0 / math.pi) * bw)[:, None] * np.concatenate([side, mw, side], axis=1)
+    else:
+        # on alpha <= min(beta, 1 - beta), q = c (1 - beta)^(-1/2) K(alpha / (1 - beta)):
+        # alpha = r tau and beta = 1 - r (1 - tau) give c r^(1/2) dr w(tau) dtau; with its
+        # image under (beta, alpha) the triangle tiles alpha + beta <= 1
+        r, rw = power_rule(0.0, 1.0, 0.5, n, True)
+        t, tw = _gg2_tau_rule(n)
+        lo, hi = (r[:, None] * t).ravel(), 1.0 - (r[:, None] * (1.0 - t)).ravel()
+        w = (_GG2_PREF * rw[:, None] * tw).ravel()
+        bu, alpha = np.concatenate([hi, lo]), np.concatenate([lo, hi])[:, None]
+        weights = np.concatenate([w, w])[:, None]
     return (np.concatenate([bu, 1.0 - bu]), np.concatenate([alpha, 1.0 - alpha]),
             np.concatenate([weights, weights]))
 
@@ -114,13 +138,14 @@ class KernelIntegrals:
 
     Row-wise: ``beta_rows`` holds the beta node of each row, and the flat,
     C-contiguous ``alpha_nodes`` and ``node_weights`` hold one equal-length row
-    per beta node.  stick and gg3 take ``_pair_rule`` at _N_BETA + 1 nodes per
-    axis, whatever the degree, so every degree reads the same nodes.  The other
-    kernels take ``_beta_grid`` times ``alpha_rule``, built in slices of whole
-    rows; alpha_rule works row by row, so the nodes do not depend on them."""
+    per entry of ``beta_rows``.  stick, gg3 and gg2 take ``_pair_rule`` at _N_BETA + 1 nodes
+    per axis, whatever the degree, so every degree reads the same nodes; gg2's
+    beta varies node by node, so its rows are one node long.  The star family
+    takes ``_beta_grid`` times ``alpha_rule``, built in slices of whole rows;
+    alpha_rule works row by row, so the nodes do not depend on them."""
 
     def __init__(self, kernel: ExchangeKernel):
-        if kernel.name in ("stick", "gg3"):
+        if kernel.name in ("stick", "gg3", "gg2"):
             self.beta_rows, alpha, weights = _pair_rule(kernel, _N_BETA + 1)
         else:
             bu, bw = _beta_grid(kernel, _N_BETA)

@@ -91,12 +91,13 @@ class ExchangeKernel:
     reversible for the product law of Gamma shape ``gamma``.
 
     ``rate(a, b)`` (one float pair, for the simulator) and ``rate_r(beta)``
-    (arrays, for the node grid) call one one-float Lambda_r, so the
-    factorization holds to the last bit.  ``density(beta, alpha)`` is the
+    (arrays) call one one-float Lambda_r, so the factorization holds to the
+    last bit.  ``density(beta, alpha)`` is the
     alpha law at the pair's beta, and ``alpha_sampler(a, b, rng)`` draws from
     it.  alpha_rule(beta) returns quadrature (nodes, weights) with the density
     folded into the weights, so that sum w_i f(u_i) = int P(beta, dalpha) f(alpha)
-    over the last axis; it builds the node grid of the variational assembly.
+    over the last axis; it builds the star family's node grid of the
+    variational assembly (the mechanical kernels' grids are exact pair rules).
     An array of betas gives one row per beta, of shape beta.shape + (n_alpha,)
     with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
     weights there (gg3's middle one at beta = 1/2).
@@ -229,8 +230,9 @@ def gg3_kernel() -> ExchangeKernel:
 
 _GG2_PREF = math.sqrt(2.0 / math.pi ** 3)
 # within this of beta = 1/2 the kink beta and the singularity 1 - beta are too close
-# for a smooth segment between them; it is below the Galerkin beta grid's nearest
-# node to 1/2 (3.07e-4 away at 48 nodes per half), so no grid moves
+# for a smooth segment between them, so alpha_rule takes the layout of 1/2 there and
+# its weights stay finite at every beta; the model tests (the sampler's moments
+# among them) and criterion 11 read them, and no Galerkin grid does
 _GG2_HALF_BAND = 2.5e-4
 
 

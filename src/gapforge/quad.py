@@ -9,6 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 
@@ -102,6 +103,15 @@ def stieltjes_recurrence(nodes: np.ndarray, weights: np.ndarray, degree: int) ->
         b[k + 1] = np.sqrt(np.sum(weights * q * q))
         p_prev, p = p, q / b[k + 1]
     return a, b
+
+
+def gauss_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule of the discrete measure sum w_i delta(u_i): the
+    eigenvalues of its Jacobi matrix, and mu_0 v_0^2 from their eigenvectors
+    (Golub & Welsch 1969)."""
+    a, b = stieltjes_recurrence(nodes, weights, n - 1)
+    x, v = eigh_tridiagonal(a, b[1:])
+    return x, weights.sum() * v[0] ** 2
 
 
 def orthonormal_values(a: np.ndarray, b: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from scipy.linalg import eigvalsh
-from scipy.special import ellipe, ellipk, gammaln, roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
-from gapforge import galerkin, models
+from gapforge import galerkin
 from gapforge.galerkin import (
     KernelIntegrals,
     assemble,
@@ -163,10 +163,11 @@ def _grid_bytes(grid):
     return grid.alpha_nodes.nbytes + grid.node_weights.nbytes
 
 
+# gg3 has the largest grid with rows, read in two slices
 def test_two_site_constant_holds_one_value_table():
-    kernel = make_kernel("gg2")
+    kernel = make_kernel("gg3")
     grid = KernelIntegrals(kernel)
-    assert grid.beta_rows.size == 96 and grid.alpha_nodes.size == 102_912
+    assert grid.beta_rows.size == 98 and grid.alpha_nodes.size == 14_406
     for degree in (30, 47):
         peak = _traced_peak(lambda: two_site_constant(kernel, degree))
         # the grid and the (degree + 1, slice) values of one slice; a second
@@ -184,7 +185,7 @@ def _bond_pairs(N, degree):
 
 
 def test_kernel_matrix_holds_little_beside_its_vectors():
-    kernel = make_kernel("gg2")
+    kernel = make_kernel("gg3")
     pairs = _bond_pairs(3, 6)
     assert len(pairs) == 28
     peak = _traced_peak(lambda: galerkin._kernel_matrix(kernel, *pairs.T.astype(float)))
@@ -198,7 +199,7 @@ def test_gg2_grid_build_holds_little_beside_the_grid():
     kernel = make_kernel("gg2")
     grid = KernelIntegrals(kernel)
     kept = _grid_bytes(grid) + grid.beta_rows.nbytes
-    # the rule's temporaries over all 96 rows took about 7 times the grid
+    # the pair rule's halves and their images take it to about 1.8 times the grid
     assert _traced_peak(lambda: KernelIntegrals(kernel)) <= 2 * kept
 
 
@@ -266,7 +267,6 @@ def _rule_moments(kernel, top):
 def test_pair_rule_moments_are_the_closed_forms(name, m, mass, tol):
     import mpmath
     kernel = make_kernel(name, m=m)
-    assert KernelIntegrals(kernel).alpha_nodes.size == (4_802 if name == "stick" else 14_406)
     got = _rule_moments(kernel, 47)
     with mpmath.workdps(30):
         moment = _stick_moments(mpmath, m) if name == "stick" else _gg3_moments(mpmath)
@@ -276,6 +276,81 @@ def test_pair_rule_moments_are_the_closed_forms(name, m, mass, tol):
     # q is symmetric: swapping alpha and beta leaves each weighted sum unchanged,
     # up to the two sums' errors
     assert np.max(np.abs(got / got.T - 1.0)) <= 2 * tol
+
+
+# 49 nodes per axis; gg2's rows are single nodes, read in two slices like gg3's
+@pytest.mark.parametrize("name, m, nodes, slices", [
+    ("stick", 1.0, 4_802, [4_802]), ("gg3", None, 14_406, [8_085, 6_321]), ("gg2", None, 9_604, [8_192, 1_412]),
+])
+def test_pair_rule_node_counts(name, m, nodes, slices):
+    grid = KernelIntegrals(make_kernel(name, m=m))
+    assert grid.alpha_nodes.size == grid.node_weights.size == nodes
+    assert [al.size for _, al, _ in grid.slices()] == slices
+
+
+# gg2's weight on alpha <= min(beta, 1 - beta), in alpha = r tau, beta = 1 - r (1 - tau):
+# c r^(1/2) dr w(tau) dtau with w(tau) = K(tau / (1 - tau)) / sqrt(1 - tau) on [0, 1/2]
+_GG2_MASS = 0.752252778063675049  # int_0^1 Lambda_r, mpmath.quad at 30 digits
+
+
+def _gg2_weight(mpmath):
+    """w(tau) in mpmath, each node's value kept: every quad on [0, 1/2] at one
+    precision visits the same nodes."""
+    return functools.lru_cache(None)(lambda t: mpmath.ellipk(t / (1 - t)) / mpmath.sqrt(1 - t))
+
+
+def test_gg2_tau_rule_moments_are_mpmath_integrals():
+    import mpmath
+    t, w = galerkin._gg2_tau_rule(galerkin._N_BETA + 1)
+    assert t.size == 49 and not t.flags.writeable and not w.flags.writeable
+    k = np.arange(98)
+    got = (t ** k[:, None]) @ w
+    with mpmath.workdps(40):
+        weight = _gg2_weight(mpmath)
+        want = np.array([float(mpmath.quad(lambda x: x ** j * weight(x), [0, mpmath.mpf(1) / 2]))
+                         for j in k.tolist()])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_gg2_pair_rule_mass_and_symmetries():
+    grid = KernelIntegrals(make_kernel("gg2"))
+    alpha, beta, w = grid.alpha_nodes, _repeated_betas(grid), grid.node_weights
+    assert abs(w.sum() - _GG2_MASS) <= 1e-13
+    assert np.all(w > 0) and np.all((alpha > 0) & (alpha < 1) & (beta > 0) & (beta < 1))
+
+    def lexsorted(a, b):
+        order = np.lexsort((b, a))
+        return a[order], b[order], w[order]
+
+    want = lexsorted(alpha, beta)
+    # (beta, alpha) maps the nodes onto each other exactly; (1 - alpha, 1 - beta)
+    # up to the rounding of 1 - (1 - x)
+    for a, b, tol in ((beta, alpha, 0.0), (1.0 - alpha, 1.0 - beta, 2.3e-16)):
+        got = lexsorted(a, b)
+        assert np.max(np.abs(got[0] - want[0])) <= tol and np.max(np.abs(got[1] - want[1])) <= tol
+        assert np.array_equal(got[2], want[2])
+
+
+# int int q alpha^i beta^j for i + j <= 94, the rule's exact range: the r
+# integral of each of the four images is a terminating 2F1, the tau one mpmath.quad
+@pytest.mark.parametrize("i, j", [(1, 0), (3, 5), (47, 47), (94, 0), (20, 70), (93, 1)])
+def test_gg2_pair_rule_mixed_moments_are_mpmath_integrals(i, j):
+    import mpmath
+    got = _rule_moments(make_kernel("gg2"), max(i, j))[i, j]
+    with mpmath.workdps(40):
+        weight = _gg2_weight(mpmath)
+
+        def r_integral(n, k, x):  # int_0^1 r^(k + 1/2) (1 - r x)^n dr
+            return mpmath.hyp2f1(-n, k + 1.5, k + 2.5, x) / (k + 1.5)
+
+        def images(t):  # (r tau, 1 - r s), (1 - r s, r tau), (1 - r tau, r s), (r s, 1 - r tau)
+            s = 1 - t
+            return (t ** i * r_integral(j, i, s) + t ** j * r_integral(i, j, s)
+                    + s ** j * r_integral(i, j, t) + s ** i * r_integral(j, i, t))
+
+        want = float(mpmath.sqrt(2 / mpmath.pi ** 3)
+                     * mpmath.quad(lambda t: weight(t) * images(t), [0, mpmath.mpf(1) / 2]))
+    assert abs(got / want - 1.0) <= 1e-13, (got, want)
 
 
 def _two_site_oracle(mpmath, moment, gamma, degrees):
@@ -554,54 +629,14 @@ def test_assemble_memory_is_bounded_by_blocks():
 
 
 # ---------------------------------------------------------------------------
-# the beta-by-beta node grid build of the star family and gg2, the reference
-# for the array grid: one scalar alpha rule per beta node, from freshly solved
-# Gauss rules
+# the beta-by-beta node grid build of the star family, the reference for the
+# array grid: a freshly solved beta grid, times the alpha rule row by row
 
 
 def _ref_power(lo, hi, expo, n, at_lo):
     h = hi - lo
     x, w = roots_jacobi(n, 0.0, expo) if at_lo else roots_jacobi(n, expo, 0.0)
     return lo + h * 0.5 * (1.0 + x), w * (h / 2.0) ** (expo + 1.0)
-
-
-def _ref_legendre(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return lo + (hi - lo) * 0.5 * (1.0 + x), w * (hi - lo) * 0.5
-
-
-def _ref_graded(lo, hi, singular_at, n_per_cell, n_cells, ratio=0.35):
-    steps = [(hi - lo) * ratio ** k for k in range(1, n_cells)]
-    pts = [lo, hi] + ([lo + d for d in steps] if singular_at == "lo" else [hi - d for d in steps])
-    pts = np.unique(np.asarray(pts))
-    rules = [_ref_legendre(a, b, n_per_cell) for a, b in zip(pts[:-1], pts[1:])]
-    return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
-
-
-def _ref_gg2_rate_r(beta):
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    mx = np.maximum(beta, 1.0 - beta)
-    bstar = np.minimum(beta / (1.0 - beta), (1.0 - beta) / beta)
-    out = 2.0 * ellipe(bstar)
-    part = bstar < 1.0
-    out[part] -= (1.0 - bstar[part]) * ellipk(bstar[part])
-    return out * np.sqrt(8.0 * mx / math.pi ** 3)
-
-
-def _ref_alpha_rule(kernel, beta):
-    if kernel.name in ("star", "kmp"):
-        g = kernel.gamma.gamma
-        return beta_rule(g, g, 48)
-    c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
-    star, lam = 1.0 - beta, float(_ref_gg2_rate_r(beta)[0])
-    if beta < 0.5:
-        segs = [(0.0, c, None), (c, star, "hi"), (star, 1.0, "lo")]
-    else:
-        segs = [(0.0, star, "hi"), (star, mx, "lo"), (mx, 1.0, None)]
-    rules = [_ref_legendre(lo, hi, 48) if sing is None else _ref_graded(lo, hi, sing, 32, 16)
-             for lo, hi, sing in segs]
-    return (np.concatenate([u for u, _ in rules]),
-            np.concatenate([w * models.gg2_unnormalized(beta, u) / lam for u, w in rules]))
 
 
 def _ref_beta_grid(kernel, n=48):
@@ -616,17 +651,15 @@ def _ref_beta_grid(kernel, n=48):
 
 def _reference_grid(kernel):
     bu, bw = _ref_beta_grid(kernel)
-    lam = _ref_gg2_rate_r(bu) if kernel.name == "gg2" else np.ones_like(bu)
-    rules = [_ref_alpha_rule(kernel, b) for b in bu]
-    return (np.concatenate([au for au, _ in rules]),
-            np.repeat(bu, [au.size for au, _ in rules]),
-            np.concatenate([w * r * aw for w, r, (_, aw) in zip(bw, lam, rules)]))
+    g = kernel.gamma.gamma
+    au, aw = beta_rule(g, g, 48)  # the alpha rule, the same at every beta node
+    return np.tile(au, bu.size), np.repeat(bu, au.size), np.concatenate([w * aw for w in bw])
 
 
-# stick and gg3 read no alpha rule: their grid is the pair rule, pinned to
-# closed forms above
+# stick, gg3 and gg2 read no alpha rule: their grid is the pair rule, pinned to
+# closed forms or mpmath above
 @pytest.mark.parametrize("name, m, gamma", [
-    ("gg2", None, None), ("star", 1.0, 1.5), ("star", 0.5, 0.5), ("kmp", None, None),
+    ("star", 1.0, 1.5), ("star", 0.5, 0.5), ("kmp", None, None),
 ])
 def test_kernel_grid_matches_the_per_beta_reference(name, m, gamma):
     grid = KernelIntegrals(make_kernel(name, m=m, gamma=gamma))

@@ -53,7 +53,7 @@ def test_alpha_rule_at_one_half_is_finite_and_normalized(name):
     # no grid holds beta at or next to 1/2, where gg3's middle segment is empty
     # and gg2's kink meets its singularity; the rule keeps its node count there.
     # gg2 takes the layout of 1/2 within models._GG2_HALF_BAND = 2.5e-4 of it;
-    # 3.07e-4 is the beta grid's nearest node
+    # 2.4e-4 and 2.6e-4 sit either side of the band's edge
     kern = make_kernel(name)
     offsets = (0.0, 1e-12, 3e-10, 1e-9, 1e-6, 1e-4, 2.4e-4, 2.6e-4, 3.07e-4, 1e-3)
     for beta in [0.5 + s * d for d in offsets for s in (-1.0, 1.0)]:

@@ -11,6 +11,7 @@ from gapforge.quad import (
     _jacobi_reference,
     _legendre_reference,
     beta_rule,
+    gauss_rule,
     graded_rule,
     legendre_rule,
     orthonormal_values,
@@ -159,3 +160,12 @@ def test_cached_rules_are_read_only():
             w *= 2.0
         u1, w1 = rule(*args)
         assert np.array_equal(u1, u0) and np.array_equal(w1, w0)
+
+
+def test_gauss_rule_of_a_discretized_measure_is_its_gauss_rule():
+    # Beta(2, 3) on a 64-node Gauss-Jacobi rule: the 12-node Gauss rule of that
+    # discrete measure is the 12-node Beta(2, 3) rule
+    u, w = beta_rule(2.0, 3.0, 64)
+    x, v = gauss_rule(u, w, 12)
+    ref_x, ref_w = beta_rule(2.0, 3.0, 12)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14 and np.max(np.abs(v / ref_w - 1.0)) <= 2e-13
