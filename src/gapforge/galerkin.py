@@ -52,7 +52,8 @@ _BLOCK_ENTRIES = 1 << 18  # log-gamma table entries assembly holds at once
 # ones (about 100k nodes) did not (tests/test_cli.py checks verify output)
 _SLICE_NODES = 8192
 # graded cells of the discretized gg2 tau weight: with 24 its rule's moments were
-# 3e-13 off mpmath's, with 28 4e-14, and from 32 on nodes round onto 1/2
+# 3e-13 off mpmath's, with 28 4e-14, and from 31 on nodes round onto 1/2, which
+# graded_rule refuses
 _GG2_TAU_CELLS = 28
 
 
@@ -141,25 +142,15 @@ class KernelIntegrals:
     per entry of ``beta_rows``.  stick, gg3 and gg2 take ``_pair_rule`` at _N_BETA + 1 nodes
     per axis, whatever the degree, so every degree reads the same nodes; gg2's
     beta varies node by node, so its rows are one node long.  The star family
-    takes ``_beta_grid`` times ``alpha_rule``, built in slices of whole rows;
-    alpha_rule works row by row, so the nodes do not depend on them."""
+    takes ``_beta_grid`` times its ``alpha_rule``, 96 rows of 48 nodes."""
 
     def __init__(self, kernel: ExchangeKernel):
         if kernel.name in ("stick", "gg3", "gg2"):
             self.beta_rows, alpha, weights = _pair_rule(kernel, _N_BETA + 1)
         else:
-            bu, bw = _beta_grid(kernel, _N_BETA)
-            self.beta_rows = bu
-            lo, rows = 0, 1  # the first call, on one row, gives the row length
-            while lo < bu.size:
-                s = slice(lo, lo + rows)
-                au, aw = kernel.alpha_rule(bu[s])
-                if lo == 0:
-                    alpha, weights = np.empty((bu.size, au.shape[-1])), np.empty((bu.size, au.shape[-1]))
-                    rows = max(1, _SLICE_NODES // au.shape[-1])
-                alpha[s] = au
-                weights[s] = (bw[s] * kernel.rate_r(bu[s]))[:, None] * aw
-                lo = s.stop
+            self.beta_rows, bw = _beta_grid(kernel, _N_BETA)
+            alpha, aw = kernel.alpha_rule(self.beta_rows)
+            weights = (bw * kernel.rate_r(self.beta_rows))[:, None] * aw
         self.alpha_nodes, self.node_weights = alpha.ravel(), weights.ravel()
 
     def slices(self):
@@ -186,8 +177,9 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
     the same at every degree.
     """
     # built for the star family too, though its closed form reads no grid:
-    # perfbench's quadrature-cache hit ratios need rule calls on every workload,
-    # and its smoke mc-relax round assembles kmp alone (ROADMAP item 3)
+    # perfbench's alpha_rule metrics and quadrature-cache hit ratios need rule
+    # calls on every workload, and its smoke mc-relax round assembles kmp alone
+    # (ROADMAP item 3)
     grid = KernelIntegrals(kernel)
     if kernel.name in ("star", "kmp"):
         g = kernel.gamma

@@ -5,9 +5,9 @@ Every kernel is of mechanical form: Lambda(a,b) = s^m Lambda_r(beta) with
 s = a+b and beta = a/s, and the alpha law depends on the pair only through
 beta.  The reversible marginal of beta is Beta(gamma, gamma).  So one flat
 record, ``ExchangeKernel``, holds every kernel: m, gamma, Lambda_r and the
-alpha law as a density in (beta, alpha), a sampler and a quadrature rule.
-Each factory writes its Lambda_r once, at one float, and returns its kernel
-through ``_mechanical``.
+alpha law as a density in (beta, alpha) and a sampler; the star family also
+carries a quadrature rule for it.  Each factory writes its Lambda_r once, at
+one float, and returns its kernel through ``_mechanical``.
 Sampler types declare what the simulator may draw in bulk: ``BetaSampler``
 (star family) and ``UniformSampler``, uniforms only (stick, gg3, gg2).
 
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betaln, ellipe, ellipk
 
 from .measures import GammaShape, SimplexLaw, _check_count
-from .quad import beta_rule, graded_rule, legendre_rule, power_map
+from .quad import beta_rule
 
 __all__ = [
     "NEAREST",
@@ -94,13 +94,10 @@ class ExchangeKernel:
     (arrays) call one one-float Lambda_r, so the factorization holds to the
     last bit.  ``density(beta, alpha)`` is the
     alpha law at the pair's beta, and ``alpha_sampler(a, b, rng)`` draws from
-    it.  alpha_rule(beta) returns quadrature (nodes, weights) with the density
-    folded into the weights, so that sum w_i f(u_i) = int P(beta, dalpha) f(alpha)
-    over the last axis; it builds the star family's node grid of the
-    variational assembly (the mechanical kernels' grids are exact pair rules).
-    An array of betas gives one row per beta, of shape beta.shape + (n_alpha,)
-    with n_alpha fixed per kernel, so a segment empty at some beta keeps zero
-    weights there (gg3's middle one at beta = 1/2).
+    it.  Only the star family fills ``alpha_rule``: alpha_rule(beta) returns
+    quadrature (nodes, weights) with sum w_i f(u_i) = int P(beta, dalpha) f(alpha)
+    over the last axis, one row per beta of an array, and builds its node grid
+    of the variational assembly (stick, gg3 and gg2 take exact pair rules).
     """
 
     name: str
@@ -110,10 +107,10 @@ class ExchangeKernel:
     rate_r: Callable[[np.ndarray], np.ndarray]
     density: Callable[[float, np.ndarray], np.ndarray]
     alpha_sampler: Callable[[float, float, np.random.Generator], float]
-    alpha_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    alpha_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _mechanical(name, m, gamma, lam_r, density, sampler, rule) -> ExchangeKernel:
+def _mechanical(name, m, gamma, lam_r, density, sampler, rule=None) -> ExchangeKernel:
     """The kernel of rate s^m lam_r(a / s), s = a + b.  ``rate`` and ``rate_r``
     both call the one-float ``lam_r``; None stands for lam_r = 1, whose rate
     stays (a + b) ** m without the call."""
@@ -209,31 +206,13 @@ def gg3_kernel() -> ExchangeKernel:
                 return alpha
         raise RejectionLimitError("gg3", beta)
 
-    def rule(beta):
-        c = np.minimum(beta, 1.0 - beta)
-        mx = np.maximum(beta, 1.0 - beta)
-        const = (1.5 / (0.5 + mx))[..., None]
-        root_c = np.sqrt(c)[..., None]
-        # density const * sqrt(alpha / c) below c, const between c and max,
-        # and its mirror image above max
-        lu, lw = power_map(0.0, c, 0.5, 32, True)
-        mu, mw = legendre_rule(c, mx, 32)
-        ru, rw = power_map(mx, 1.0, 0.5, 32, False)
-        return (np.concatenate([lu, mu, ru], axis=-1),
-                np.concatenate([lw * const / root_c, mw * const, rw * const / root_c], axis=-1))
-
-    return _mechanical("gg3", 0.5, GammaShape(1.5), _gg3_lam_r, _gg3_density, sampler, rule)
+    return _mechanical("gg3", 0.5, GammaShape(1.5), _gg3_lam_r, _gg3_density, sampler)
 
 
 # ---------------------------------------------------------------------------
 # two-dimensional billiard-lattice kernel (gamma = 1, m = 1/2)
 
 _GG2_PREF = math.sqrt(2.0 / math.pi ** 3)
-# within this of beta = 1/2 the kink beta and the singularity 1 - beta are too close
-# for a smooth segment between them, so alpha_rule takes the layout of 1/2 there and
-# its weights stay finite at every beta; the model tests (the sampler's moments
-# among them) and criterion 11 read them, and no Galerkin grid does
-_GG2_HALF_BAND = 2.5e-4
 
 
 def _gg2_lam_r(beta: float) -> float:
@@ -248,25 +227,9 @@ def _gg2_lam_r(beta: float) -> float:
     return float(out * math.sqrt(8.0 * (nb if nb > beta else beta) / math.pi ** 3))
 
 
-def gg2_unnormalized(beta, alpha) -> np.ndarray:
-    """The symmetric branch density, with beta broadcast against alpha (at
-    least 1-D); +inf at the integrable singularity alpha = 1 - beta."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    nb, na = 1.0 - beta, 1.0 - alpha
-    lo, hi = alpha <= np.minimum(beta, nb), alpha >= np.maximum(beta, nb)
-    # t^2 = y / x on every branch; between c and max it depends on the side of 1/2
-    x = np.where(lo, nb, np.where(hi, beta, np.where(beta <= 0.5, na, alpha)))
-    y = np.where(lo, alpha, np.where(hi, na, np.where(beta <= 0.5, beta, nb)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = y / x
-    out = np.full_like(t2, np.inf)
-    fin = t2 < 1.0
-    out[fin] = np.sqrt(1.0 / x[fin]) * ellipk(t2[fin])
-    return _GG2_PREF * out
-
-
 def _gg2_unnormalized_at(beta: float, alpha: float) -> float:
-    """gg2_unnormalized at one float pair, in the same operations."""
+    """The symmetric branch density at one float pair, Lambda_r(beta) times the
+    alpha law; +inf at the integrable singularity alpha = 1 - beta."""
     nb, na = 1.0 - beta, 1.0 - alpha
     if alpha <= (nb if nb < beta else beta):
         x, y = nb, alpha
@@ -274,14 +237,17 @@ def _gg2_unnormalized_at(beta: float, alpha: float) -> float:
         x, y = beta, na
     else:
         x, y = (na, beta) if beta <= 0.5 else (alpha, nb)
+    # t^2 = y / x on every branch; between c and max it depends on the side of 1/2
     if x == 0.0 or not y / x < 1.0:
         return math.inf
     return float(_GG2_PREF * (math.sqrt(1.0 / x) * ellipk(y / x)))
 
 
 def gg2_kernel() -> ExchangeKernel:
+    unnormalized = np.vectorize(_gg2_unnormalized_at, otypes=[float])
+
     def density(beta, alpha):
-        return gg2_unnormalized(beta, alpha) / _gg2_lam_r(beta)
+        return unnormalized(beta, alpha) / _gg2_lam_r(beta)
 
     @UniformSampler
     def sampler(a, b, uniform):
@@ -305,24 +271,7 @@ def gg2_kernel() -> ExchangeKernel:
                 return alpha
         raise RejectionLimitError("gg2", beta)
 
-    def rule(beta):
-        beta = np.asarray(beta, dtype=float)
-        star = 1.0 - beta  # location of the log singularity
-        left = beta < 0.5 - _GG2_HALF_BAND
-        # graded segments [p, star] and [star, q] meet at the singularity; the smooth
-        # one ([0, p] first left of 1/2, else [q, 1] last) is [1, 1], empty, within
-        # _GG2_HALF_BAND of 1/2, where it would end at a kink beside the singularity
-        p = np.where(left, beta, 0.0)
-        q = np.where(beta > 0.5 + _GG2_HALF_BAND, beta, 1.0)
-        su, sw = legendre_rule(np.where(left, 0.0, q), np.where(left, p, 1.0), 48)
-        hu, hw = graded_rule(p, star, "hi", n_per_cell=32, n_cells=16)
-        lu, lw = graded_rule(star, q, "lo", n_per_cell=32, n_cells=16)
-        rows = np.concatenate([[su, sw], [hu, hw], [lu, lw]], axis=-1)
-        u, w = np.where(left[..., None], rows, np.roll(rows, -su.shape[-1], axis=-1))
-        return u, w * gg2_unnormalized(beta[..., None], u) / kernel.rate_r(beta)[..., None]
-
-    kernel = _mechanical("gg2", 0.5, GammaShape(1.0), _gg2_lam_r, density, sampler, rule)
-    return kernel
+    return _mechanical("gg2", 0.5, GammaShape(1.0), _gg2_lam_r, density, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +306,7 @@ def stick_kernel(m: float) -> ExchangeKernel:
             return beta - (head - u) ** (1.0 / m)
         return beta + (u - head) ** (1.0 / m)
 
-    def rule(beta):
-        lu, lw = power_map(0.0, beta, m - 1.0, 48, False)
-        ru, rw = power_map(beta, 1.0, m - 1.0, 48, True)
-        return (np.concatenate([lu, ru], axis=-1),
-                np.concatenate([lw, rw], axis=-1) * m / kernel.rate_r(beta)[..., None])
-
-    kernel = _mechanical("stick", m, GammaShape(1.0), lam_r, density, sampler, rule)
-    return kernel
+    return _mechanical("stick", m, GammaShape(1.0), lam_r, density, sampler)
 
 
 # ---------------------------------------------------------------------------

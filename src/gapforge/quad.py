@@ -1,8 +1,8 @@
 """Quadrature helpers shared by the kernel and variational modules.
 
-Every rule maps a Gauss reference rule on [-1, 1] affinely; arrays of interval
-ends broadcast to one row of nodes and weights per interval, each entry taking
-the operations of the one-interval map."""
+Every rule maps a Gauss reference rule on [-1, 1] affinely.  ``legendre_rule``
+also takes arrays of interval ends, one row of nodes and weights per interval,
+each entry taking the operations of the one-interval map."""
 
 from __future__ import annotations
 
@@ -48,40 +48,26 @@ def beta_rule(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(u, w)
 
 
-def _ends(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Interval ends as columns, so that a reference rule broadcasts to one row each."""
-    return np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
-
-
-def power_map(lo, hi, expo: float, n: int, at_lo: bool) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rule for integral over [lo, hi] of |u - s|^expo * f(u) du, singular endpoint s at lo or hi.
 
-    Returns nodes u_i and weights w_i with sum w_i f(u_i) = integral (weight included);
-    array ends give one row per interval, of shape lo.shape + (n,).
+    Returns nodes u_i and weights w_i with sum w_i f(u_i) = integral (weight included), cached.
     """
-    lo, hi = _ends(lo, hi)
     h = hi - lo
     # weight (u-lo)^expo: u = lo + h*(1+t)/2, weight ~ (1+t)^expo; (hi-u)^expo ~ (1-t)^expo
     x, w = _jacobi_reference(n, 0.0, expo) if at_lo else _jacobi_reference(n, expo, 0.0)
-    u = lo + h * 0.5 * (1.0 + x)
     # roots_jacobi weights integrate (1-t)^a (1+t)^b on [-1,1]; after the affine
-    # map the Jacobian is h/2 and the weight picks up (h/2)^expo.  C pow, one
-    # interval at a time: numpy's array ** can differ from it in the last bit
-    jac = [v ** (expo + 1.0) for v in (h / 2.0).ravel().tolist()]
-    return u, w * np.reshape(jac, h.shape)
-
-
-@lru_cache(maxsize=256)
-def power_rule(lo: float, hi: float, expo: float, n: int, at_lo: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``power_map`` on one interval, cached."""
-    return _read_only(*power_map(lo, hi, expo, n, at_lo))
+    # map the Jacobian is h/2 and the weight picks up (h/2)^expo (C pow on floats:
+    # numpy's array ** can differ from it in the last bit)
+    return _read_only(lo + h * 0.5 * (1.0 + x), w * (h / 2.0) ** (expo + 1.0))
 
 
 def legendre_rule(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Plain Gauss-Legendre rule on [lo, hi]; array ends give one row per
     interval, of shape lo.shape + (n,)."""
     x, w = _legendre_reference(n)
-    lo, hi = _ends(lo, hi)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
     u = lo + (hi - lo) * 0.5 * (1.0 + x)
     return u, w * (hi - lo) * 0.5
 
@@ -134,25 +120,28 @@ def orthonormal_values(a: np.ndarray, b: np.ndarray, points: np.ndarray) -> np.n
     return out
 
 
-def graded_rule(lo, hi, singular_at, n_per_cell: int = 24,
+def graded_rule(lo: float, hi: float, singular_at: str, n_per_cell: int = 24,
                 n_cells: int = 14, ratio: float = 0.35) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre with cells geometrically refined toward singular endpoints.
+    """Composite Gauss-Legendre on [lo, hi] with cells geometrically refined toward
+    singular endpoints.
 
     Handles integrable log/power singularities at lo and/or hi ('lo', 'hi', 'both').
-    Array ends give one row per interval, of shape lo.shape + (cells * n_per_cell,);
-    the cell count is fixed, so an empty interval gives zero weights.
+    Raises ValueError where the cells are so deep that a node rounds onto an end
+    or two nodes coincide.
     """
-    lo, hi = np.broadcast_arrays(*_ends(lo, hi))
     h = hi - lo
     steps = np.array([ratio ** k for k in range(1, n_cells)])
-    pts = [lo, hi]
+    pts = [[lo, hi]]
     if singular_at in ("lo", "both"):
         d = h if singular_at == "lo" else h / 2.0
         pts.append(lo + d * steps)
     if singular_at in ("hi", "both"):
         d = h if singular_at == "hi" else h / 2.0
         pts.append(hi - d * steps)
-    pts = np.sort(np.concatenate(pts, axis=-1), axis=-1)
-    u, w = legendre_rule(pts[..., :-1], pts[..., 1:], n_per_cell)
-    shape = u.shape[:-2] + (-1,)
-    return u.reshape(shape), w.reshape(shape)
+    pts = np.sort(np.concatenate(pts))
+    u, w = legendre_rule(pts[:-1], pts[1:], n_per_cell)
+    u, w = u.ravel(), w.ravel()
+    if not (lo < u[0] and u[-1] < hi and np.all(u[1:] > u[:-1])):
+        raise ValueError(f"graded rule on [{lo!r}, {hi!r}] with n_cells = {n_cells}: "
+                         f"nodes round onto an end or onto each other")
+    return u, w

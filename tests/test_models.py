@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ellipe, ellipk
 
 from gapforge import models
@@ -14,6 +15,7 @@ from gapforge.models import (
 )
 
 ALL_KERNELS = ["star", "kmp", "stick", "gg3", "gg2"]
+STAR_FAMILY = ["star", "kmp"]  # the kernels that carry an alpha_rule
 
 
 def _kernel(name):
@@ -27,7 +29,14 @@ def _kernel(name):
 # ---------------------------------------------------------------------------
 # kernel validity
 
-@pytest.mark.parametrize("name", ALL_KERNELS)
+def density_integral(kern, beta, f):
+    """int p(beta, alpha) f(alpha) dalpha by adaptive quadrature, split at the
+    kink beta and the singularity 1 - beta of the mechanical densities."""
+    return quad(lambda a: float(kern.density(beta, a)) * f(a), 0.0, 1.0,
+                points=sorted({beta, 1.0 - beta}), limit=200)[0]
+
+
+@pytest.mark.parametrize("name", STAR_FAMILY)
 def test_alpha_rule_normalization(name):
     kern = _kernel(name)
     for beta in (0.13, 0.37, 0.5, 0.68, 0.91):
@@ -36,9 +45,9 @@ def test_alpha_rule_normalization(name):
         assert np.all(u >= 0) and np.all(u <= 1)
 
 
-@pytest.mark.parametrize("name", ALL_KERNELS + ["stick-1/2"])
+@pytest.mark.parametrize("name", STAR_FAMILY)
 def test_alpha_rule_on_an_array_is_the_rows_of_scalar_calls(name):
-    kern = make_kernel("stick", m=0.5) if name == "stick-1/2" else _kernel(name)
+    kern = _kernel(name)
     beta = np.array([[0.13, 0.37, 0.5 - 1e-6], [0.5, 0.5 + 1e-6, 0.91]])
     u, w = kern.alpha_rule(beta)
     n = kern.alpha_rule(0.3)[0].size
@@ -46,24 +55,6 @@ def test_alpha_rule_on_an_array_is_the_rows_of_scalar_calls(name):
     for i, j in np.ndindex(beta.shape):
         ui, wi = kern.alpha_rule(float(beta[i, j]))
         assert np.array_equal(u[i, j], ui) and np.array_equal(w[i, j], wi), beta[i, j]
-
-
-@pytest.mark.parametrize("name", ["gg2", "gg3"])
-def test_alpha_rule_at_one_half_is_finite_and_normalized(name):
-    # no grid holds beta at or next to 1/2, where gg3's middle segment is empty
-    # and gg2's kink meets its singularity; the rule keeps its node count there.
-    # gg2 takes the layout of 1/2 within models._GG2_HALF_BAND = 2.5e-4 of it;
-    # 2.4e-4 and 2.6e-4 sit either side of the band's edge
-    kern = make_kernel(name)
-    offsets = (0.0, 1e-12, 3e-10, 1e-9, 1e-6, 1e-4, 2.4e-4, 2.6e-4, 3.07e-4, 1e-3)
-    for beta in [0.5 + s * d for d in offsets for s in (-1.0, 1.0)]:
-        for arg in (beta, np.array([0.3, beta])):
-            u, w = kern.alpha_rule(arg)
-            u, w = np.atleast_2d(u)[-1], np.atleast_2d(w)[-1]
-            assert u.size == kern.alpha_rule(0.3)[0].size
-            assert np.all(np.isfinite(w)) and np.all(w >= 0), beta
-            assert np.all(u >= 0) and np.all(u <= 1)
-            assert abs(w.sum() - 1.0) < 1e-6, beta
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -78,9 +69,8 @@ def test_sampler_matches_density_moments(name):
     a, b = 0.7, 0.3
     n = 40_000
     draws = np.array([kern.alpha_sampler(a, b, rng) for _ in range(n)])
-    u, w = kern.alpha_rule(a / (a + b))
     for p in (1, 2):
-        exact = float(np.sum(w * u**p))
+        exact = density_integral(kern, a / (a + b), lambda x: x**p)
         err = 4.0 * draws.std() / math.sqrt(n)
         assert abs((draws**p).mean() - exact) < max(err, 0.01)
 
@@ -256,7 +246,7 @@ def _gg2_array_sampler(a, b, rng):
             alpha = star - star * u * u
         else:
             alpha = star + (1.0 - star) * u * u
-        d = float(models.gg2_unnormalized(beta, alpha)[0]) / lam
+        d = models._GG2_PREF * _gg2_pointwise(beta, alpha) / lam
         env = (math.pi / 2.0) / (lam * math.sqrt(abs(alpha - star)))
         if not math.isfinite(d):
             continue
@@ -308,31 +298,30 @@ def test_make_kernel_unknown():
 
 
 def _gg2_pointwise(beta, a):
-    """Per-point branch choice of the gg2 density: the reference for its
-    vectorized form."""
+    """Per-point branch choice of the gg2 density, written apart from its
+    one-float form: the reference for it; +inf where x = 0."""
     c, mx = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
     if a <= c:
-        x, t2 = 1.0 - beta, a / (1.0 - beta)
+        x, y = 1.0 - beta, a
     elif a >= mx:
-        x, t2 = beta, (1.0 - a) / beta
+        x, y = beta, 1.0 - a
     elif beta <= 0.5:
-        x, t2 = 1.0 - a, beta / (1.0 - a)
+        x, y = 1.0 - a, beta
     else:
-        x, t2 = a, (1.0 - beta) / a
-    return math.inf if t2 >= 1.0 else math.sqrt(1.0 / x) * ellipk(t2)
+        x, y = a, 1.0 - beta
+    return math.inf if x == 0.0 or y / x >= 1.0 else math.sqrt(1.0 / x) * ellipk(y / x)
 
 
 def test_gg2_density_matches_pointwise_branches():
+    kern = make_kernel("gg2")
     for beta in (0.13, 0.37, 0.5, 0.77):
         alpha = np.concatenate([np.linspace(0.0, 1.0, 41), [beta, 1.0 - beta]])
         want = models._GG2_PREF * np.array([_gg2_pointwise(beta, a) for a in alpha])
-        assert np.array_equal(models.gg2_unnormalized(beta, alpha), want)
-        # the sampler's one-float form, too
         assert [models._gg2_unnormalized_at(beta, a) for a in alpha.tolist()] == want.tolist()
+        assert np.array_equal(kern.density(beta, alpha), want / kern.rate_r(beta))
     beta, alpha = np.random.default_rng(4).random((2, 10_000)).tolist()
     for b, a in zip(beta + [0.0, 1.0, 1.0], alpha + [0.5, 0.0, 0.5]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert models._gg2_unnormalized_at(b, a) == models.gg2_unnormalized(b, a)[0], (b, a)
+        assert models._gg2_unnormalized_at(b, a) == models._GG2_PREF * _gg2_pointwise(b, a), (b, a)
 
 
 def test_mechanical_metadata():

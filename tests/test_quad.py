@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from gapforge.galerkin import KernelIntegrals
+from gapforge.galerkin import _GG2_TAU_CELLS, KernelIntegrals
 from gapforge.measures import GammaShape, pair_alpha_moment
 from gapforge.models import make_kernel
 from gapforge.quad import (
@@ -15,7 +15,6 @@ from gapforge.quad import (
     graded_rule,
     legendre_rule,
     orthonormal_values,
-    power_map,
     power_rule,
     stieltjes_recurrence,
 )
@@ -100,6 +99,25 @@ def test_graded_rule_log_singularity():
     assert abs(np.sum(-w * np.log(u)) - 1.0) < 1e-10
 
 
+def test_graded_rule_refuses_cells_whose_nodes_round_together():
+    # on [0, 1/2], 32 per cell, 31 cells put one node on the singular end 1/2 and
+    # 32 cells two; 28 to 30 keep every node inside and strictly increasing
+    for n_cells in (31, 32):
+        with pytest.raises(ValueError, match=f"n_cells = {n_cells}"):
+            graded_rule(0.0, 0.5, "hi", n_per_cell=32, n_cells=n_cells)
+    for n_cells in (28, 29, 30):
+        u, _ = graded_rule(0.0, 0.5, "hi", n_per_cell=32, n_cells=n_cells)
+        assert 0.0 < u[0] and u[-1] < 0.5 and np.all(np.diff(u) > 0)
+    # the gg2 tau rule's 28 cells, unchanged: each cell is its Gauss-Legendre map
+    steps = np.array([0.35 ** k for k in range(1, _GG2_TAU_CELLS)])
+    pts = np.sort(np.concatenate([[0.0, 0.5], 0.5 - 0.5 * steps]))
+    xl, wl = np.polynomial.legendre.leggauss(32)
+    u, w = graded_rule(0.0, 0.5, "hi", n_per_cell=32, n_cells=_GG2_TAU_CELLS)
+    h = (pts[1:] - pts[:-1])[:, None]
+    assert np.array_equal(u, (pts[:-1, None] + h * 0.5 * (1.0 + xl)).ravel())
+    assert np.array_equal(w, (wl * h * 0.5).ravel())
+
+
 @pytest.mark.parametrize("lo, hi, expo, n, at_lo", [
     (0.0, 0.37, 0.5, 32, True),     # gg3, alpha < c
     (0.63, 1.0, 0.5, 32, False),    # gg3, alpha > max(beta, 1 - beta)
@@ -124,14 +142,10 @@ def test_rules_are_the_affine_map_of_the_reference_rule(lo, hi, expo, n, at_lo):
         assert np.array_equal(w, wl * (b - a) * 0.5)
 
 
-@pytest.mark.parametrize("rule", [
-    lambda lo, hi: power_map(lo, hi, -0.5, 12, True),
-    lambda lo, hi: power_map(lo, hi, 1.5, 12, False),
-    lambda lo, hi: legendre_rule(lo, hi, 12),
-    lambda lo, hi: graded_rule(lo, hi, "hi", n_per_cell=8, n_cells=6),
-    lambda lo, hi: graded_rule(lo, hi, "both", n_per_cell=8, n_cells=6),
-])
-def test_array_ends_give_the_rows_of_one_interval_calls(rule):
+def test_legendre_array_ends_give_the_rows_of_one_interval_calls():
+    def rule(lo, hi):
+        return legendre_rule(lo, hi, 12)
+
     lo = np.array([[0.0, 0.13], [0.5, 0.3]])
     hi = np.array([[0.41, 0.87], [1.0, 0.3 + 1e-3]])
     u, w = rule(lo, hi)
