@@ -4,8 +4,10 @@
 Five ``verify`` invocations (``--suite all``, ``--suite theorems --fast``,
 ``--suite appendix``, ``--suite appendix --n-max 3`` and ``--suite all
 --n-max 60``), two ``simulate`` trajectories (kmp N = 16 long range, 100k
-events, seed 1; gg2 N = 4 nearest, 20k events, seed 3) and ``path`` for every
-0 <= i < j <= 20 run in this checkout and in OTHER_CHECKOUT, each
+events, seed 1; gg2 N = 4 nearest, 20k events, seed 3), a ``sweep`` CSV (star
+m = 0 and 1, N = 2 and 3, degree 3), a ``kappa`` JSON (star m = 1, gamma =
+1/2, degree 4) and ``path`` for every 0 <= i < j <= 20 run in this checkout
+and in OTHER_CHECKOUT, each
 invocation in its own process from its checkout's ``src`` and with one BLAS
 thread (the path grid is one invocation, a process that runs its 210
 commands in turn).  The files each writes, its stdout and its exit codes are
@@ -47,6 +49,10 @@ INVOCATIONS = {
        for name, flags in VERIFY.items()},
     **{name: ([["simulate", *flags, "--out", "traj.csv"]], ("traj.csv",))
        for name, flags in SIMULATE.items()},
+    "sweep": ([["sweep", "--model", "star", "--m-grid", "0,1", "--sites-grid", "2,3",
+                "--degree", "3", "--out", "sweep.csv"]], ("sweep.csv", "sweep.meta.json")),
+    "kappa": ([["kappa", "--model", "star", "--m", "1", "--gamma", "0.5", "--degree", "4",
+                "--out", "kappa.json"]], ("kappa.json",)),
     "path-grid": ([["path", "--i", str(i), "--j", str(j)] for j in range(1, 21) for i in range(j)],
                   ()),
 }

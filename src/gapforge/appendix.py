@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -48,6 +47,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .galerkin import kappa_tilde
+from .measures import _check_count
 from .quad import beta_rule, orthonormal_values, stieltjes_recurrence
 
 __all__ = [
@@ -185,9 +185,8 @@ def _c(family: str, k: np.ndarray, gamma: float) -> np.ndarray:
     return 1.0 + 2.0 * nu_n(k, gamma) if family == "A" else 1.0 - nu_n(k, gamma)
 
 
-def _check_gamma_n_max(gamma: float, n_max: int) -> None:
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise TypeError(f"n_max must be an integer, got {n_max!r}")
+def _check_gamma_n_max(gamma: float, n_max: int, least: int) -> None:
+    _check_count("n_max", n_max, least)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
 
@@ -199,9 +198,9 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
     with c_k = 1 + 2 nu_k (A) or 1 - nu_k (B).  With ``exact`` the true q_n
     is used (the head supremum then reproduces the polynomial Galerkin value
     at matching degree); default is the certificate surrogate q_cert."""
-    _check_gamma_n_max(gamma, n_max)
     if family not in ("A", "B"):
         raise ValueError("family must be 'A' or 'B'")
+    _check_gamma_n_max(gamma, n_max, 2 if family == "A" else 1)  # a head of one row or more
     qfun = q_n if exact else q_cert
     ks = np.arange(2 if family == "A" else 1, n_max + 1)
     c = _c(family, ks, gamma)
@@ -263,7 +262,7 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
     the grid minimum sits at their crossing: bisection on the grid index
     finds it in at most 7 head eigenvalues.
     """
-    _check_gamma_n_max(gamma, n_max)
+    _check_gamma_n_max(gamma, n_max, 1 if family == "A" else 0)
     diag, off = family_tridiagonal(family, gamma, n_max + 1)
     if off.size == 0:
         raise ValueError(f"n_max = {n_max} leaves family {family} no head row")
@@ -367,6 +366,7 @@ def _alternating_weights(family: str, gamma: float, n0: int, n_max: int) -> np.n
 def certificate_alphas(gamma: float, n_max: int) -> np.ndarray:
     """Weights alpha_n (index 1..n_max; alpha_1 = 0) for the family-A
     diagonal-dominance certificate, chosen per parameter regime."""
+    _check_count("n_max", n_max, 2)
     a = np.ones(n_max + 1)
     a[0] = math.nan
     a[1] = 0.0
@@ -390,6 +390,7 @@ def certificate_alphas(gamma: float, n_max: int) -> np.ndarray:
 
 def certificate_betas(gamma: float, n_max: int) -> np.ndarray:
     """Weights beta_n (index 0..n_max; beta_0 = 0) for the family-B certificate."""
+    _check_count("n_max", n_max, 1)
     b = np.ones(n_max + 1)
     b[0] = 0.0
     if gamma < 2.0 / 3.0:
@@ -405,8 +406,6 @@ def certificate_expressions(gamma: float, n_max: int = 200) -> tuple[np.ndarray,
     E_A(n) = (1+2 nu_n)(p_n + |q_n|/alpha_n + |q_{n-1}| alpha_{n-1}),  n >= 2,
     E_B(n) = (1- nu_n)(p_n + |q_n|/beta_n + |q_{n-1}| beta_{n-1}),    n >= 1,
     returned as arrays indexed from n = 2 (A) and n = 1 (B)."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
     a = certificate_alphas(gamma, n_max)
     b = certificate_betas(gamma, n_max)
     ns = np.arange(1, n_max + 1)
@@ -479,8 +478,7 @@ def monotonicity_report(gammas, n_max: int = 50) -> list[dict]:
     each within its stated regime, for the certificate coefficient sequences
     at n = 1..n_max (n_max >= 3).  Returns one record per fact and gamma with
     the number of violations (0 expected)."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
+    _check_count("n_max", n_max, 3)
     gammas = sorted(gammas)
     records = []
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -54,16 +54,9 @@ class TheoremCheck:
         return self.lhs - self.rhs
 
     def to_record(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "provenance": self.provenance,
-            "pass": self.passed,
-            "note": self.note,
-        }
+        record = asdict(self)
+        record["pass"] = record.pop("passed")
+        return {**record, "margin": self.margin}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ VERIFICATION_FAILURE = 3
 
 SWEEP_COLUMNS = ("model", "m", "gamma", "E", "N", "topology", "method",
                  "degree_or_budget", "gap", "err", "seed")
+_FLOAT_COLUMNS = {"m", "gamma", "E", "gap", "err"}  # written at 17 significant digits
 
 
 def fmt(x: float) -> str:
@@ -173,12 +174,8 @@ def _write_rows(path: str, rows: list[dict], cfg: ExperimentConfig) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["model"], fmt(row["m"]), fmt(row["gamma"]), fmt(row["E"]),
-                row["N"], row["topology"], row["method"], row["degree_or_budget"],
-                fmt(row["gap"]), fmt(row["err"]), row["seed"],
-            ])
+        writer.writerows([fmt(row[c]) if c in _FLOAT_COLUMNS else row[c] for c in SWEEP_COLUMNS]
+                         for row in rows)
     meta_path = os.path.splitext(path)[0] + ".meta.json"
     with open(meta_path, "w") as fh:
         json.dump(cfg.metadata(), fh, indent=2, sort_keys=True)
@@ -226,11 +223,11 @@ def cmd_kappa(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                       lower_exceeds_one_third=bracket.lower > 1.0 / 3.0)
     else:
         report["kappa_tilde"] = kappa_tilde(m, g, cfg.degree)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
     if cfg.output:
         with open(cfg.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return 0
 
 
@@ -398,7 +395,7 @@ def main(argv=None) -> int:
             appendix.BracketInversionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out the command cannot write
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

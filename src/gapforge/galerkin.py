@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigvalsh, solve_triangular
 from scipy.special import ellipkm1, gammaln
 
-from .measures import GammaShape, SimplexLaw, pair_alpha_moment
+from .measures import GammaShape, SimplexLaw, _check_count, pair_alpha_moment
 from .models import _GG2_PREF, LONG_RANGE, NEAREST, ExchangeKernel, Topology, check_reversible_law, star_kernel
 from .quad import (_read_only, beta_rule, gauss_rule, graded_rule, legendre_rule, orthonormal_values,
                    power_rule, stieltjes_recurrence)
@@ -62,6 +62,7 @@ def build_basis(N: int, degree: int) -> list[tuple[int, ...]]:
     total degree <= degree.  The constraint eliminates x_N."""
     if N < 2:
         raise ValueError("need N >= 2")
+    _check_count("degree", degree, 0)
     return [k for total in range(degree + 1) for k in _compositions(total, N - 1)]
 
 
@@ -335,8 +336,7 @@ def spectral_gap(
     """Galerkin upper bound on the spectral gap, with the per-degree history
     (non-increasing in the degree by subspace nesting).  One assembly at the top
     degree serves every degree: the graded basis is prefix-nested."""
-    if degree < 1:
-        raise ValueError(f"Galerkin degree must be at least 1, got {degree}")
+    _check_count("Galerkin degree", degree, 1)
     A, G, basis = assemble(law, kernel, degree, topology)
     history = []
     for d in range(1, degree + 1):
@@ -364,7 +364,8 @@ def two_site_constant(kernel: ExchangeKernel, degree: int = 30) -> float:
     summed over the slices in node order, so one (degree + 1, slice nodes)
     table is live.
     """
-    if not 1 <= degree <= _N_BETA - 1:
+    _check_count("two-site degree", degree, 1)
+    if degree > _N_BETA - 1:
         # the beta rules integrate products of two basis polynomials exactly
         # only up to this degree; past it the value is silently wrong
         raise ValueError(f"two-site degree must be between 1 and {_N_BETA - 1}, got {degree}")

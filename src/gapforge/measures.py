@@ -40,8 +40,8 @@ class GammaShape:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if isinstance(self.gamma, bool) or not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be a positive finite number, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class SimplexLaw:
     sites: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.mean_energy < np.inf:
-            raise ValueError(f"mean_energy must be positive and finite, got {self.mean_energy}")
+        if isinstance(self.mean_energy, bool) or not 0 < self.mean_energy < np.inf:
+            raise ValueError(f"mean_energy must be a positive finite number, got {self.mean_energy}")
         _check_count("sites", self.sites, 2)
 
     @property

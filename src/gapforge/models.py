@@ -353,12 +353,13 @@ def detailed_balance_defect(kernel: ExchangeKernel, n_grid: int = 60) -> float:
     lam = kernel.rate_r(grid)
     wg = np.exp((g - 1) * (np.log(grid) + np.log1p(-grid)) - betaln(g, g))
     q = np.empty((n_grid, n_grid))
-    for i, b in enumerate(grid):
-        q[i, :] = lam[i] * kernel.density(b, grid) * wg[i]
-    # the gg2 density has an integrable +inf ridge at alpha = 1 - beta, which is
-    # itself a symmetric set; only compare where both entries are finite
+    # stick m < 1 has an integrable +inf ridge on the diagonal alpha = beta, which
+    # the grid hits; it is a symmetric set, like gg2's, so only the entries finite
+    # on both sides are compared
+    with np.errstate(divide="ignore"):
+        for i, b in enumerate(grid):
+            q[i, :] = lam[i] * kernel.density(b, grid) * wg[i]
     finite = np.isfinite(q)
     if not np.array_equal(finite, finite.T):
         return math.inf
-    d = np.abs(q - q.T)
-    return float(np.max(d[finite & finite.T]))
+    return float(np.max(np.abs(q[finite] - q.T[finite])))

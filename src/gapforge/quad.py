@@ -1,8 +1,10 @@
 """Quadrature helpers shared by the kernel and variational modules.
 
-Every rule maps a Gauss reference rule on [-1, 1] affinely.  ``legendre_rule``
-also takes arrays of interval ends, one row of nodes and weights per interval,
-each entry taking the operations of the one-interval map."""
+Every rule maps a Gauss reference rule on [-1, 1] affinely.  The Gauss-Jacobi
+ones (``beta_rule``, ``power_rule``) all read one cached source,
+``_jacobi_reference``.  ``legendre_rule`` also takes arrays of interval ends,
+one row of nodes and weights per interval, each entry taking the operations of
+the one-interval map."""
 
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ def beta_rule(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     sum w_i f(u_i) == E_{Beta(p,q)}[f] exactly for polynomials of degree < 2n.
     """
     # weight (1-t)^a (1+t)^b on [-1,1]; u = (1+t)/2 gives u^b (1-u)^a
-    x, w = roots_jacobi(n, q - 1.0, p - 1.0)
+    x, w = _jacobi_reference(n, q - 1.0, p - 1.0)
     u = 0.5 * (1.0 + x)
     w = w / w.sum()
     return _read_only(u, w)
@@ -120,25 +122,17 @@ def orthonormal_values(a: np.ndarray, b: np.ndarray, points: np.ndarray) -> np.n
     return out
 
 
-def graded_rule(lo: float, hi: float, singular_at: str, n_per_cell: int = 24,
-                n_cells: int = 14, ratio: float = 0.35) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre on [lo, hi] with cells geometrically refined toward
-    singular endpoints.
-
-    Handles integrable log/power singularities at lo and/or hi ('lo', 'hi', 'both').
+def graded_rule(lo: float, hi: float, singular_at: str, n_per_cell: int,
+                n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre on [lo, hi] whose n_cells cells shrink by 0.35 a
+    cell toward an integrable log/power singularity at ``singular_at``, 'lo' or 'hi'.
     Raises ValueError where the cells are so deep that a node rounds onto an end
     or two nodes coincide.
     """
-    h = hi - lo
-    steps = np.array([ratio ** k for k in range(1, n_cells)])
-    pts = [[lo, hi]]
-    if singular_at in ("lo", "both"):
-        d = h if singular_at == "lo" else h / 2.0
-        pts.append(lo + d * steps)
-    if singular_at in ("hi", "both"):
-        d = h if singular_at == "hi" else h / 2.0
-        pts.append(hi - d * steps)
-    pts = np.sort(np.concatenate(pts))
+    if singular_at not in ("lo", "hi"):
+        raise ValueError(f"singular_at must be 'lo' or 'hi', got {singular_at!r}")
+    steps = (hi - lo) * np.array([0.35 ** k for k in range(1, n_cells)])
+    pts = np.sort(np.r_[lo, hi, lo + steps if singular_at == "lo" else hi - steps])
     u, w = legendre_rule(pts[:-1], pts[1:], n_per_cell)
     u, w = u.ravel(), w.ravel()
     if not (lo < u[0] and u[-1] < hi and np.all(u[1:] > u[:-1])):

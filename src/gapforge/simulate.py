@@ -8,15 +8,16 @@ rate and bond choice proportional to bond rates.  One event costs a bond
 scan, an alpha draw, a rate call per bond touching the pair (2 on a chain,
 2N - 3 on the complete graph) and a log append: 2-3.5 us on 3 or 4 sites,
 10-16 for gg2's rejection sampler (2-CPU x86-64, scripts/event_rate.py).
-``models.BetaSampler`` declares the star family's law, Beta(g, g) whatever
-the pair, so a block of 8192 events takes its alphas from one rng.beta call.
-A ``models.UniformSampler`` (stick, gg3, gg2) draws only uniforms: each
-block hands it the ``__next__`` of a generator over batches drawn ahead,
-140 ns a uniform against 625 for a scalar rng.random() call.  Star m = 0 (kmp)
-rates are constant, as (a + b) ** 0.0 is 1.0 for every float: its blocks
-also take waiting times and bonds from array calls that repeat the loop's
-sequential sums, so an event is a pair update and a log append, 1-2 us on 3
-to 16 sites; a rate other than the declared form is refused.  The log (or,
+Each block of 8192 events takes its waiting times and bond uniforms from two
+array calls and its alphas the way its sampler's type declares:
+``models.BetaSampler`` (the star family, Beta(g, g) whatever the pair) from
+one rng.beta call, a ``models.UniformSampler`` (stick, gg3, gg2) from the
+``__next__`` of a generator over uniforms drawn ahead in batches, 140 ns a
+uniform against 625 for a scalar rng.random() call.  Star m = 0 (kmp) rates
+are constant, as (a + b) ** 0.0 is 1.0 for every float: its blocks find
+their event times and bonds by cumsum and searchsorted, which repeat the
+loop's sequential sums, so an event is a pair update and a log append, 1-2 us
+on 3 to 16 sites; a rate other than the declared form is refused.  The log (or,
 for the estimator, its observable, one float per logged state) is sampled
 onto the grid every _LOG_EVENTS events into one sample buffer pair, grown in
 place by half up to the rows the budget is projected to fill (past them only
@@ -251,45 +252,42 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
     t = 0.0
     done = 0
     block = 8192
+    cum = np.cumsum(rates)
     try:
-        # constant rates: a block's times and bonds come from array calls that
-        # repeat the loop's sequential sums (t += e / total, the bond scan)
-        cum = np.cumsum(rates)
-        while steady and done < cap_events:
-            ts = np.cumsum(np.r_[t, rng.exponential(1.0, block) / total])[1:]
-            u = rng.random(block) * total
-            n = min(block, cap_events - done)
-            stop = int(np.searchsorted(ts[:n], cap_time, "right"))
-            picks = np.minimum(np.searchsorted(cum, u[:stop], "right"), len(rates) - 1)
-            if beta_g is not None:  # the stop alphas the sampler would draw next
-                alphas = iter(rng.beta(beta_g, beta_g, stop).tolist())
-            for b in picks.tolist():
-                i, j = bonds[b]
-                alpha = sampler(x[i], x[j], rng) if alphas is None else next(alphas)
-                s = x[i] + x[j]
-                x[i] = alpha * s
-                x[j] = s - alpha * s
-                flat.extend(x)
-            times.extend(ts[:stop].tolist())
-            done += stop
-            if stop < n:
-                return trajectory(done, cap_time)
-            t = times[-1]
-            flush()
         while done < cap_events:
             ahead.settle()
-            exp_block = rng.exponential(1.0, block).tolist()
-            uni_block = rng.random(block).tolist()
+            exps, unis = rng.exponential(1.0, block), rng.random(block)
             if beta_g is not None:  # one block ahead; settling returns the tail
                 alphas = ahead.draw(("beta", beta_g, beta_g), block)
             elif uniform_only:
                 source = ahead.uniforms().__next__
             n = min(block, cap_events - done)
+            if steady:
+                # constant rates: the block's times and bonds come from array
+                # calls that repeat the sequential sums below (t += e / total, the bond scan)
+                ts = np.cumsum(np.r_[t, exps / total])[1:]
+                stop = int(np.searchsorted(ts[:n], cap_time, "right"))
+                picks = np.minimum(np.searchsorted(cum, unis[:stop] * total, "right"), len(rates) - 1)
+                for b in picks.tolist():
+                    i, j = bonds[b]
+                    alpha = sample(x[i], x[j], source) if alphas is None else next(alphas)
+                    s = x[i] + x[j]
+                    x[i] = alpha * s
+                    x[j] = s - alpha * s
+                    flat.extend(x)
+                times.extend(ts[:stop].tolist())
+                done += stop
+                if stop < n:
+                    return trajectory(done, cap_time)
+                t = times[-1]
+                flush()
+                continue
+            exps, unis = exps.tolist(), unis.tolist()
             # chunks of _REFRESH_EVERY events, which end where done is a multiple of it
             for lo in range(0, n, _REFRESH_EVERY):
                 hi = min(lo + _REFRESH_EVERY, n)
                 logged = len(times)
-                for e, u in zip(exp_block[lo:hi], uni_block[lo:hi]):
+                for e, u in zip(exps[lo:hi], unis[lo:hi]):
                     t += e / total
                     if t > cap_time:
                         return trajectory(done + len(times) - logged, cap_time)

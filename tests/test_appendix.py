@@ -206,6 +206,28 @@ def test_entry_points_refuse_an_n_max_that_is_not_an_integer(entry, n_max):
         entry(1.0, n_max)
 
 
+# each n_max taker and the least n_max it accepts
+LEAST_N_MAX = {
+    "family_tridiagonal_A": (lambda n_max: family_tridiagonal("A", 1.0, n_max), 2),  # -4 gave empty arrays
+    "family_tridiagonal_B": (lambda n_max: family_tridiagonal("B", 1.0, n_max), 1),
+    "tridiagonal_sup_A": (lambda n_max: tridiagonal_sup("A", 1.0, n_max), 1),
+    "tridiagonal_sup_B": (lambda n_max: tridiagonal_sup("B", 1.0, n_max), 0),
+    "certificate_alphas": (lambda n_max: appendix.certificate_alphas(1.0, n_max), 2),
+    "certificate_betas": (lambda n_max: appendix.certificate_betas(1.0, n_max), 1),
+    "certificate_expressions": (lambda n_max: appendix.certificate_expressions(1.0, n_max), 2),
+    "monotonicity_report": (lambda n_max: monotonicity_report((1.0,), n_max), 3),
+}
+
+
+@pytest.mark.parametrize("call, least", LEAST_N_MAX.values(), ids=LEAST_N_MAX)
+def test_entry_points_refuse_an_n_max_below_their_least(call, least):
+    for n_max in (least - 1, -4):
+        with pytest.raises(ValueError, match=f"n_max must be at least {least}, got {n_max}"):
+            call(n_max)
+    with pytest.raises(TypeError, match="n_max must be an integer"):
+        call(float(least + 3))
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
 def test_entry_points_refuse_a_gamma_that_is_not_finite_and_positive(entry, gamma):

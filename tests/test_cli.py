@@ -48,6 +48,13 @@ def test_unknown_model_is_config_error():
     assert main(["gap", "--model", "star", "--method", "bogus"]) == CONFIG_ERROR
 
 
+def test_an_out_path_that_cannot_be_written_is_config_error(tmp_path, capsys):
+    # the gap is computed first; writing it used to end in a FileNotFoundError traceback
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["gap", "--model", "kmp", "--N", "3", "--degree", "1", "--out", str(out)]) == CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err and not out.parent.exists()
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

@@ -463,6 +463,17 @@ def test_degree_below_one_is_refused(degree):
         two_site_constant(make_kernel("gg3"), degree=degree)
 
 
+@pytest.mark.parametrize("degree", [True, 2.5, 3.0, "3"])
+def test_a_degree_that_is_not_an_integer_is_refused(degree):
+    # degree=True used to give the degree-1 gap, 2.5 to fail inside range
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    for call in (lambda: spectral_gap(law, make_kernel("kmp"), degree, NEAREST),
+                 lambda: two_site_constant(make_kernel("gg3"), degree=degree),
+                 lambda: build_basis(3, degree)):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the entry-by-entry assembly loop, the reference for the array code, with its
 # cached per-entry kernel integral

@@ -40,6 +40,14 @@ def test_simplex_law_refuses_fewer_than_two_sites(sites):
     assert SimplexLaw(GammaShape(1.0), 1.0, 2).total_energy == 2.0
 
 
+@pytest.mark.parametrize("make", [lambda v: GammaShape(v), lambda v: SimplexLaw(GammaShape(1.0), v, 3)],
+                         ids=["gamma", "mean_energy"])
+@pytest.mark.parametrize("value", [True, False, 0.0, -1.0, np.inf, np.nan])
+def test_a_bool_or_a_value_off_the_positive_reals_is_refused(make, value):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        make(value)
+
+
 def test_sample_matrix_constraint(rng):
     law = SimplexLaw(GammaShape(0.5), 2.0, 5)
     x = sample_matrix(law, 20, rng)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_alpha_rule_on_an_array_is_the_rows_of_scalar_calls(name):
 @pytest.mark.parametrize("name", ALL_KERNELS)
 def test_detailed_balance(name):
     assert detailed_balance_defect(_kernel(name)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [0.5, 0.25])
+def test_detailed_balance_of_stick_below_one_raises_no_warning(m):
+    # the grid's diagonal alpha = beta is where stick m < 1 has its +inf ridge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert detailed_balance_defect(models.stick_kernel(m)) < 1e-14
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

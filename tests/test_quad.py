@@ -118,6 +118,13 @@ def test_graded_rule_refuses_cells_whose_nodes_round_together():
     assert np.array_equal(w, (wl * h * 0.5).ravel())
 
 
+@pytest.mark.parametrize("singular_at", ["middle", "both", "", None])
+def test_graded_rule_refuses_an_unknown_singular_end(singular_at):
+    # "middle" used to give one ungraded 8-node cell
+    with pytest.raises(ValueError, match="singular_at"):
+        graded_rule(0.0, 1.0, singular_at, n_per_cell=8, n_cells=5)
+
+
 @pytest.mark.parametrize("lo, hi, expo, n, at_lo", [
     (0.0, 0.37, 0.5, 32, True),     # gg3, alpha < c
     (0.63, 1.0, 0.5, 32, False),    # gg3, alpha > max(beta, 1 - beta)

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from gapforge.cli import build_parser
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -38,10 +40,26 @@ def test_event_rate_against_this_checkout_gives_equal_digests(monkeypatch, capsy
     assert not [name for name in sys.modules if name.startswith(script.OTHER)]
 
 
-def test_verify_equal_names_each_moved_field():
+def _verify_equal():
     spec = importlib.util.spec_from_file_location("verify_equal", ROOT / "scripts" / "verify_equal.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_verify_equal_invocations_parse_and_compare_what_they_write():
+    parser = build_parser()
+    for name, (argvs, files) in _verify_equal().INVOCATIONS.items():
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            # the first file compared is the --out one, the others sit beside it
+            if files:
+                assert args.output == files[0], name
+                assert all(f.startswith(pathlib.Path(files[0]).stem + ".") for f in files), name
+
+
+def test_verify_equal_names_each_moved_field():
+    script = _verify_equal()
     check = {"claim": "mechanical-lower-bound", "lhs": 1.1554659000492014, "pass": True,
              "params": {"m": [1.0, 2.0]}}
     old = {"checks": [dict(check, claim="scaling", lhs=0.5), check], "pass": True, "schema": 1}
