@@ -3,7 +3,9 @@
 Carlo runs, call by call, in one process.
 
 The ``verify`` section (the default) runs ``bounds.run_all_checks(fast=True)``
-with each of its check calls wrapped, then the appendix suite.  The ``mc``
+with each of its check calls wrapped, then the appendix suite; the
+``theorems`` section runs ``bounds.run_all_checks(fast=False)``, the full
+``verify --suite theorems``, the same way.  The ``mc``
 section runs the seven shapes of the perfbench mc-relax workload in the order
 of ``MC_SHAPES``: five autocorrelation gap estimates on the Galerkin
 slow-mode observable, then two bare ``simulate.run`` calls, each from the
@@ -17,6 +19,7 @@ the rise that call caused. The call with the largest rise is the one that
 sets the peak:
 
     PYTHONPATH=src python3 scripts/peak_rss.py
+    PYTHONPATH=src python3 scripts/peak_rss.py theorems
     PYTHONPATH=src python3 scripts/peak_rss.py mc --seed 3001
     PYTHONPATH=src python3 scripts/peak_rss.py estimate --seed 1
 """
@@ -59,7 +62,7 @@ def report(label: str, last: list) -> None:
     last[0] = now
 
 
-def verify_section(last: list) -> None:
+def checks_section(last: list, fast: bool) -> None:
     def traced(name, fn):
         @functools.wraps(fn)
         def call(*args, **kwargs):
@@ -75,11 +78,14 @@ def verify_section(last: list) -> None:
     for name, fn in checks.items():
         setattr(bounds, name, traced(name, fn))
     try:
-        bounds.run_all_checks(fast=True)
+        bounds.run_all_checks(fast=fast)
     finally:
         for name, fn in checks.items():
             setattr(bounds, name, fn)
 
+
+def verify_section(last: list) -> None:
+    checks_section(last, fast=True)
     with tempfile.TemporaryDirectory() as tmp:
         cli.main(["verify", "--suite", "appendix", "--out", os.path.join(tmp, "appendix.json")])
     report("verify --suite appendix", last)
@@ -116,7 +122,8 @@ def estimate_section(last: list, seed: int) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("section", nargs="?", choices=("verify", "mc", "estimate"), default="verify")
+    ap.add_argument("section", nargs="?", choices=("verify", "theorems", "mc", "estimate"),
+                    default="verify")
     ap.add_argument("--seed", type=int, default=None,
                     help="generator seed of the mc (default 3001) or estimate (default 1) section")
     args = ap.parse_args()
@@ -125,6 +132,8 @@ def main() -> None:
     report("imports", last)
     if args.section == "verify":
         verify_section(last)
+    elif args.section == "theorems":
+        checks_section(last, fast=False)
     elif args.section == "mc":
         mc_section(last, 3001 if args.seed is None else args.seed)
     else:

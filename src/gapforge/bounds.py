@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .galerkin import kappa, kappa_tilde, spectral_gap, two_site_constant
-from .measures import GammaShape, SimplexLaw, sample_matrix
+from .measures import GammaShape, SimplexLaw, _check_count, sample_matrix
 from .models import LONG_RANGE, NEAREST, ExchangeKernel, make_kernel, star_kernel
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "check_kappa_chain",
     "run_all_checks",
 ]
+
+_SAMPLE_CHUNK = 4096  # configuration rows the negative-m check draws at once
 
 
 @dataclass(frozen=True)
@@ -271,22 +273,28 @@ def check_negative_m_remark(m: float = -1.0, n_sites: int = 16, gamma: float = 1
     f = 1{x_1 > N/2} under the long-range dynamics is <= 2^-m N^m (within
     Monte Carlo error).  Variance is exact via the Beta marginal; the inner
     alpha integral is exact via the incomplete Beta function; only the outer
-    configuration average is Monte Carlo."""
+    configuration average is Monte Carlo.  Configurations are drawn
+    _SAMPLE_CHUNK rows at a time, the same stream as one draw, so only the
+    per-sample Dirichlet terms (8 bytes a sample) grow with n_samples."""
+    _check_count("n_samples", n_samples, 2)
+    if not -math.inf < m < 0:
+        raise ValueError(f"the negative-m remark needs a finite m < 0, got m = {m}")
     rng = np.random.default_rng(seed)
     law = SimplexLaw(GammaShape(gamma), 1.0, n_sites)
     n = n_sites
     half = n / 2.0
     p = 1.0 - float(betainc(gamma, (n - 1) * gamma, 0.5))  # P(x_1 > N/2), x_1 = N Beta
     var = p * (1.0 - p)
-    xs = sample_matrix(law, n_samples, rng)
-    x1 = xs[:, 0]
     contrib = np.zeros(n_samples)
-    for j in range(1, n):
-        s = x1 + xs[:, j]
-        thr = np.clip(half / s, 0.0, 1.0)
-        tail = 1.0 - betainc(gamma, gamma, thr)  # P(alpha s > N/2)
-        inner = np.where(x1 > half, 1.0 - tail, tail)
-        contrib += s ** m * inner
+    for lo in range(0, n_samples, _SAMPLE_CHUNK):
+        xs = sample_matrix(law, min(_SAMPLE_CHUNK, n_samples - lo), rng)
+        x1, out = xs[:, 0], contrib[lo:lo + _SAMPLE_CHUNK]
+        for j in range(1, n):
+            s = x1 + xs[:, j]
+            thr = np.clip(half / s, 0.0, 1.0)
+            tail = 1.0 - betainc(gamma, gamma, thr)  # P(alpha s > N/2)
+            inner = np.where(x1 > half, 1.0 - tail, tail)
+            out += s ** m * inner
     # D = (1/2) (1/N) sum_bonds E[Lambda * E_alpha (f(T x) - f(x))^2]; bonds not
     # containing site 1 vanish
     d_samples = 0.5 / n * contrib

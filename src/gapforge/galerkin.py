@@ -199,9 +199,11 @@ def _kernel_matrix(kernel: ExchangeKernel, a: np.ndarray, b: np.ndarray) -> np.n
             p = al ** e
             for u in np.flatnonzero(a == e):
                 V[u] *= p
-        # minus g_u(beta), taken once per beta row, then weighted
-        V.reshape(a.size, bu.size, -1)[...] -= np.array(
-            [bu ** xu * (1.0 - bu) ** yu for xu, yu in zip(x, y)])[:, :, None]
+        # minus g_u(beta), taken once per beta row, one basis row at a time (a
+        # (pairs, beta rows) table is as large as V on gg2's one-node rows), then
+        # weighted; indexing V[u] keeps no view of V alive past the del below
+        for u, (xu, yu) in enumerate(zip(x, y)):
+            V[u].reshape(bu.size, -1)[...] -= (bu ** xu * (1.0 - bu) ** yu)[:, None]
         V *= sqw
         for u, v in itertools.combinations_with_replacement(range(a.size), 2):
             I[u, v] = I[v, u] = I[u, v] + np.dot(V[u], V[v])

@@ -1,9 +1,16 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
+from gapforge import bounds
 from gapforge.bounds import (
     MovingPath,
+    TheoremCheck,
     _assert_path_invariants,
     build_moving_path,
     check_compm2m,
@@ -16,6 +23,7 @@ from gapforge.bounds import (
     exact_gap_lr_m0,
     stick_two_site_lower,
 )
+from gapforge.measures import GammaShape, SimplexLaw, sample_matrix
 
 
 def test_moving_path_adjacent_pair():
@@ -125,6 +133,82 @@ def test_negative_m_quotient_below_bound():
     c = check_negative_m_remark(n_samples=60_000, seed=3)
     assert c.passed, c.to_record()
     assert c.rhs == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("arg, value, error", [
+    ("n_samples", 0, ValueError), ("n_samples", 1, ValueError),
+    ("n_samples", 2.5, TypeError), ("n_samples", True, TypeError),
+    ("m", float("nan"), ValueError), ("m", -math.inf, ValueError),
+    ("m", 0.0, ValueError), ("m", 1.0, ValueError),
+])
+def test_negative_m_check_refuses_what_it_cannot_use(arg, value, error):
+    # fewer than two samples gave a NaN mean or stderr after numpy warnings, a
+    # non-integer count died inside numpy, and m = nan gave a NaN record; the
+    # remark is about m < 0 only
+    with pytest.raises(error, match=f"{arg}.*got.*{value}"):
+        check_negative_m_remark(**{"n_samples": 100, arg: value})
+
+
+def _whole_draw_check(m: float = -1.0, n_sites: int = 16, gamma: float = 1.0,
+                      n_samples: int = 200_000, seed: int = 0) -> TheoremCheck:
+    """check_negative_m_remark as it was before it drew in row chunks: one
+    (n_samples, N) draw."""
+    rng = np.random.default_rng(seed)
+    law = SimplexLaw(GammaShape(gamma), 1.0, n_sites)
+    n = n_sites
+    half = n / 2.0
+    p = 1.0 - float(betainc(gamma, (n - 1) * gamma, 0.5))  # P(x_1 > N/2), x_1 = N Beta
+    var = p * (1.0 - p)
+    xs = sample_matrix(law, n_samples, rng)
+    x1 = xs[:, 0]
+    contrib = np.zeros(n_samples)
+    for j in range(1, n):
+        s = x1 + xs[:, j]
+        thr = np.clip(half / s, 0.0, 1.0)
+        tail = 1.0 - betainc(gamma, gamma, thr)  # P(alpha s > N/2)
+        inner = np.where(x1 > half, 1.0 - tail, tail)
+        contrib += s ** m * inner
+    # D = (1/2) (1/N) sum_bonds E[Lambda * E_alpha (f(T x) - f(x))^2]; bonds not
+    # containing site 1 vanish
+    d_samples = 0.5 / n * contrib
+    d_mean = float(d_samples.mean())
+    d_err = float(d_samples.std(ddof=1) / math.sqrt(n_samples))
+    lhs = d_mean / var
+    sigma = d_err / var
+    bound = 2.0 ** (-m) * n ** m
+    return TheoremCheck(
+        claim="negative-m-no-uniform-gap",
+        params={"m": m, "N": n_sites, "gamma": gamma, "n_samples": n_samples,
+                "stderr": sigma},
+        lhs=float(lhs),
+        rhs=bound,
+        provenance="mc-estimate (Rayleigh quotient upper-bounds the gap)",
+        passed=bool(lhs <= bound + 3.0 * sigma),
+        note=f"quotient {lhs:.6f} +- {sigma:.6f} vs bound {bound:.6f}",
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n_samples", [bounds._SAMPLE_CHUNK - 1, bounds._SAMPLE_CHUNK,
+                                       bounds._SAMPLE_CHUNK + 1, 50_000])
+def test_negative_m_check_in_row_chunks_is_the_whole_draw(gamma, n_samples):
+    chunked = check_negative_m_remark(gamma=gamma, n_samples=n_samples, seed=7)
+    whole = _whole_draw_check(gamma=gamma, n_samples=n_samples, seed=7)
+    assert repr(chunked.to_record()) == repr(whole.to_record())
+
+
+def test_negative_m_check_holds_its_per_sample_terms_and_one_chunk():
+    n_samples = 200_000
+    tracemalloc.start()
+    try:
+        check_negative_m_remark(n_samples=n_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few 8-byte per-sample arrays (the terms, their scaled copy and the
+    # stderr's temporaries) and two chunk tables; the whole (n_samples, 16)
+    # draw alone would take 25.6 MB
+    assert peak <= 4 * 8 * n_samples + 2 * 16 * 8 * bounds._SAMPLE_CHUNK, peak
 
 
 def test_theorem_check_record_shape():

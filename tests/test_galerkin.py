@@ -184,8 +184,11 @@ def _bond_pairs(N, degree):
     return np.unique(K[:, np.array(Topology(NEAREST, N).bonds())].reshape(-1, 2), axis=0)
 
 
-def test_kernel_matrix_holds_little_beside_its_vectors():
-    kernel = make_kernel("gg3")
+# gg3 has the largest grid; gg2's rows are one node long, so a (pairs, beta
+# rows) table of g_u(beta) would be as large as V
+@pytest.mark.parametrize("name", ["gg3", "gg2", "stick"])
+def test_kernel_matrix_holds_little_beside_its_vectors(name):
+    kernel = make_kernel(name)
     pairs = _bond_pairs(3, 6)
     assert len(pairs) == 28
     peak = _traced_peak(lambda: galerkin._kernel_matrix(kernel, *pairs.T.astype(float)))

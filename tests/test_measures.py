@@ -66,6 +66,21 @@ def test_sample_matrix_is_the_scaled_gamma_table_bit_for_bit(gamma, sites):
     assert np.array_equal(x, law.total_energy * g / g.sum(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("sites", [2, 16])
+@pytest.mark.parametrize("split", [(1, 9), (4, 1, 5), (3, 3, 3, 1), (1,) * 10])
+def test_row_chunks_of_sample_matrix_are_one_draw(gamma, sites, split):
+    # the negative-m check draws its configurations in row chunks and relies on
+    # them being the rows of one draw, and on the generator then being where one
+    # draw leaves it
+    law = SimplexLaw(GammaShape(gamma), 0.7, sites)
+    whole, chunked = np.random.default_rng(5), np.random.default_rng(5)
+    x = sample_matrix(law, sum(split), whole)
+    parts = [sample_matrix(law, rows, chunked) for rows in split]
+    assert np.array_equal(np.vstack(parts), x)
+    assert whole.random() == chunked.random()
+
+
 def test_dirichlet_moment_against_sampling(rng):
     g, N = 1.5, 4
     law = SimplexLaw(GammaShape(g), 1.0, N)
