@@ -44,18 +44,19 @@ import time
 
 import numpy as np
 
-from gapforge.models import LONG_RANGE, NEAREST
+from gapforge import models
 
 # (model, m, gamma, N, topology, events): the five estimate kernels at the
-# script's event budget, then the two bare runs
+# script's event budget, then the two bare runs.  The topology is the name of
+# a ``models`` constant, which each checkout resolves in its own package.
 SHAPES = [
-    ("kmp", 0.0, 1.0, 3, NEAREST, 100_000),
-    ("kmp", 0.0, 1.0, 3, LONG_RANGE, 100_000),
-    ("stick", 1.0, 1.0, 3, NEAREST, 100_000),
-    ("gg3", 0.5, 1.5, 3, NEAREST, 100_000),
-    ("star", 1.0, 1.0, 4, LONG_RANGE, 100_000),
-    ("kmp", 0.0, 1.0, 16, LONG_RANGE, 100_000),
-    ("gg2", 0.5, 1.0, 4, NEAREST, 10_000),
+    ("kmp", 0.0, 1.0, 3, "NEAREST", 100_000),
+    ("kmp", 0.0, 1.0, 3, "LONG_RANGE", 100_000),
+    ("stick", 1.0, 1.0, 3, "NEAREST", 100_000),
+    ("gg3", 0.5, 1.5, 3, "NEAREST", 100_000),
+    ("star", 1.0, 1.0, 4, "LONG_RANGE", 100_000),
+    ("kmp", 0.0, 1.0, 16, "LONG_RANGE", 100_000),
+    ("gg2", 0.5, 1.0, 4, "NEAREST", 10_000),
 ]
 ESTIMATE_EVENTS = 200_000
 OBSERVABLE_DEGREE = 3
@@ -99,6 +100,7 @@ def runner(package: str, idx: int, shape, seed: int, estimates: bool):
     models = importlib.import_module(package + ".models")
     measures = importlib.import_module(package + ".measures")
     name, m, g, n, kind, events = shape
+    kind = getattr(models, kind)
     kern = models.make_kernel(name, m=m, gamma=g)
     law = measures.SimplexLaw(measures.GammaShape(g), 1.0, n)  # read by either checkout
     topo = models.Topology(kind, n)
@@ -150,7 +152,7 @@ def main(argv=None) -> None:
                     costs[k].append(seconds if args.estimates else seconds / shape[5] * 1e6)
                     digests[k].add(digest)
             name, m, g, n, kind, events = shape
-            line = f"{name} m={m:g} gamma={g:g} N={n} {kind}"
+            line = f"{name} m={m:g} gamma={g:g} N={n} {getattr(models, kind)}"
             line = f"{line:32s} {events:8d}"
             for c in costs:
                 line += f" {min(c):10.3f} {statistics.median(c):10.3f}"

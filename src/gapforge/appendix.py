@@ -47,7 +47,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .galerkin import kappa_tilde
-from .measures import _check_count
+from .measures import _check_count, _check_positive
 from .quad import beta_rule, orthonormal_values, stieltjes_recurrence
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "verify_prop_a",
     "verify_prop_b",
     "verify_certificates",
-    "n_zero",
     "monotonicity_report",
     "run_checks",
 ]
@@ -81,14 +80,21 @@ __all__ = [
 # closed-form coefficients
 
 def _over_n(formula):
-    """Let a coefficient formula take an int n (giving a float) or an integer array."""
+    """Let a coefficient formula take an int n (giving a float) or an integer
+    array, each n >= 0, and a positive finite gamma."""
 
     @functools.wraps(formula)
     def coefficient(n, gamma: float):
+        _check_positive("gamma", gamma)
         if isinstance(n, np.ndarray):
             if n.dtype.kind not in "iu":
                 raise TypeError(f"n must have an integer dtype, got {n.dtype}")
-            return formula(n.astype(np.int64, copy=False), gamma)  # 2 * n wraps in int8
+            n = n.astype(np.int64, copy=False)  # 2 * n wraps in int8
+            if (n < 0).any():
+                raise ValueError("n must be nonnegative")
+            return formula(n, gamma)
+        if operator.index(n) < 0:
+            raise ValueError("n must be nonnegative")
         return float(formula(operator.index(n), gamma))
     return coefficient
 
@@ -96,8 +102,6 @@ def _over_n(formula):
 @_over_n
 def nu_n(n, gamma: float):
     """Conditional-expectation eigenvalue: E[J_n(x_i) | x_j] = nu_n J_n(x_j)."""
-    if np.any(n < 0):
-        raise ValueError("n must be nonnegative")
     log = gammaln(2 * gamma) + gammaln(n + gamma) - gammaln(gamma) - gammaln(n + 2 * gamma)
     # C exp, one element at a time: numpy's array exp can differ from it in the last bit
     mag = np.reshape([math.exp(v) for v in np.ravel(log).tolist()], np.shape(n))
@@ -185,12 +189,6 @@ def _c(family: str, k: np.ndarray, gamma: float) -> np.ndarray:
     return 1.0 + 2.0 * nu_n(k, gamma) if family == "A" else 1.0 - nu_n(k, gamma)
 
 
-def _check_gamma_n_max(gamma: float, n_max: int, least: int) -> None:
-    _check_count("n_max", n_max, least)
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-
-
 def family_tridiagonal(family: str, gamma: float, n_max: int,
                        exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Head block of the family-A (k = 2..n_max) or family-B (k = 1..n_max)
@@ -200,7 +198,7 @@ def family_tridiagonal(family: str, gamma: float, n_max: int,
     at matching degree); default is the certificate surrogate q_cert."""
     if family not in ("A", "B"):
         raise ValueError("family must be 'A' or 'B'")
-    _check_gamma_n_max(gamma, n_max, 2 if family == "A" else 1)  # a head of one row or more
+    _check_count("n_max", n_max, 2 if family == "A" else 1)  # a head of one row or more
     qfun = q_n if exact else q_cert
     ks = np.arange(2 if family == "A" else 1, n_max + 1)
     c = _c(family, ks, gamma)
@@ -262,7 +260,7 @@ def tridiagonal_sup(family: str, gamma: float, n_max: int = 200) -> SupBracket:
     the grid minimum sits at their crossing: bisection on the grid index
     finds it in at most 7 head eigenvalues.
     """
-    _check_gamma_n_max(gamma, n_max, 1 if family == "A" else 0)
+    _check_count("n_max", n_max, 1 if family == "A" else 0)
     diag, off = family_tridiagonal(family, gamma, n_max + 1)
     if off.size == 0:
         raise ValueError(f"n_max = {n_max} leaves family {family} no head row")
@@ -338,18 +336,6 @@ def kappa_tilde_1_bracket(gamma: float, n_max: int = 200, degree: int = 8,
 # certificate sequences
 
 _DELTA = 1e-3  # strictness perturbation where the textbook choice gives equality
-
-
-def n_zero(gamma: float, n_cap: int = 10_000) -> int:
-    """Smallest n0 with |q_cert_n| (1/(1+2|nu_n|) - 1/2)^(-1) < 1/2 for all
-    n >= n0 (verified up to n_cap; the quantity is eventually decreasing to 0)."""
-    ns = np.arange(2, n_cap + 1)
-    val = np.abs(q_cert(ns, gamma)) / (1.0 / (1.0 + 2.0 * np.abs(nu_n(ns, gamma))) - 0.5)
-    fails = ns[~(val < 0.5)]
-    n0 = int(fails[-1]) + 1 if fails.size else 2
-    if n0 > n_cap:
-        raise RuntimeError("n0 not found below cap")
-    return n0
 
 
 def _alternating_weights(family: str, gamma: float, n0: int, n_max: int) -> np.ndarray:

@@ -50,7 +50,7 @@ class ExperimentConfig:
     gamma: float | None = None
     energy: float = 1.0
     sites: int = 3
-    topology: str = "long-range"
+    topology: str = LONG_RANGE
     method: str = "galerkin"
     degree: int = 6
     budget: int = 1_000_000
@@ -105,15 +105,6 @@ class ExperimentConfig:
         return meta
 
 
-_TOPOLOGIES = {"nearest": NEAREST, "long-range": LONG_RANGE}
-
-
-def _topology(name: str, sites: int) -> Topology:
-    if name not in _TOPOLOGIES:
-        raise ValueError(f"unknown topology {name!r}, not one of {list(_TOPOLOGIES)}")
-    return Topology(_TOPOLOGIES[name], sites)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -125,7 +116,7 @@ def _kernel_and_law(cfg: ExperimentConfig):
 
 def compute_gap_row(cfg: ExperimentConfig) -> dict:
     kern, law = _kernel_and_law(cfg)
-    topo = _topology(cfg.topology, cfg.sites)
+    topo = Topology(cfg.topology, cfg.sites)
     if cfg.method == "galerkin":
         res = spectral_gap(law, kern, cfg.degree, topo.kind)
         gap, err, dob = res.value, 0.0, cfg.degree
@@ -287,7 +278,7 @@ def _write_summary_csv(path: str, report: dict) -> None:
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     kern, law = _kernel_and_law(cfg)
     rng = np.random.default_rng(cfg.seed)
-    traj = simulate.run(kern, _topology(cfg.topology, cfg.sites), law, rng,
+    traj = simulate.run(kern, Topology(cfg.topology, cfg.sites), law, rng,
                         n_events=cfg.budget, sample_dt=args.sample_dt)
     if traj.flagged:
         print("trajectory flagged: dynamics froze (zero total rate)",
@@ -319,7 +310,7 @@ _FLAGS = {
     "--gamma": dict(type=float),
     "--E": dict(dest="energy", type=float),
     "--N": dict(dest="sites", type=int),
-    "--topology": dict(choices=list(_TOPOLOGIES)),
+    "--topology": dict(choices=[NEAREST, LONG_RANGE]),
     "--method": dict(choices=["galerkin", "mc"]),
     "--degree": dict(type=int),
     "--budget": dict(type=int, help="MC event budget"),

@@ -303,7 +303,12 @@ def _whitened_pencil(A: np.ndarray, G: np.ndarray, cond_limit: float = math.inf)
     if A.shape[0] < 2:
         raise ValueError("need at least one non-constant basis function")
     Gs = G[1:, 1:] - np.outer(G[1:, 0], G[0, 1:]) / G[0, 0]
-    d = 1.0 / np.sqrt(np.diag(Gs))
+    var = np.diag(Gs)
+    if not np.all((var > 0) & (var < np.inf)):  # underflow at a tiny E, or overflow
+        raise np.linalg.LinAlgError(
+            f"Gram diagonal {var.min():.3e}..{var.max():.3e} after deflation is not positive "
+            "and finite; rescale E or lower the degree")
+    d = 1.0 / np.sqrt(var)
     Gs = Gs * np.outer(d, d)
     Gs = 0.5 * (Gs + Gs.T)
     ge = eigvalsh(Gs)

@@ -33,6 +33,11 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_positive(name: str, value) -> None:
+    if isinstance(value, bool) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class GammaShape:
     """Shape parameter of the Gamma marginal (scale is fixed to 1)."""
@@ -40,8 +45,7 @@ class GammaShape:
     gamma: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.gamma, bool) or not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be a positive finite number, got {self.gamma}")
+        _check_positive("gamma", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class SimplexLaw:
     sites: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.mean_energy, bool) or not 0 < self.mean_energy < np.inf:
-            raise ValueError(f"mean_energy must be a positive finite number, got {self.mean_energy}")
+        _check_positive("mean_energy", self.mean_energy)
         _check_count("sites", self.sites, 2)
 
     @property

@@ -46,7 +46,7 @@ __all__ = [
 
 
 NEAREST = "nearest"
-LONG_RANGE = "longrange"
+LONG_RANGE = "long-range"
 
 # Proposals one rejection-sampled alpha may take.  The gg2 and gg3 samplers
 # accept at least 16% and 2/3 of their proposals, so reaching the cap means the
@@ -71,7 +71,7 @@ class Topology:
 
     def __post_init__(self) -> None:
         if self.kind not in (NEAREST, LONG_RANGE):
-            raise ValueError(f"unknown topology {self.kind!r}")
+            raise ValueError(f"unknown topology {self.kind!r}, not one of {[NEAREST, LONG_RANGE]}")
         _check_count("sites", self.sites, 2)
 
     @property

@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .measures import SimplexLaw, _check_count, sample_matrix
+from .measures import SimplexLaw, _check_count, _check_positive, sample_matrix
 from .models import (LONG_RANGE, NEAREST, BetaSampler, ExchangeKernel, Topology,
                      UniformSampler, check_reversible_law)
 
@@ -177,8 +177,8 @@ def _simulate(kernel, topo, law, rng, n_events, t_max, sample_dt, observe,
     if n_events is not None:
         _check_count("n_events", n_events, 1)
     for key, val in (("t_max", t_max), ("sample_dt", sample_dt)):
-        if val is not None and not 0 < val < math.inf:
-            raise ValueError(f"{key} must be finite and positive, got {val}")
+        if val is not None:
+            _check_positive(key, val)
     if law.sites != topo.sites:
         raise ValueError("law and topology disagree on the number of sites")
     check_reversible_law(kernel, law)

@@ -12,7 +12,6 @@ from gapforge.appendix import (
     family_tridiagonal,
     kappa_tilde_1_bracket,
     monotonicity_report,
-    n_zero,
     nu_n,
     nu_quadrature,
     p_n,
@@ -110,11 +109,6 @@ def test_monotonicity_zero_violations():
         assert rec["violations"] == 0, rec
 
 
-def test_n_zero_finite():
-    for g in (0.5, 1.0, 2.0):
-        assert 1 < n_zero(g) < 10_000
-
-
 def test_certificate_sup_bracket_ordered():
     b = tridiagonal_sup("B", 1.0, n_max=150)
     assert b.lower <= b.upper
@@ -189,6 +183,14 @@ def test_coefficients_refuse_a_fractional_index(coefficient):
     # nu_n(2.5, 1.0) would be the complex (-1)^2.5 Gamma-ratio
     with pytest.raises(TypeError):
         coefficient(2.5, 1.0)
+
+
+@pytest.mark.parametrize("coefficient", [nu_n, p_n, q_n, q_cert])
+@pytest.mark.parametrize("n", [-1, -3, np.array([2, -1, 3]), np.array([-2], dtype=np.int8)],
+                         ids=["-1", "-3", "array", "int8-array"])
+def test_coefficients_refuse_a_negative_index(coefficient, n):
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        coefficient(n, 1.0)
 
 
 ENTRY_POINTS = {
@@ -339,18 +341,6 @@ def _ref_certificate_expressions(gamma, n_max):
     return ea, eb
 
 
-def _ref_n_zero(gamma, n_cap):
-    n0 = None
-    for n in range(2, n_cap + 1):
-        val = abs(q_cert(n, gamma)) / (1.0 / (1.0 + 2.0 * abs(nu_n(n, gamma))) - 0.5)
-        if val < 0.5:
-            if n0 is None:
-                n0 = n
-        else:
-            n0 = None
-    return n0
-
-
 def _ref_monotonicity_report(gammas, n_max):
     gammas = sorted(gammas)
     records = []
@@ -429,17 +419,6 @@ def test_monotonicity_report_equals_its_per_n_loops(n_max):
     # 0.05 takes the cross-gamma |q| fact from n = 3, the rest from n = 2
     gammas = [0.05, *ARRAY_GAMMAS]
     assert monotonicity_report(gammas, n_max) == _ref_monotonicity_report(gammas, n_max)
-
-
-@pytest.mark.parametrize("n_cap", [1, 3, 12, 50, 200, 10_000])
-@pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
-def test_n_zero_equals_its_per_n_loop(gamma, n_cap):
-    want = _ref_n_zero(gamma, n_cap)
-    if want is None:
-        with pytest.raises(RuntimeError):
-            n_zero(gamma, n_cap)
-    else:
-        assert n_zero(gamma, n_cap) == want
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2])

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,17 @@ def test_ill_conditioned_gram_is_numerical_failure(capsys):
     assert code == NUMERICAL_ERROR
     err = capsys.readouterr().err
     assert "numerical failure" in err and "ill-conditioned" in err
+
+
+@pytest.mark.parametrize("argv", [["--E", "1e-100", "--m", "1", "--degree", "6", "--N", "3",
+                                   "--topology", "nearest"],
+                                  ["--E", "1e-300", "--degree", "2"]], ids=["E1e-100", "E1e-300"])
+def test_gram_diagonal_that_underflows_is_numerical_failure(argv, capsys):
+    with warnings.catch_warnings():  # and no divide-by-zero warning on the way
+        warnings.simplefilter("error")
+        assert main(["gap", *argv]) == NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Gram diagonal") and "not positive and finite" in err
 
 
 RERUNS = {

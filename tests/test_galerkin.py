@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -681,3 +682,12 @@ def test_kernel_grid_matches_the_per_beta_reference(name, m, gamma):
     assert np.array_equal(grid.alpha_nodes, alpha)
     assert np.array_equal(_repeated_betas(grid), beta)
     assert np.array_equal(grid.node_weights, weights)
+
+
+@pytest.mark.parametrize("energy, topology", [(1e-100, NEAREST), (1e-300, LONG_RANGE)])
+def test_spectral_gap_refuses_a_gram_diagonal_that_underflows(energy, topology):
+    law = SimplexLaw(GammaShape(1.0), energy, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way
+        with pytest.raises(np.linalg.LinAlgError, match="Gram diagonal 0.000e"):
+            spectral_gap(law, star_kernel(1.0, GammaShape(1.0)), 6, topology)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapforge import appendix, simulate
 from gapforge.measures import (
     GammaShape,
     SimplexLaw,
@@ -10,6 +11,7 @@ from gapforge.measures import (
     pair_alpha_moment,
     sample_matrix,
 )
+from gapforge.models import NEAREST, Topology, make_kernel
 
 
 def test_gamma_shape_validation():
@@ -40,9 +42,32 @@ def test_simplex_law_refuses_fewer_than_two_sites(sites):
     assert SimplexLaw(GammaShape(1.0), 1.0, 2).total_energy == 2.0
 
 
-@pytest.mark.parametrize("make", [lambda v: GammaShape(v), lambda v: SimplexLaw(GammaShape(1.0), v, 3)],
-                         ids=["gamma", "mean_energy"])
-@pytest.mark.parametrize("value", [True, False, 0.0, -1.0, np.inf, np.nan])
+def _run(**times):
+    law = SimplexLaw(GammaShape(1.0), 1.0, 3)
+    return simulate.run(make_kernel("kmp"), Topology(NEAREST, 3), law, np.random.default_rng(0),
+                        n_events=10, **times)
+
+
+# every site of measures._check_positive; the appendix ones take gamma
+POSITIVE_SITES = {
+    "gamma": lambda v: GammaShape(v),
+    "mean_energy": lambda v: SimplexLaw(GammaShape(1.0), v, 3),
+    "t_max": lambda v: _run(t_max=v),
+    "sample_dt": lambda v: _run(sample_dt=v),
+    **{name: lambda v, f=getattr(appendix, name): f(3, v) for name in ("nu_n", "p_n", "q_n", "q_cert")},
+    "family_tridiagonal": lambda v: appendix.family_tridiagonal("A", v, 5),
+    "tridiagonal_sup": lambda v: appendix.tridiagonal_sup("B", v, 5),
+    "kappa_tilde_1_bracket": lambda v: appendix.kappa_tilde_1_bracket(v, 5, 2, strict=False),
+    "certificate_alphas": lambda v: appendix.certificate_alphas(v, 5),
+    "certificate_betas": lambda v: appendix.certificate_betas(v, 5),
+    "verify_certificates": lambda v: appendix.verify_certificates(v, 20),
+    "verify_prop_a": lambda v: appendix.verify_prop_a(v, 5),
+    "monotonicity_report": lambda v: appendix.monotonicity_report([v], 5),
+}
+
+
+@pytest.mark.parametrize("make", POSITIVE_SITES.values(), ids=POSITIVE_SITES)
+@pytest.mark.parametrize("value", [True, False, 0.0, -1.0, np.inf, -np.inf, np.nan])
 def test_a_bool_or_a_value_off_the_positive_reals_is_refused(make, value):
     with pytest.raises(ValueError, match="must be a positive finite number"):
         make(value)

@@ -7,6 +7,7 @@ run name other than ``__main__``, so ``main()`` itself does not run.
 import copy
 import importlib.util
 import pathlib
+import re
 import runpy
 import sys
 
@@ -73,3 +74,12 @@ def test_verify_equal_names_each_moved_field():
     ]
     new["checks"][0]["pass"] = False
     assert script.moved_fields(old, new)[-1] == "pass flags changed: checks[0 scaling].pass"
+
+
+def test_readme_lines_are_short_and_its_scripts_list_names_each_script():
+    text = (ROOT / "README.md").read_text()
+    long = [n for n, line in enumerate(text.splitlines(), 1) if len(line) > 400]
+    assert not long, f"README lines over 400 characters: {long}"
+    section = text.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `scripts/([\w.]+\.py)", section, flags=re.M)
+    assert sorted(listed) == [p.name for p in SCRIPTS]

@@ -31,6 +31,15 @@ def test_topology_validation():
     assert (simulate.Topology, simulate.NEAREST, simulate.LONG_RANGE) == (Topology, NEAREST, LONG_RANGE)
 
 
+def test_topology_takes_the_cli_spelling_of_long_range():
+    # one spelling, the one the CLI and config files take
+    assert (NEAREST, LONG_RANGE) == ("nearest", "long-range")
+    assert Topology(LONG_RANGE, 3).bonds() == [(0, 1), (0, 2), (1, 2)]
+    with pytest.raises(ValueError, match="unknown topology 'longrange', not one of "
+                                         r"\['nearest', 'long-range'\]"):
+        Topology("longrange", 3)
+
+
 def test_run_conserves_energy(rng):
     law = SimplexLaw(GammaShape(1.0), 1.0, 4)
     traj = run(make_kernel("kmp"), Topology(NEAREST, 4), law, rng, n_events=5000)
