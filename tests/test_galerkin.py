@@ -89,7 +89,7 @@ def test_gram_condition_reported():
     (SimplexLaw(GammaShape(1.5), 1.0, 3), make_kernel("gg3"), NEAREST, 4),
     (SimplexLaw(GammaShape(1.0), 1.0, 3), star_kernel(1.0, GammaShape(1.0)), LONG_RANGE, 5),
     (SimplexLaw(GammaShape(1.0), 1.0, 3), make_kernel("stick", m=2.0), NEAREST, 4),
-])
+], ids=lambda v: v.replace("-", "") if isinstance(v, str) else None)
 def test_history_is_the_leading_block_gap(law, kernel, topology, top):
     # one assembly at the top degree; its leading blocks are the lower-degree pencils
     history = spectral_gap(law, kernel, top, topology).history
